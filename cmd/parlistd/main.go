@@ -1,7 +1,8 @@
 // Command parlistd serves all seven list operations over the network,
 // backed by a warm EnginePool and internal/server's coalescing
-// batcher: concurrent same-op, same-size-class requests fuse into one
-// machine run and fan back out per caller.
+// batcher: while every engine is busy, concurrent same-op,
+// same-size-class requests fuse into one machine run and fan back out
+// per caller; a request that finds an engine idle flushes at once.
 //
 // Two listeners: -http serves the JSON framing (POST /v1/{matching,
 // partition,threecolor,mis,rank,prefix,schedule}) plus /metrics,
@@ -84,7 +85,7 @@ func run(args []string, out *os.File) error {
 	workers := fs.Int("workers", 0, "real worker cap for the parallel executors (0 = GOMAXPROCS)")
 	cache := fs.Int("cache", 0, "result-cache entries (0 = no cache)")
 	batch := fs.Int("batch", 16, "coalescing batch size (1 = per-request dispatch)")
-	maxWait := fs.Duration("maxwait", 500*time.Microsecond, "longest a pending coalescing group waits before flushing")
+	maxWait := fs.Duration("maxwait", 500*time.Microsecond, "cap on how long a coalescing group is held while every engine is busy (groups flush at once when an engine is idle)")
 	rate := fs.Float64("rate", 0, "per-tenant admitted requests/second (0 = unlimited)")
 	burst := fs.Float64("burst", 0, "per-tenant token-bucket burst (defaults to rate)")
 	maxNodes := fs.Int("max-nodes", 1<<24, "largest accepted input list")

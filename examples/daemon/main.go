@@ -1,8 +1,11 @@
 // Daemon: run parlistd's serving core in-process, dial it over the
-// binary framing, and pipeline a batch of rank requests so the
-// coalescing batcher fuses them into one machine run. Each response
-// carries its enqueue → flush → service → respond timestamps; the
-// fused batch size shows up as batched=N on every rider.
+// binary framing, and pipeline a burst of rank requests. The
+// coalescing batcher is work-conserving: the first requests find an
+// idle engine each and flush alone, and the rest, arriving while both
+// engines are busy, fuse into one machine run that flushes the moment
+// an engine frees. Each response carries its enqueue → flush → service
+// → respond timestamps; the fused batch size shows up as batched=N on
+// every rider.
 //
 //	go run ./examples/daemon
 package main
@@ -20,8 +23,9 @@ import (
 )
 
 func main() {
-	// Two warm engines behind a serving core that flushes a coalescing
-	// group at 8 riders or 5ms, whichever comes first.
+	// Two warm engines behind a serving core that holds a coalescing
+	// group only while both engines are busy, flushing it when an
+	// engine frees, at 8 riders, or after 50ms, whichever comes first.
 	pool := engine.NewPool(engine.PoolConfig{
 		Engines: 2, QueueDepth: 64,
 		Engine: engine.Config{Processors: 64},
@@ -29,7 +33,7 @@ func main() {
 	srv, err := server.New(server.Config{
 		Pool:      pool,
 		BatchSize: 8,
-		MaxWait:   5 * time.Millisecond,
+		MaxWait:   50 * time.Millisecond,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -46,9 +50,10 @@ func main() {
 	}
 	defer client.Close()
 
-	// Pipeline 8 rank requests of one size class: the batcher fuses
-	// them into a single engine run (one queue trip, one semaphore
-	// handshake, one warm arena) and fans the results back out.
+	// Pipeline 8 rank requests of one size class: the first two take an
+	// idle engine each, and the rest gather in one group behind them
+	// and fuse into a single engine run (one queue trip, one semaphore
+	// handshake, one warm arena) whose results fan back out.
 	l := list.RandomList(4096, 1)
 	const riders = 8
 	pendings := make([]<-chan *server.Response, riders)

@@ -433,6 +433,21 @@ func (p *EnginePool) pick(req Request) *shard {
 	return best
 }
 
+// Idle reports whether some engine could start work right now: its
+// breaker is closed and it has no admitted, unfinished request. It
+// reads the same load and breaker signal pick routes by, so a Submit
+// made while Idle is true lands on an idle engine unless a concurrent
+// caller claims it first. The serving batcher flushes a pending group
+// as soon as Idle is true rather than holding it for more arrivals.
+func (p *EnginePool) Idle() bool {
+	for _, s := range p.shards {
+		if s.load() == 0 && s.brk.now() == BreakerClosed {
+			return true
+		}
+	}
+	return false
+}
+
 // dispatch is a shard's service loop: one goroutine per engine draining
 // that engine's queue until Close closes it.
 func (p *EnginePool) dispatch(s *shard) {

@@ -505,3 +505,100 @@ func TestPoolSpreadsUnderLoad(t *testing.T) {
 		}
 	}
 }
+
+// parkObserver is a PoolObserver whose DequeueObserved holds the first
+// n dequeues until released, so a test can keep engines busy for as
+// long as it needs to.
+type parkObserver struct {
+	mu      sync.Mutex
+	left    int
+	parked  chan struct{}
+	release chan struct{}
+}
+
+func newParkObserver(n int) *parkObserver {
+	return &parkObserver{left: n, parked: make(chan struct{}, n), release: make(chan struct{}, n)}
+}
+
+func (o *parkObserver) EnqueueObserved(int) {}
+func (o *parkObserver) ShedObserved()       {}
+func (o *parkObserver) CacheHitObserved()   {}
+func (o *parkObserver) DequeueObserved(time.Duration, int) {
+	o.mu.Lock()
+	park := o.left > 0
+	if park {
+		o.left--
+	}
+	o.mu.Unlock()
+	if park {
+		o.parked <- struct{}{}
+		<-o.release
+	}
+}
+
+// TestPoolIdle pins the signal the serving batcher flushes on: the
+// pool is idle while some engine with a closed breaker has no admitted,
+// unfinished request, and busy once every engine holds one or is
+// quarantined. An engine reads idle again before its request's future
+// resolves, so a waiter that checks Idle after Wait sees the freed
+// engine.
+func TestPoolIdle(t *testing.T) {
+	park := newParkObserver(2)
+	pool := NewPool(PoolConfig{Engines: 2, QueueDepth: 4, Engine: Config{Processors: 8}, Observer: park})
+	defer pool.Close()
+	if !pool.Idle() {
+		t.Fatal("fresh pool reads busy")
+	}
+	l := list.RandomList(64, 1)
+	futures := make([]*Future, 2)
+	for i := range futures {
+		f, err := pool.Submit(bg, Request{Op: OpRank, List: l})
+		if err != nil {
+			t.Fatal(err)
+		}
+		futures[i] = f
+		if i == 0 && !pool.Idle() {
+			t.Error("pool with one busy engine of two reads busy")
+		}
+	}
+	for range futures {
+		<-park.parked
+	}
+	if pool.Idle() {
+		t.Error("pool with every engine holding a request reads idle")
+	}
+	park.release <- struct{}{}
+	select {
+	case <-futures[0].Done():
+	case <-futures[1].Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("released request never resolved")
+	}
+	if !pool.Idle() {
+		t.Error("pool reads busy after a request resolved")
+	}
+	park.release <- struct{}{}
+	for _, f := range futures {
+		if _, err := f.Wait(bg); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// A quarantined engine is not idle even with no load.
+	one := NewPool(PoolConfig{Engines: 1, QueueDepth: 4, Engine: pooledCfg(),
+		Breaker: BreakerPolicy{Threshold: 1, Cooldown: time.Hour}})
+	defer one.Close()
+	f, err := one.Submit(bg, Request{List: list.RandomList(4096, 2), Faults: panicPlan(3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Wait(bg); err == nil {
+		t.Fatal("faulted request succeeded")
+	}
+	if one.Breaker(0) == BreakerClosed {
+		t.Fatal("breaker still closed after a fault at threshold 1")
+	}
+	if one.Idle() {
+		t.Error("pool whose only engine is quarantined reads idle")
+	}
+}

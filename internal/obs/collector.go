@@ -60,8 +60,7 @@ type Collector struct {
 	roundWall   *Histogram
 	rounds      *Counter
 	barrierWait *Histogram
-	workerNs    [MaxTrackedWorkers]atomic.Pointer[Counter]
-	workerN     [MaxTrackedWorkers]atomic.Pointer[Counter]
+	workers     [MaxTrackedWorkers]atomic.Pointer[workerCounters]
 	phaseNs     sync.Map // phase name → *Counter
 
 	// Engine layer.
@@ -81,8 +80,7 @@ type Collector struct {
 	deadlineExceeded *Counter
 	quarantineNs     *Histogram
 	engRetries       [MaxTrackedWorkers]atomic.Pointer[Counter]
-	engBreaker       [MaxTrackedWorkers]atomic.Pointer[Gauge]
-	engTrips         [MaxTrackedWorkers]atomic.Pointer[Counter]
+	engBreakers      [MaxTrackedWorkers]atomic.Pointer[breakerSeries]
 
 	// Sharded-execution layer (engine.ShardObserver). Step-wall series
 	// are labelled by plan-step kind, lazily like phaseNs.
@@ -163,22 +161,30 @@ func (c *Collector) RoundObserved(wall time.Duration, items int) {
 	c.rounds.Inc()
 }
 
+// workerCounters is one participant's barrier-wait counter pair. Both
+// counters are built before the pair is published, so a reader that
+// sees the pointer sees both.
+type workerCounters struct {
+	ns, n *Counter
+}
+
 // worker returns the lazily created per-worker counter pair. The fast
 // path is one atomic load; creation races resolve through the
-// registry's idempotent constructors, so both racers store the same
-// instance.
-func (c *Collector) worker(q int) (ns, n *Counter) {
-	ns = c.workerNs[q].Load()
-	if ns == nil {
+// registry's idempotent constructors, so both racers store equal pairs
+// of the same instances.
+func (c *Collector) worker(q int) *workerCounters {
+	w := c.workers[q].Load()
+	if w == nil {
 		label := strconv.Itoa(q)
-		ns = c.reg.Counter("parlist_barrier_worker_wait_ns_total",
-			"cumulative barrier wait per participant (worker 0 = coordinator)", "worker", label)
-		c.workerNs[q].Store(ns)
-		c.workerN[q].Store(c.reg.Counter("parlist_barrier_worker_waits_total",
-			"barrier waits recorded per participant", "worker", label))
+		w = &workerCounters{
+			ns: c.reg.Counter("parlist_barrier_worker_wait_ns_total",
+				"cumulative barrier wait per participant (worker 0 = coordinator)", "worker", label),
+			n: c.reg.Counter("parlist_barrier_worker_waits_total",
+				"barrier waits recorded per participant", "worker", label),
+		}
+		c.workers[q].Store(w)
 	}
-	n = c.workerN[q].Load()
-	return ns, n
+	return w
 }
 
 // BarrierWaitObserved implements the executor's barrier hook: one
@@ -187,9 +193,9 @@ func (c *Collector) BarrierWaitObserved(worker int, wall time.Duration) {
 	ns := wall.Nanoseconds()
 	c.barrierWait.Observe(ns)
 	if worker >= 0 && worker < MaxTrackedWorkers {
-		wNs, wN := c.worker(worker)
-		wNs.Add(ns)
-		wN.Inc()
+		w := c.worker(worker)
+		w.ns.Add(ns)
+		w.n.Inc()
 	}
 }
 
@@ -269,6 +275,13 @@ func (c *Collector) RetryObserved(engine int) {
 // request failed past its deadline budget.
 func (c *Collector) DeadlineExceededObserved() { c.deadlineExceeded.Inc() }
 
+// breakerSeries is one engine's breaker gauge and trips counter, built
+// together and published as one pointer like workerCounters.
+type breakerSeries struct {
+	state *Gauge
+	trips *Counter
+}
+
 // BreakerStateObserved implements the pool's resilience hook: the
 // engine's breaker entered the int-coded state (0 closed, 1 open, 2
 // half-open). Closed→open transitions also bump the trips counter.
@@ -276,18 +289,20 @@ func (c *Collector) BreakerStateObserved(engine, state int) {
 	if engine < 0 || engine >= MaxTrackedWorkers {
 		return
 	}
-	label := strconv.Itoa(engine)
-	g := c.engBreaker[engine].Load()
-	if g == nil {
-		g = c.reg.Gauge("parlist_breaker_state",
-			"circuit-breaker state per engine (0 closed, 1 open, 2 half-open)", "engine", label)
-		c.engBreaker[engine].Store(g)
-		c.engTrips[engine].Store(c.reg.Counter("parlist_breaker_trips_total",
-			"closed-to-open breaker transitions per engine", "engine", label))
+	b := c.engBreakers[engine].Load()
+	if b == nil {
+		label := strconv.Itoa(engine)
+		b = &breakerSeries{
+			state: c.reg.Gauge("parlist_breaker_state",
+				"circuit-breaker state per engine (0 closed, 1 open, 2 half-open)", "engine", label),
+			trips: c.reg.Counter("parlist_breaker_trips_total",
+				"closed-to-open breaker transitions per engine", "engine", label),
+		}
+		c.engBreakers[engine].Store(b)
 	}
-	g.Set(int64(state))
+	b.state.Set(int64(state))
 	if state == 1 {
-		c.engTrips[engine].Load().Inc()
+		b.trips.Inc()
 	}
 }
 
@@ -342,11 +357,11 @@ func (c *Collector) WorkerWaitNs() []int64 {
 	out := make([]int64, 0, MaxTrackedWorkers)
 	last := -1
 	for q := 0; q < MaxTrackedWorkers; q++ {
-		if ctr := c.workerNs[q].Load(); ctr != nil {
+		if w := c.workers[q].Load(); w != nil {
 			for len(out) < q {
 				out = append(out, 0)
 			}
-			out = append(out, ctr.Value())
+			out = append(out, w.ns.Value())
 			last = q
 		}
 	}

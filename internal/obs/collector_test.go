@@ -118,6 +118,39 @@ func TestCollectorConcurrent(t *testing.T) {
 	}
 }
 
+// TestCollectorFirstCallRace races four goroutines into the first
+// observation of one worker and one engine on a fresh collector, many
+// times over. Each lazily created series pair must be complete the
+// moment any caller can see it: a caller that finds the pair published
+// must never find one half of it missing.
+func TestCollectorFirstCallRace(t *testing.T) {
+	const callers = 4
+	for round := 0; round < 500; round++ {
+		reg := NewRegistry()
+		c := NewCollector(reg)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < callers; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				c.BarrierWaitObserved(1, time.Microsecond)
+				c.BreakerStateObserved(1, 1)
+			}()
+		}
+		close(start)
+		wg.Wait()
+		waits := reg.Counter("parlist_barrier_worker_waits_total", "", "worker", "1").Value()
+		waitNs := reg.Counter("parlist_barrier_worker_wait_ns_total", "", "worker", "1").Value()
+		trips := reg.Counter("parlist_breaker_trips_total", "", "engine", "1").Value()
+		if waits != callers || waitNs != callers*1000 || trips != callers {
+			t.Fatalf("round %d: waits %d, wait ns %d, trips %d; want %d, %d, %d",
+				round, waits, waitNs, trips, callers, callers*1000, callers)
+		}
+	}
+}
+
 func TestHandlerServesMetrics(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("up", "liveness").Inc()

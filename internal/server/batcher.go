@@ -54,21 +54,28 @@ type batchKey struct {
 }
 
 // group is one pending coalescing group. deadline is the oldest item's
-// admission time plus MaxWait — the group flushes when it fills to
-// BatchSize or when that deadline passes, whichever is first.
+// admission time plus MaxWait: the cap on how long the group can be
+// held while every engine is busy.
 type group struct {
 	items    []*item
 	deadline time.Time
 }
 
 // batcher is the coalescing collector: a single goroutine owns the
-// pending groups, so grouping needs no locks. Admission sends items
-// into in (non-blocking — a full inbox is a shed); Shutdown closes in,
-// and the collector flushes every pending group (cause "drain") before
-// exiting.
+// pending groups, so grouping needs no locks. It is work-conserving: a
+// group is held only while every engine is busy, so coalescing happens
+// exactly when there is a backlog to fuse and an idle pool never pays a
+// wait. Admission sends items into in (non-blocking — a full inbox is a
+// shed); Shutdown closes in, and the collector flushes every pending
+// group (cause "drain") before exiting.
 type batcher struct {
 	srv *Server
 	in  chan *item
+	// wake carries completion wake-ups: a flush waiter whose batch has
+	// just freed its engine sends (without blocking) when items are
+	// held, so the collector re-checks the pool instead of waiting for
+	// the next arrival or the MaxWait timer.
+	wake chan struct{}
 	// wg tracks the flush-waiter goroutines (one per in-flight fused
 	// batch); after close(in) and <-exited, wg.Wait means every
 	// admitted item has finished.
@@ -78,7 +85,11 @@ type batcher struct {
 	// groups and queued mirror the collector's pending state for
 	// /statusz: open coalescing groups and items waiting in them. The
 	// collector goroutine writes them after every event; readers get a
-	// live (slightly racy, as all gauges are) occupancy picture.
+	// live (slightly racy, as all gauges are) occupancy picture. queued
+	// is also half of the wake-up handshake: the collector counts an
+	// item here before it checks the pool for an idle engine, and a
+	// waiter reads it after its engine's load has dropped, so one of the
+	// two always sees the other (Go atomics are sequentially consistent).
 	groups atomic.Int64
 	queued atomic.Int64
 }
@@ -93,15 +104,20 @@ func newBatcher(s *Server) *batcher {
 	b := &batcher{
 		srv:    s,
 		in:     make(chan *item, depth),
+		wake:   make(chan struct{}, 1),
 		exited: make(chan struct{}),
 	}
 	go b.run()
 	return b
 }
 
-// run is the collector loop. A single timer is armed to the earliest
-// pending group deadline; size-triggered flushes happen inline on the
-// arrival that fills the group.
+// run is the collector loop. Each turn waits for one event — an
+// arrival, the MaxWait timer, or a completion wake-up — applies that
+// event's own trigger (size on an arrival, deadline on the timer), and
+// then flushes pending groups oldest first for as long as the pool has
+// an idle engine (cause "idle"). A single timer is armed to the oldest
+// group's deadline, so it fires only for a group held through a whole
+// MaxWait of busy engines.
 func (b *batcher) run() {
 	defer close(b.exited)
 	pending := make(map[batchKey]*group)
@@ -112,21 +128,11 @@ func (b *batcher) run() {
 	armed := false
 	for {
 		var tc <-chan time.Time
-		var soonest time.Time
-		for _, g := range pending {
-			if soonest.IsZero() || g.deadline.Before(soonest) {
-				soonest = g.deadline
-			}
-		}
-		if !soonest.IsZero() {
+		if _, g := oldest(pending); g != nil {
 			if armed && !timer.Stop() {
 				<-timer.C
 			}
-			d := time.Until(soonest)
-			if d < 0 {
-				d = 0
-			}
-			timer.Reset(d)
+			timer.Reset(max(time.Until(g.deadline), 0))
 			armed = true
 			tc = timer.C
 		}
@@ -137,10 +143,8 @@ func (b *batcher) run() {
 			}
 			armed = false
 			if !ok {
-				for k, g := range pending {
-					delete(pending, k)
-					b.queued.Add(-int64(len(g.items)))
-					b.flush(g.items, "drain")
+				for k := range pending {
+					b.take(pending, k, "drain")
 				}
 				b.groups.Store(0)
 				return
@@ -158,23 +162,46 @@ func (b *batcher) run() {
 			g.items = append(g.items, it)
 			b.queued.Add(1)
 			if len(g.items) >= b.srv.cfg.BatchSize {
-				delete(pending, k)
-				b.queued.Add(-int64(len(g.items)))
-				b.flush(g.items, "size")
+				b.take(pending, k, "size")
 			}
-			b.groups.Store(int64(len(pending)))
 		case now := <-tc:
 			armed = false
 			for k, g := range pending {
 				if !g.deadline.After(now) {
-					delete(pending, k)
-					b.queued.Add(-int64(len(g.items)))
-					b.flush(g.items, "timer")
+					b.take(pending, k, "timer")
 				}
 			}
-			b.groups.Store(int64(len(pending)))
+		case <-b.wake:
+		}
+		for len(pending) > 0 && b.srv.pool.Idle() {
+			k, _ := oldest(pending)
+			b.take(pending, k, "idle")
+		}
+		b.groups.Store(int64(len(pending)))
+	}
+}
+
+// oldest returns the pending group whose first item arrived first (the
+// earliest deadline, since every group's deadline is its first
+// admission plus the same MaxWait), or a nil group when none is
+// pending.
+func oldest(pending map[batchKey]*group) (batchKey, *group) {
+	var oldK batchKey
+	var oldG *group
+	for k, g := range pending {
+		if oldG == nil || g.deadline.Before(oldG.deadline) {
+			oldK, oldG = k, g
 		}
 	}
+	return oldK, oldG
+}
+
+// take removes group k from pending and flushes it for cause.
+func (b *batcher) take(pending map[batchKey]*group, k batchKey, cause string) {
+	g := pending[k]
+	delete(pending, k)
+	b.queued.Add(-int64(len(g.items)))
+	b.flush(g.items, cause)
 }
 
 // flush turns one group into one SubmitBatch call. Items whose context
@@ -215,7 +242,7 @@ func (b *batcher) flush(items []*item, cause string) {
 			}
 		}
 	}
-	m.flushes(cause).Inc()
+	m.flushes[cause].Inc()
 	m.batchSize.Observe(int64(len(live)))
 	for _, it := range live {
 		it.batched = len(live)
@@ -241,6 +268,14 @@ func (b *batcher) flush(items []*item, cause string) {
 		// The future's ctx is Background: it resolves when every item
 		// has been served (or skipped by its own dead ctx).
 		_, _ = f.Wait(context.Background())
+		// The engine's load dropped before the future resolved, so if
+		// items are held the collector may now flush one to it.
+		if b.queued.Load() > 0 {
+			select {
+			case b.wake <- struct{}{}:
+			default:
+			}
+		}
 		eng := f.Metrics().Engine
 		for _, it := range live {
 			// Spans land before finish wakes the handler, so a caller

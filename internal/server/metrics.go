@@ -19,10 +19,19 @@ type serverMetrics struct {
 	serviceNs *obs.Histogram
 	// respondNs observes each request's full enqueue→respond time in ns.
 	respondNs *obs.Histogram
+	// flushes counts batch flushes by trigger, one series per entry of
+	// flushCauses.
+	flushes map[string]*obs.Counter
 }
 
+// flushCauses lists the batcher's flush triggers, in /statusz order:
+// idle (an engine was free), size (the group filled to BatchSize),
+// timer (the group was held MaxWait with every engine busy) and drain
+// (Shutdown).
+var flushCauses = []string{"idle", "size", "timer", "drain"}
+
 func newServerMetrics(reg *obs.Registry) *serverMetrics {
-	return &serverMetrics{
+	m := &serverMetrics{
 		reg:      reg,
 		inflight: reg.Gauge("parlistd_inflight", "Admitted requests not yet responded to."),
 		batchSize: reg.Histogram("parlistd_batch_size",
@@ -33,7 +42,13 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 			"Per-item machine service time in nanoseconds."),
 		respondNs: reg.Histogram("parlistd_respond_ns",
 			"Per-request enqueue-to-respond latency in nanoseconds."),
+		flushes: make(map[string]*obs.Counter, len(flushCauses)),
 	}
+	for _, c := range flushCauses {
+		m.flushes[c] = reg.Counter("parlistd_batch_flush_total",
+			"Coalescing-batch flushes, by trigger.", "cause", c)
+	}
+	return m
 }
 
 // requests counts admitted requests by framing and op.
@@ -56,11 +71,4 @@ func (m *serverMetrics) sheds(tenant, cause string) *obs.Counter {
 	return m.reg.Counter("parlistd_tenant_shed_total",
 		"Requests shed before running, by tenant and cause.",
 		"tenant", tenant, "cause", cause)
-}
-
-// flushes counts batch flushes by trigger (size, timer, drain).
-func (m *serverMetrics) flushes(cause string) *obs.Counter {
-	return m.reg.Counter("parlistd_batch_flush_total",
-		"Coalescing-batch flushes, by trigger.",
-		"cause", cause)
 }

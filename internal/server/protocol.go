@@ -8,8 +8,9 @@
 // request — whichever framing carried it — becomes an item in the
 // coalescing batcher (see batcher.go), which groups items by
 // (op, size class) and flushes a group as ONE [engine.EnginePool.SubmitBatch]
-// call when it reaches BatchSize items or its oldest item has waited
-// MaxWait. Results fan back out per caller stamped with the item's
+// call as soon as an engine is idle, when it reaches BatchSize items,
+// or when its oldest item has waited MaxWait with every engine busy.
+// Results fan back out per caller stamped with the item's
 // enqueue → flush → service → respond timestamps, and the same
 // timestamps feed the parlistd_* metric families on /metrics.
 //

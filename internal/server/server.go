@@ -41,8 +41,11 @@ type Config struct {
 	// 1 disables coalescing — every request flushes alone but still
 	// rides the batcher, so timestamps mean the same thing.
 	BatchSize int
-	// MaxWait bounds how long the oldest item of a pending group waits
-	// before the group flushes regardless of size (default 500µs).
+	// MaxWait caps how long the oldest item of a pending group waits
+	// before the group flushes regardless of size (default 500µs). The
+	// batcher holds a group only while every engine is busy and flushes
+	// it the moment one is idle, so MaxWait binds only when every
+	// engine stays busy (or every breaker open) for that long.
 	MaxWait time.Duration
 	// MaxNodes caps a single request's node count (default 1<<24;
 	// larger requests are refused with StatusInvalid).

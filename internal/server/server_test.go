@@ -66,6 +66,114 @@ func newTestServer(t *testing.T, cfg Config) (*Server, string) {
 	return s, ln.Addr().String()
 }
 
+// parkObserver is a pool observer whose DequeueObserved parks the
+// first n dequeues until released. A parked request keeps its engine
+// busy, which is how the tests make the batcher hold groups: it holds
+// one only while every engine is busy.
+type parkObserver struct {
+	engines int // dequeues to park: one per engine of its pool
+
+	mu      sync.Mutex
+	left    int
+	parked  chan struct{}
+	release chan struct{}
+	// free, once closed, releases every parked dequeue: a failing test
+	// must not leave an engine parked under the server's drain.
+	free chan struct{}
+}
+
+func (o *parkObserver) EnqueueObserved(int) {}
+func (o *parkObserver) ShedObserved()       {}
+func (o *parkObserver) CacheHitObserved()   {}
+func (o *parkObserver) DequeueObserved(time.Duration, int) {
+	o.mu.Lock()
+	park := o.left > 0
+	if park {
+		o.left--
+	}
+	o.mu.Unlock()
+	if park {
+		o.parked <- struct{}{}
+		select {
+		case <-o.release:
+		case <-o.free:
+		}
+	}
+}
+
+// unpark releases k parked dequeues.
+func (o *parkObserver) unpark(k int) {
+	for i := 0; i < k; i++ {
+		o.release <- struct{}{}
+	}
+}
+
+// newParkedPool returns a pool of the given size whose first `engines`
+// dequeues park on the returned observer.
+func newParkedPool(engines int) (*engine.EnginePool, *parkObserver) {
+	o := &parkObserver{engines: engines, left: engines, parked: make(chan struct{}, engines),
+		release: make(chan struct{}, engines), free: make(chan struct{})}
+	return engine.NewPool(engine.PoolConfig{
+		Engines: engines, QueueDepth: 64,
+		Engine:   engine.Config{Processors: 8},
+		Observer: o,
+	}), o
+}
+
+// parkEngines sends one request per engine through s and waits until
+// each has parked, so every engine reads busy. The returned channel
+// yields each parker's outcome once it is released and served. Parks
+// still held when the test ends are freed before earlier cleanups (the
+// server's drain) run.
+func parkEngines(t *testing.T, s *Server, o *parkObserver) <-chan error {
+	t.Helper()
+	t.Cleanup(func() { close(o.free) })
+	done := make(chan error, o.engines)
+	l := &list.List{Next: []int{1, -1}, Head: 0}
+	for i := 0; i < o.engines; i++ {
+		go func() {
+			it, _, _, err := s.do(context.Background(), "test", "parker", engine.Request{Op: engine.OpRank, List: l})
+			if it != nil {
+				s.finishRequest()
+			}
+			done <- err
+		}()
+		select {
+		case <-o.parked:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("engine %d never parked", i)
+		}
+	}
+	return done
+}
+
+// awaitParkers waits for k released parkers and fails on any error.
+func awaitParkers(t *testing.T, done <-chan error, k int) {
+	t.Helper()
+	for i := 0; i < k; i++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Errorf("parker: %v", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("parker not served after release")
+		}
+	}
+}
+
+// waitFor polls cond until it holds, failing after five seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // serverTestRequests mirrors the engine-level coverage: one request
 // per op plus algorithm variants, all wire-encodable.
 func serverTestRequests(t *testing.T, l *list.List) []engine.Request {
@@ -153,10 +261,10 @@ func TestWireBitIdentity(t *testing.T) {
 	}
 }
 
-// TestWireCoalescedBatch fires BatchSize identical-class requests
-// concurrently with a long MaxWait, so only the size trigger can flush
-// them: every response must report the full fused size and carry a
-// result identical to per-request Do.
+// TestWireCoalescedBatch parks both engines, then fires BatchSize
+// identical-class requests concurrently with a long MaxWait, so only
+// the size trigger can flush them: every response must report the full
+// fused size and carry a result identical to per-request Do.
 func TestWireCoalescedBatch(t *testing.T) {
 	const fuse = 8
 	l := list.RandomList(500, 11)
@@ -170,7 +278,9 @@ func TestWireCoalescedBatch(t *testing.T) {
 		t.Fatalf("control: %v", err)
 	}
 
-	s, addr := newTestServer(t, Config{BatchSize: fuse, MaxWait: 5 * time.Second})
+	pool, park := newParkedPool(2)
+	s, addr := newTestServer(t, Config{Pool: pool, BatchSize: fuse, MaxWait: 5 * time.Second})
+	parkers := parkEngines(t, s, park)
 	c, err := Dial(addr, "coalesce")
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
@@ -187,7 +297,10 @@ func TestWireCoalescedBatch(t *testing.T) {
 			resps[i], errs[i] = c.Do(ctx, engine.Request{Op: engine.OpRank, List: l})
 		}(i)
 	}
+	waitFor(t, "the size flush", func() bool { return s.met.flushes["size"].Value() == 1 })
+	park.unpark(2)
 	wg.Wait()
+	awaitParkers(t, parkers, 2)
 	for i := 0; i < fuse; i++ {
 		if errs[i] != nil {
 			t.Fatalf("request %d: %v", i, errs[i])
@@ -199,7 +312,7 @@ func TestWireCoalescedBatch(t *testing.T) {
 	}
 	var sb strings.Builder
 	s.Registry().WritePrometheus(&sb)
-	if !strings.Contains(sb.String(), `parlistd_batch_flush_total{cause="size"}`) {
+	if !strings.Contains(sb.String(), `parlistd_batch_flush_total{cause="size"} 1`) {
 		t.Errorf("size-triggered flush not recorded:\n%s", sb.String())
 	}
 }
@@ -399,11 +512,14 @@ func TestMalformedFrames(t *testing.T) {
 	}
 }
 
-// TestCancelWhileBatched parks an item in a pending group (huge batch,
-// long wait), cancels its context, and checks the caller is released
-// immediately while the batcher later drops the item without running it.
+// TestCancelWhileBatched parks both engines so an item waits in a
+// pending group (huge batch, long wait), cancels its context, and
+// checks the caller is released immediately while the batcher later
+// drops the item without running it.
 func TestCancelWhileBatched(t *testing.T) {
-	s, _ := newTestServer(t, Config{BatchSize: 64, MaxWait: 200 * time.Millisecond})
+	pool, park := newParkedPool(2)
+	s, _ := newTestServer(t, Config{Pool: pool, BatchSize: 64, MaxWait: 200 * time.Millisecond})
+	parkers := parkEngines(t, s, park)
 	l := &list.List{Next: []int{1, -1}, Head: 0}
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -434,20 +550,22 @@ func TestCancelWhileBatched(t *testing.T) {
 	}
 	// The timer flush must drop the cancelled item, not run it.
 	time.Sleep(300 * time.Millisecond)
+	park.unpark(2)
+	awaitParkers(t, parkers, 2)
 	st := s.pool.Stats()
-	if st.Requests != 0 {
-		t.Errorf("cancelled item ran: pool served %d requests", st.Requests)
+	if ran := st.Requests - 2; ran != 0 {
+		t.Errorf("cancelled item ran: pool served %d requests beyond the 2 parked", ran)
 	}
 }
 
-// TestDrainCompletesInflight parks several requests in a pending group
-// that can only flush on drain (huge batch, huge wait), then shuts the
-// server down: every caller must get its served result back before
-// Shutdown returns, and post-drain requests must be refused.
+// TestDrainCompletesInflight parks the only engine, so several requests
+// wait in a pending group that can only flush on drain (huge batch,
+// huge wait), then shuts the server down: every caller must get its
+// served result back before Shutdown returns, and post-drain requests
+// must be refused.
 func TestDrainCompletesInflight(t *testing.T) {
 	base := runtime.NumGoroutine()
-	pool := engine.NewPool(engine.PoolConfig{
-		Engines: 1, QueueDepth: 16, Engine: engine.Config{Processors: 4}})
+	pool, park := newParkedPool(1)
 	s, err := New(Config{Pool: pool, BatchSize: 64, MaxWait: time.Hour})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -457,6 +575,7 @@ func TestDrainCompletesInflight(t *testing.T) {
 		t.Fatalf("listen: %v", err)
 	}
 	go s.ServeBinary(ln)
+	parkers := parkEngines(t, s, park)
 
 	c, err := Dial(ln.Addr().String(), "drain")
 	if err != nil {
@@ -475,16 +594,20 @@ func TestDrainCompletesInflight(t *testing.T) {
 		chans[i] = ch
 	}
 	// Wait for all items to reach the batcher's pending group.
-	deadline := time.Now().Add(5 * time.Second)
-	for s.met.inflight.Value() < inflight && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
-	}
+	waitFor(t, "the pending group to fill", func() bool { return s.bat.queued.Load() == inflight })
 
 	ctx, cancelT := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancelT()
-	if err := s.Shutdown(ctx); err != nil {
+	shut := make(chan error, 1)
+	go func() { shut <- s.Shutdown(ctx) }()
+	// The drain flush happens before the collector exits; only then may
+	// the engine run again, so the drained group cannot flush as idle.
+	<-s.bat.exited
+	park.unpark(1)
+	if err := <-shut; err != nil {
 		t.Fatalf("Shutdown: %v", err)
 	}
+	awaitParkers(t, parkers, 1)
 	for i, ch := range chans {
 		select {
 		case r, ok := <-ch:

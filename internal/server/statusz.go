@@ -41,6 +41,11 @@ func (s *Server) statusz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(&buf, "  open groups %d  queued items %d  inflight %d  batch-size %d  max-wait %s\n",
 		s.bat.groups.Load(), s.bat.queued.Load(), s.met.inflight.Value(),
 		s.cfg.BatchSize, s.cfg.MaxWait)
+	fmt.Fprintf(&buf, "  flushes")
+	for _, c := range flushCauses {
+		fmt.Fprintf(&buf, "  %s %d", c, s.met.flushes[c].Value())
+	}
+	fmt.Fprintf(&buf, "\n")
 
 	rate, burst, fills := s.lim.snapshot()
 	fmt.Fprintf(&buf, "\nrate limiter\n")
