@@ -82,7 +82,7 @@ func run(args []string, out *os.File) error {
 	queueDepth := fs.Int("queue", 64, "per-engine admission queue depth")
 	p := fs.Int("p", 256, "simulated PRAM processors per engine")
 	execFlag := fs.String("exec", "sequential", "per-engine executor: sequential|goroutines|pooled|native")
-	workers := fs.Int("workers", 0, "real worker cap for the parallel executors (0 = GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "real workers per engine for the parallel executors (0 = GOMAXPROCS ÷ engines, at least 1)")
 	cache := fs.Int("cache", 0, "result-cache entries (0 = no cache)")
 	batch := fs.Int("batch", 16, "coalescing batch size (1 = per-request dispatch)")
 	maxWait := fs.Duration("maxwait", 500*time.Microsecond, "cap on how long a coalescing group is held while every engine is busy (groups flush at once when an engine is idle)")

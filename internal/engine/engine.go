@@ -108,6 +108,11 @@ var (
 	ErrClosed = errors.New("engine closed")
 	// ErrNilList reports a request with no input list.
 	ErrNilList = errors.New("nil list")
+	// ErrInvalidList reports a malformed input list — out-of-range
+	// pointers, a self-loop, not exactly one tail, a node with two
+	// predecessors, or nodes unreachable from the head. It is
+	// list.ErrInvalid, which every structural validation error wraps.
+	ErrInvalidList = list.ErrInvalid
 	// ErrBadProcessors reports a negative simulated processor count.
 	ErrBadProcessors = errors.New("processors must be ≥ 1")
 	// ErrUnknownAlgorithm reports an Algorithm outside the known set.
@@ -143,8 +148,11 @@ type Config struct {
 	Processors int
 	// Exec selects the simulator executor (default pram.Sequential).
 	Exec pram.Exec
-	// Workers caps the real worker count for the parallel executors
-	// (default GOMAXPROCS).
+	// Workers caps the real worker count for the parallel executors,
+	// the native team's parties included (default GOMAXPROCS for a
+	// standalone engine; an EnginePool splits GOMAXPROCS across its
+	// engines, see PoolConfig.Engine). At 1 every kernel runs inline on
+	// the calling goroutine: no worker goroutines, no barrier.
 	Workers int
 	// Watchdog arms the fused-round barrier watchdog on the pooled
 	// executor (0 = disabled).
@@ -505,8 +513,16 @@ func (e *Engine) serve(req Request, res *Result, at time.Time) error {
 	e.m.SetFaults(req.Faults)
 	e.m.SetDeadline(at)
 
-	n := req.List.Len()
-	if err := req.List.ValidateInto(e.wsp.Ints(n)); err != nil {
+	// When the native splitter walk serves the request it certifies
+	// reachability itself (walk), so only the degree pass runs here.
+	indeg := e.wsp.Ints(req.List.Len())
+	var err error
+	if e.nativeWalks(&req) {
+		err = req.List.ValidateDegrees(indeg)
+	} else {
+		err = req.List.ValidateInto(indeg)
+	}
+	if err != nil {
 		return err
 	}
 
@@ -518,6 +534,40 @@ func (e *Engine) serve(req Request, res *Result, at time.Time) error {
 	res.Size, res.Sets, res.Rounds, res.TableSize = 0, 0, 0, 0
 
 	return e.dispatch(req, res)
+}
+
+// nativeWalks reports whether the native splitter walk serves req:
+// OpRank under a scheme it is output-identical to, or OpPrefix with one
+// value per node. serve and dispatch both decide by it, so a request
+// skips the reachability half of validation exactly when walk runs.
+// Every other request keeps serve's full validation, so a malformed
+// list that also carries an unknown scheme or bad values fails on the
+// list, as it always has.
+func (e *Engine) nativeWalks(req *Request) bool {
+	if e.cfg.Exec != pram.Native {
+		return false
+	}
+	switch req.Op {
+	case OpRank:
+		return req.Rank == "" || req.Rank == RankContraction || req.Rank == RankWyllie
+	case OpPrefix:
+		return len(req.Values) == req.List.Len()
+	}
+	return false
+}
+
+// walk serves a nativeWalks request (vals nil = rank) on the cached
+// splitter-walk kernel. The walk's reached count stands in for the
+// reachability half of validation that serve skipped.
+func (e *Engine) walk(l *list.List, vals []int) ([]int, error) {
+	if e.nativeWalk == nil {
+		e.nativeWalk = rank.NewNativeWalker(e.m)
+	}
+	out, reached := e.nativeWalk.Walk(l, vals)
+	if reached != l.Len() {
+		return nil, list.UnreachableError(reached, l.Len())
+	}
+	return out, nil
 }
 
 // rebuild replaces the machine (first build included), keeping the
@@ -624,11 +674,8 @@ func (e *Engine) dispatch(req Request, res *Result) (err error) {
 		case RankContraction, RankWyllie:
 			// Ranks are unique, so the native splitter-walk kernel is
 			// output-identical to either simulated scheme.
-			if e.cfg.Exec == pram.Native {
-				if e.nativeWalk == nil {
-					e.nativeWalk = rank.NewNativeWalker(m)
-				}
-				rk = e.nativeWalk.Rank(l)
+			if e.nativeWalks(&req) {
+				rk, err = e.walk(l, nil)
 				break
 			}
 			if scheme == RankContraction {
@@ -653,11 +700,8 @@ func (e *Engine) dispatch(req Request, res *Result) (err error) {
 		}
 		var out []int
 		var err error
-		if e.cfg.Exec == pram.Native {
-			if e.nativeWalk == nil {
-				e.nativeWalk = rank.NewNativeWalker(m)
-			}
-			out = e.nativeWalk.Prefix(l, req.Values)
+		if e.nativeWalks(&req) {
+			out, err = e.walk(l, req.Values)
 		} else {
 			out, _, err = rank.Prefix(m, l, req.Values, nil)
 		}

@@ -36,7 +36,7 @@ var (
 )
 
 // PoolConfig shapes an EnginePool. The zero value is usable: it yields
-// GOMAXPROCS engines with default Engine configuration, a 32-slot queue
+// GOMAXPROCS engines that split the CPUs between them, a 32-slot queue
 // per engine, and no result cache.
 type PoolConfig struct {
 	// Engines is the number of warm engines (default GOMAXPROCS).
@@ -55,6 +55,10 @@ type PoolConfig struct {
 	// Engine configures every engine in the pool (default processor
 	// count, executor, worker cap, watchdog). Tracer is ignored:
 	// tracers are per-machine and would interleave across shards.
+	// Engine.Workers 0 gives each engine max(1, GOMAXPROCS/Engines)
+	// real workers, so the engines share the CPUs instead of each
+	// running a GOMAXPROCS-wide team; at one worker an engine runs its
+	// kernels inline. An explicit Engine.Workers is used as given.
 	Engine Config
 	// Retry enables transparent retry of transient fault-class
 	// failures on a different shard (zero value = disabled); see
@@ -272,6 +276,9 @@ func NewPool(cfg PoolConfig) *EnginePool {
 	}
 	if cfg.QueueDepth < 1 {
 		cfg.QueueDepth = 32
+	}
+	if cfg.Engine.Workers < 1 {
+		cfg.Engine.Workers = max(1, runtime.GOMAXPROCS(0)/cfg.Engines)
 	}
 	cfg.Engine.Tracer = nil // per-machine state; meaningless across shards
 	if cfg.Engine.Observer == nil {

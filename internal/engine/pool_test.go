@@ -602,3 +602,57 @@ func TestPoolIdle(t *testing.T) {
 		t.Error("pool whose only engine is quarantined reads idle")
 	}
 }
+
+// TestPoolSplitsCPUs pins the pool's worker default: E engines under
+// GOMAXPROCS P run max(1, P/E) parties each, an explicit Engine.Workers
+// is used as given, and a P=2, E=2 pool — one party per engine — serves
+// without starting a single pram worker goroutine.
+func TestPoolSplitsCPUs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	l := list.RandomList(256, 1)
+	// serveAll runs one request on every engine, building its machine,
+	// and returns each engine's party count.
+	serveAll := func(pool *EnginePool) []int {
+		parties := make([]int, pool.Engines())
+		for i, s := range pool.shards {
+			if err := s.eng.RunInto(bg, Request{Op: OpRank, List: l}, new(Result)); err != nil {
+				t.Fatal(err)
+			}
+			parties[i] = s.eng.m.NativeParties()
+		}
+		return parties
+	}
+	for _, tc := range []struct{ procs, engines, workers, want int }{
+		{1, 1, 0, 1},
+		{2, 1, 0, 2},
+		{2, 2, 0, 1},
+		{2, 3, 0, 1},
+		{4, 2, 0, 2},
+		{8, 3, 0, 2},
+		{2, 2, 2, 2}, // explicit worker cap wins
+		{8, 2, 1, 1},
+	} {
+		runtime.GOMAXPROCS(tc.procs)
+		pool := NewPool(PoolConfig{Engines: tc.engines,
+			Engine: Config{Processors: 8, Exec: pram.Native, Workers: tc.workers}})
+		for i, got := range serveAll(pool) {
+			if got != tc.want {
+				t.Errorf("P=%d E=%d workers=%d: engine %d runs %d parties, want %d",
+					tc.procs, tc.engines, tc.workers, i, got, tc.want)
+			}
+		}
+		pool.Close()
+	}
+
+	runtime.GOMAXPROCS(2)
+	pool := NewPool(PoolConfig{Engines: 2, Engine: Config{Processors: 8, Exec: pram.Native}})
+	defer pool.Close()
+	before := runtime.NumGoroutine()
+	serveAll(pool)
+	if _, err := pool.Do(bg, Request{Op: OpPrefix, List: l, Values: make([]int, l.Len())}); err != nil {
+		t.Fatal(err)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("goroutines grew %d → %d serving on a one-party-per-engine pool", before, after)
+	}
+}

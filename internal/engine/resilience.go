@@ -9,7 +9,7 @@ package engine
 //	transient  pram.WorkerPanic, pram.BarrierStall   retried, trips breakers
 //	deadline   ErrDeadlineExceeded                   never retried, never trips
 //	overload   ErrQueueFull                          caller's decision, never trips
-//	validation ErrNilList, ErrBadProcessors, ...     permanent, never trips
+//	validation ErrNilList, ErrInvalidList, ...       permanent, never trips
 //
 // Retrying a transient failure is sound because requests are pure: a
 // request is a function of (inputs, parameters, seed), every fault
@@ -62,9 +62,11 @@ type BreakerPolicy struct {
 	// Probes is the number of consecutive canary requests that must
 	// pass before the engine is readmitted (default 2).
 	Probes int
-	// CanaryN is the probe list length (default 64) — big enough to
-	// exercise the parallel dispatch path, small enough that probes are
-	// microseconds.
+	// CanaryN is the probe list length (default 64) — big enough that a
+	// probe takes the engine's parallel dispatch path whenever the
+	// engine has more than one worker (64 is the native walk's team
+	// cutoff), small enough that probes are microseconds. A one-worker
+	// pool engine serves probes inline, as it serves everything.
 	CanaryN int
 }
 

@@ -212,12 +212,12 @@ type recObserver struct {
 	quarantines int
 }
 
-func (r *recObserver) EnqueueObserved(int)                 {}
-func (r *recObserver) DequeueObserved(time.Duration, int)  {}
-func (r *recObserver) ShedObserved()                       {}
-func (r *recObserver) CacheHitObserved()                   {}
-func (r *recObserver) RetryObserved(int)                   { r.mu.Lock(); r.retries++; r.mu.Unlock() }
-func (r *recObserver) DeadlineExceededObserved()           { r.mu.Lock(); r.deadlines++; r.mu.Unlock() }
+func (r *recObserver) EnqueueObserved(int)                {}
+func (r *recObserver) DequeueObserved(time.Duration, int) {}
+func (r *recObserver) ShedObserved()                      {}
+func (r *recObserver) CacheHitObserved()                  {}
+func (r *recObserver) RetryObserved(int)                  { r.mu.Lock(); r.retries++; r.mu.Unlock() }
+func (r *recObserver) DeadlineExceededObserved()          { r.mu.Lock(); r.deadlines++; r.mu.Unlock() }
 func (r *recObserver) QuarantineObserved(int, time.Duration) {
 	r.mu.Lock()
 	r.quarantines++
@@ -470,6 +470,10 @@ func TestPoolErrorTaxonomy(t *testing.T) {
 			_, err := pool.Do(bg, Request{List: l, Op: Op(99)})
 			return err
 		}, ErrUnknownOp},
+		{"malformed list", func() error {
+			_, err := pool.Do(bg, Request{List: list.New([]int{1, list.Nil, 3, 2}, 0)})
+			return err
+		}, ErrInvalidList},
 		{"queued past deadline", func() error {
 			f, err := pool.Submit(bg, Request{List: l, Deadline: time.Nanosecond})
 			if err != nil {
@@ -495,6 +499,10 @@ func TestPoolErrorTaxonomy(t *testing.T) {
 			_, err := pool.ShardedDo(bg, Request{Op: OpRank}, 2)
 			return err
 		}, ErrNilList},
+		{"sharded malformed list", func() error {
+			_, err := pool.ShardedDo(bg, Request{Op: OpRank, List: list.New([]int{1, list.Nil, 3, 2}, 0)}, 2)
+			return err
+		}, ErrInvalidList},
 		{"sharded unsupported op", func() error {
 			_, err := pool.ShardedDo(bg, Request{Op: OpMatching, List: l}, 2)
 			return err

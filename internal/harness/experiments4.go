@@ -134,16 +134,21 @@ func runE17(cfg Config) ([]*Table, error) {
 
 // runE18 ablates the native fast-path executor against the pooled
 // simulated executor on the steady-state serving path: one warm engine
-// per (op, exec) cell, a recycled Result, wall-clock per request after
-// warm-up. It deliberately ignores the matchbench -exec override — the
-// executor IS the axis here, like E11.
+// per (op, exec, parties) cell, a recycled Result, wall-clock and
+// process CPU per request after warm-up. It deliberately ignores the
+// matchbench -exec override — the executor IS the axis here, like E11.
 //
-// Three signals per cell:
+// Four signals per cell:
 //
 //   - ns-per-req: end-to-end request wall time. The native rows bound
 //     the simulation tax — same outputs, no per-round step charging, no
 //     round dispatch, kernels restructured around barriers instead of
 //     rounds.
+//   - cpu-ns-per-req: process CPU (user + system) per request, spin
+//     barriers included. Native rows run at 4, 2 and 1 parties, so
+//     wall time against CPU time shows whether a team's extra parties
+//     buy speed or only burn cores — the work-efficiency question the
+//     pool's worker split (DESIGN.md "Native executor") answers.
 //   - allocs-per-req: must be 0 on every native row (the zero-alloc
 //     request path extends to all native kernels; CI guards this). The
 //     pooled executor is only zero-alloc for the default matching
@@ -154,10 +159,7 @@ func runE17(cfg Config) ([]*Table, error) {
 //
 // Outputs are re-checked bit-identical against a Sequential engine per
 // cell (the `identical` column), the same reproduction criterion as
-// E16. On a 1-CPU host the native team parties time-slice one core, so
-// the native-vs-pooled ratio understates what a multi-core host would
-// show for the parallel phases; the dispatch/accounting savings it does
-// show are core-count-independent.
+// E16.
 func runE18(cfg Config) ([]*Table, error) {
 	n, requests := 1<<16, 32
 	if cfg.Quick {
@@ -179,13 +181,17 @@ func runE18(cfg Config) ([]*Table, error) {
 		{"rank/contraction", engine.Request{Op: engine.OpRank, List: l}},
 		{"prefix", engine.Request{Op: engine.OpPrefix, List: l, Values: vals}},
 	}
+	cells := []struct {
+		ex      pram.Exec
+		parties int
+	}{{pram.Pooled, 4}, {pram.Native, 4}, {pram.Native, 2}, {pram.Native, 1}}
 
 	t := &Table{
 		Title: fmt.Sprintf("E18 — native vs pooled executor on the warm-engine path, n = %d, p = 256, %d requests per cell, GOMAXPROCS = %d",
 			n, requests, runtime.GOMAXPROCS(0)),
-		Note: "steps-per-req = simulated accounting (native kernels charge none by contract); on a 1-CPU host " +
-			"team parties time-slice one core, so ×pooled understates multi-core native gains",
-		Header: []string{"op", "exec", "ns-per-req", "allocs-per-req", "steps-per-req", "×pooled", "identical"},
+		Note: "parties = real workers (Config.Workers); cpu = process user+system time, spin barriers included; " +
+			"steps-per-req = simulated accounting (native kernels charge none by contract)",
+		Header: []string{"op", "exec", "parties", "ns-per-req", "cpu-ns-per-req", "allocs-per-req", "steps-per-req", "×pooled", "identical"},
 	}
 
 	for _, op := range ops {
@@ -199,13 +205,13 @@ func runE18(cfg Config) ([]*Table, error) {
 		}
 
 		var pooledNs float64
-		for _, ex := range []pram.Exec{pram.Pooled, pram.Native} {
-			eng := engine.New(engine.Config{Processors: 256, Exec: ex, Workers: 4})
+		for _, c := range cells {
+			eng := engine.New(engine.Config{Processors: 256, Exec: c.ex, Workers: c.parties})
 			var res engine.Result
 			for i := 0; i < 2; i++ { // warm the arena and kernel caches
 				if err := eng.RunInto(ctx, op.req, &res); err != nil {
 					eng.Close()
-					return nil, fmt.Errorf("E18 %s/%s: %w", op.name, ex, err)
+					return nil, fmt.Errorf("E18 %s/%s: %w", op.name, c.ex, err)
 				}
 			}
 			identical := reflect.DeepEqual(res.In, ref.In) &&
@@ -217,27 +223,31 @@ func runE18(cfg Config) ([]*Table, error) {
 					reqErr = err
 				}
 			})
-			start := time.Now()
+			start, cpu0 := time.Now(), processCPU()
 			for i := 0; i < requests; i++ {
 				if err := eng.RunInto(ctx, op.req, &res); err != nil {
 					reqErr = err
 					break
 				}
 			}
-			elapsed := time.Since(start)
+			elapsed, cpu := time.Since(start), processCPU()-cpu0
 			eng.Close()
 			if reqErr != nil {
-				return nil, fmt.Errorf("E18 %s/%s: %w", op.name, ex, reqErr)
+				return nil, fmt.Errorf("E18 %s/%s: %w", op.name, c.ex, reqErr)
 			}
 			nsPer := float64(elapsed.Nanoseconds()) / float64(requests)
+			cpuPer := "-"
+			if cpu > 0 {
+				cpuPer = fmt.Sprintf("%.0f", float64(cpu.Nanoseconds())/float64(requests))
+			}
 			ratio := "-"
-			if ex == pram.Pooled {
+			if c.ex == pram.Pooled {
 				pooledNs = nsPer
 			} else if nsPer > 0 {
 				ratio = fmt.Sprintf("%.2f", pooledNs/nsPer)
 			}
-			t.Add(op.name, ex.String(),
-				fmt.Sprintf("%.0f", nsPer),
+			t.Add(op.name, c.ex.String(), c.parties,
+				fmt.Sprintf("%.0f", nsPer), cpuPer,
 				fmt.Sprintf("%.1f", allocs),
 				res.Stats.Time, ratio, identical)
 		}

@@ -97,22 +97,75 @@ func (l *List) Clone() *List {
 	return &List{Next: nx, Head: l.Head}
 }
 
+// ErrInvalid is the sentinel every structural validation error wraps:
+// callers test errors.Is(err, ErrInvalid) to tell a malformed list from
+// any other failure. The wrapped errors keep their specific messages.
+var ErrInvalid = errors.New("list: invalid structure")
+
+// invalidError is a validation failure: its own message, ErrInvalid's
+// identity.
+type invalidError struct{ msg string }
+
+func (e *invalidError) Error() string { return e.msg }
+func (e *invalidError) Unwrap() error { return ErrInvalid }
+
+func invalidf(format string, args ...any) error {
+	return &invalidError{msg: fmt.Sprintf(format, args...)}
+}
+
+// UnreachableError is the error for a list whose walk from Head reached
+// only reached of its n nodes. ValidateInto and any walk that stands in
+// for its reachability half (the native splitter walk) report the same
+// failure through it.
+func UnreachableError(reached, n int) error {
+	return invalidf("list: %d of %d nodes reachable from head", reached, n)
+}
+
 // Validate checks that the structure is a single nil-terminated list
 // covering all n nodes: indices in range, exactly one tail, in-degrees
-// at most one, and all nodes reachable from Head.
+// at most one, and all nodes reachable from Head. Every error it
+// returns wraps ErrInvalid.
 func (l *List) Validate() error { return l.ValidateInto(nil) }
 
 // ValidateInto is Validate with caller-provided scratch for the
 // in-degree table: indeg must be zeroed with len ≥ n, or nil to
 // allocate. The engine validates every request's list and passes arena
 // scratch here so validation stays off the steady-state alloc count.
+//
+// It runs two halves: ValidateDegrees, a streaming pass over Next, then
+// a pointer-chasing walk from Head that counts the reachable nodes.
 func (l *List) ValidateInto(indeg []int) error {
+	if err := l.ValidateDegrees(indeg); err != nil {
+		return err
+	}
+	seen := 0
+	for v := l.Head; v != Nil; v = l.Next[v] {
+		seen++
+	}
+	if seen != len(l.Next) {
+		return UnreachableError(seen, len(l.Next))
+	}
+	return nil
+}
+
+// ValidateDegrees is ValidateInto's first half, the streaming degree
+// pass: Head and every Next in range, no self-loop, exactly one tail,
+// every in-degree at most one and Head's zero. indeg is as for
+// ValidateInto. Every error it returns wraps ErrInvalid.
+//
+// A list that passes may still hold nodes unreachable from Head — they
+// form cycles — but any walk from Head, or from a node chosen to stop
+// the walk on its return, ends within n steps: a revisit would give
+// some node two predecessors, or Head one. A walk that counts the nodes
+// it reaches from Head therefore completes the check: reached == n
+// exactly when the list is valid.
+func (l *List) ValidateDegrees(indeg []int) error {
 	n := len(l.Next)
 	if n == 0 {
-		return errors.New("list: empty")
+		return invalidf("list: empty")
 	}
 	if l.Head < 0 || l.Head >= n {
-		return fmt.Errorf("list: head %d out of range [0,%d)", l.Head, n)
+		return invalidf("list: head %d out of range [0,%d)", l.Head, n)
 	}
 	tails := 0
 	if indeg == nil {
@@ -125,31 +178,21 @@ func (l *List) ValidateInto(indeg []int) error {
 		case v == Nil:
 			tails++
 		case v < 0 || v >= n:
-			return fmt.Errorf("list: Next[%d] = %d out of range", u, v)
+			return invalidf("list: Next[%d] = %d out of range", u, v)
 		case v == u:
-			return fmt.Errorf("list: self-loop at %d", u)
+			return invalidf("list: self-loop at %d", u)
 		default:
 			indeg[v]++
 			if indeg[v] > 1 {
-				return fmt.Errorf("list: node %d has in-degree > 1", v)
+				return invalidf("list: node %d has in-degree > 1", v)
 			}
 		}
 	}
 	if tails != 1 {
-		return fmt.Errorf("list: %d tails, want 1", tails)
+		return invalidf("list: %d tails, want 1", tails)
 	}
 	if indeg[l.Head] != 0 {
-		return fmt.Errorf("list: head %d has a predecessor", l.Head)
-	}
-	seen := 0
-	for v := l.Head; v != Nil; v = l.Next[v] {
-		seen++
-		if seen > n {
-			return errors.New("list: cycle reachable from head")
-		}
-	}
-	if seen != n {
-		return fmt.Errorf("list: %d of %d nodes reachable from head", seen, n)
+		return invalidf("list: head %d has a predecessor", l.Head)
 	}
 	return nil
 }

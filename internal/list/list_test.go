@@ -1,6 +1,7 @@
 package list
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -121,9 +122,27 @@ func TestValidateRejectsBadStructures(t *testing.T) {
 		{"unreachable", New([]int{1, Nil, 3, Nil}, 0)},
 	}
 	for _, c := range cases {
-		if err := c.l.Validate(); err == nil {
+		err := c.l.Validate()
+		if err == nil {
 			t.Errorf("%s: Validate accepted bad list", c.name)
+		} else if !errors.Is(err, ErrInvalid) {
+			t.Errorf("%s: %v does not wrap ErrInvalid", c.name, err)
 		}
+	}
+}
+
+// TestValidateDegreesLeavesReachability: the degree pass alone accepts
+// a list whose only defect is a cycle off the head's path; the full
+// validation rejects it with UnreachableError's message.
+func TestValidateDegreesLeavesReachability(t *testing.T) {
+	l := New([]int{1, 4, 3, 2, Nil}, 0) // 0 → 1 → 4, and 2 ⇄ 3
+	if err := l.ValidateDegrees(nil); err != nil {
+		t.Fatalf("degree pass: %v", err)
+	}
+	err := l.Validate()
+	if err == nil || err.Error() != "list: 3 of 5 nodes reachable from head" ||
+		err.Error() != UnreachableError(3, 5).Error() || !errors.Is(err, ErrInvalid) {
+		t.Errorf("Validate = %v", err)
 	}
 }
 

@@ -114,6 +114,7 @@ func statusOf(err error) byte {
 	case errors.Is(err, engine.ErrPoolClosed), errors.Is(err, engine.ErrClosed):
 		return StatusDraining
 	case errors.Is(err, engine.ErrNilList),
+		errors.Is(err, engine.ErrInvalidList),
 		errors.Is(err, engine.ErrBadProcessors),
 		errors.Is(err, engine.ErrUnknownAlgorithm),
 		errors.Is(err, engine.ErrUnknownRankScheme),

@@ -442,6 +442,57 @@ func TestHTTPErrors(t *testing.T) {
 	}
 }
 
+// TestMalformedListIsInvalid: a well-framed request whose list is
+// malformed — nodes unreachable from the head, a self-loop, a pointer
+// out of range, two tails — is the client's fault. Both framings must
+// answer it with the invalid status (HTTP 400), on the simulated
+// executor, whose validation walks the list, and on the native one,
+// whose rank walk certifies reachability.
+func TestMalformedListIsInvalid(t *testing.T) {
+	bodies := []string{
+		`{"next":[1,-1,3,2]}`,
+		`{"next":[1,1,-1]}`,
+		`{"next":[1,7,-1]}`,
+		`{"next":[-1,-1]}`,
+	}
+	for _, exec := range []pram.Exec{pram.Sequential, pram.Native} {
+		pool := engine.NewPool(engine.PoolConfig{Engines: 2, QueueDepth: 64,
+			Engine: engine.Config{Processors: 8, Exec: exec}})
+		s, addr := newTestServer(t, Config{Pool: pool, BatchSize: 4, MaxWait: time.Millisecond})
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+		c, err := Dial(addr, "")
+		if err != nil {
+			t.Fatalf("Dial: %v", err)
+		}
+		defer c.Close()
+		for _, body := range bodies {
+			resp, err := http.Post(ts.URL+"/v1/rank", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatalf("%s %s: %v", exec, body, err)
+			}
+			var je jsonError
+			json.NewDecoder(resp.Body).Decode(&je)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || je.Code != "invalid" {
+				t.Errorf("%s HTTP %s: status %d code %q (%s), want 400 invalid",
+					exec, body, resp.StatusCode, je.Code, je.Error)
+			}
+
+			var jr jsonRequest
+			if err := json.Unmarshal([]byte(body), &jr); err != nil {
+				t.Fatal(err)
+			}
+			_, err = c.Do(context.Background(), engine.Request{Op: engine.OpRank,
+				List: &list.List{Next: jr.Next, Head: jr.Head}})
+			var se *StatusError
+			if !errors.As(err, &se) || se.Code != StatusInvalid {
+				t.Errorf("%s binary %s: err = %v, want status invalid", exec, body, err)
+			}
+		}
+	}
+}
+
 // TestMalformedFrames sends broken binary frames and expects an
 // Invalid response followed by connection close.
 func TestMalformedFrames(t *testing.T) {

@@ -124,7 +124,9 @@ type EnginePool = core.EnginePool
 
 // PoolConfig shapes an engine pool: engine count (default GOMAXPROCS),
 // per-engine queue depth, result-cache capacity, the shared per-engine
-// EngineConfig, and the resilience knobs (Retry, Breaker).
+// EngineConfig, and the resilience knobs (Retry, Breaker). Unless
+// EngineConfig.Workers is set, the engines split GOMAXPROCS between
+// them: each gets max(1, GOMAXPROCS/Engines) real workers.
 type PoolConfig = core.PoolConfig
 
 // PoolStats is a pool-wide counter snapshot: totals, rejections,
