@@ -54,6 +54,22 @@ import (
 	"parlist/internal/server"
 )
 
+// HTTP connection bounds. A client must send its request headers within
+// readHeaderTimeout, and a keep-alive connection idle for idleTimeout
+// is closed, so a client that dribbles its headers or goes silent
+// cannot hold a connection and its goroutine indefinitely. Request
+// bodies get no deadline: a large list legitimately uploads slowly, and
+// -max-nodes already bounds its size.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps h in an http.Server with the connection bounds.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 // usageError marks failures caused by bad invocation; they exit 2.
 type usageError struct{ err error }
 
@@ -156,7 +172,7 @@ func run(args []string, out *os.File) error {
 	if err != nil {
 		return fmt.Errorf("listen %s: %w", *httpAddr, err)
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv.Handler())
 	httpErr := make(chan error, 1)
 	go func() { httpErr <- httpSrv.Serve(httpLn) }()
 	fmt.Fprintf(out, "parlistd: HTTP/JSON on http://%s\n", httpLn.Addr())

@@ -8,13 +8,16 @@ import (
 	"time"
 
 	"parlist/internal/engine"
+	"parlist/internal/list"
 	"parlist/internal/obs"
+	"parlist/internal/ws"
 )
 
 // item is one admitted request riding through the batcher. The handler
 // that admitted it blocks on done; finish publishes the outcome and
 // wakes it. Everything before done closes is written by the batcher
-// side only; everything after is read by the handler side only.
+// side only; everything after is read by the handler side only. Items
+// are recycled through the server's itemPool (see reuse.go).
 type item struct {
 	// ctx is the caller's context; an item whose ctx dies while it sits
 	// in a pending group is dropped at flush time without running.
@@ -35,6 +38,18 @@ type item struct {
 	status  byte
 	err     error
 	done    chan struct{}
+
+	// The fields below belong to the handler side throughout. wsp holds
+	// the decoded request arrays and list their header; the batcher and
+	// the engine read both through bi.Req until done closes. frame holds
+	// the encoded response.
+	wsp   *ws.Workspace
+	list  list.List
+	frame []byte
+	// admitted is set once the batcher has taken the item, abandoned
+	// when its caller stopped waiting first: the batcher still owns an
+	// abandoned item, so it is never recycled.
+	admitted, abandoned bool
 }
 
 // finish publishes the item's outcome exactly once and wakes its

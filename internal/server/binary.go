@@ -75,6 +75,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -82,6 +83,7 @@ import (
 	"parlist/internal/list"
 	"parlist/internal/obs"
 	"parlist/internal/partition"
+	"parlist/internal/ws"
 )
 
 const (
@@ -183,6 +185,7 @@ func appendRequestFrame(dst []byte, id uint64, tenant string, req *engine.Reques
 		size += 2 + len(tenant)
 	}
 
+	dst = slices.Grow(dst, 4+size)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(size))
 	var hdr [reqHdrLenV2]byte
 	hdr[0] = reqMagic
@@ -230,15 +233,18 @@ func appendRequestFrame(dst []byte, id uint64, tenant string, req *engine.Reques
 	return dst, nil
 }
 
-// decodeRequestFrame parses a request payload (length prefix already
-// stripped). Every length is validated against the payload size before
-// any allocation, so a hostile frame cannot force a huge allocation.
-func decodeRequestFrame(buf []byte) (id uint64, tenant string, req engine.Request, err error) {
+// decodeRequest parses a request payload (length prefix already
+// stripped) into it: the request into it.bi.Req, its list header into
+// it.list and its arrays into it.wsp (fresh allocations when it.wsp is
+// nil). Every length is validated against the payload size before any
+// allocation, so a hostile frame cannot force a huge allocation.
+func decodeRequest(buf []byte, it *item) (id uint64, tenant string, err error) {
+	req := &it.bi.Req
 	if len(buf) < reqHdrLen {
-		return 0, "", req, errTruncated
+		return 0, "", errTruncated
 	}
 	if buf[0] != reqMagic {
-		return 0, "", req, errBadMagic
+		return 0, "", errBadMagic
 	}
 	hdrLen := 0
 	switch buf[1] {
@@ -247,27 +253,27 @@ func decodeRequestFrame(buf []byte) (id uint64, tenant string, req engine.Reques
 	case wireV2:
 		hdrLen = reqHdrLenV2
 	default:
-		return 0, "", req, errBadVersion
+		return 0, "", errBadVersion
 	}
 	if len(buf) < hdrLen {
-		return 0, "", req, errTruncated
+		return 0, "", errTruncated
 	}
 	op := engine.Op(buf[2])
 	flags := buf[3]
 	if flags&^(flagValues|flagLabels|flagTenant) != 0 {
-		return 0, "", req, fmt.Errorf("server: unknown flags 0x%x", flags)
+		return 0, "", fmt.Errorf("server: unknown flags 0x%x", flags)
 	}
 	if int(buf[4]) >= len(algoByCode) {
-		return 0, "", req, fmt.Errorf("server: unknown algorithm code %d", buf[4])
+		return 0, "", fmt.Errorf("server: unknown algorithm code %d", buf[4])
 	}
 	if int(buf[5]) >= len(rankByCode) {
-		return 0, "", req, fmt.Errorf("server: unknown rank code %d", buf[5])
+		return 0, "", fmt.Errorf("server: unknown rank code %d", buf[5])
 	}
 	if buf[6] > 1 {
-		return 0, "", req, fmt.Errorf("server: unknown variant code %d", buf[6])
+		return 0, "", fmt.Errorf("server: unknown variant code %d", buf[6])
 	}
 	id = binary.LittleEndian.Uint64(buf[8:])
-	req = engine.Request{
+	*req = engine.Request{
 		Op:         op,
 		Algorithm:  algoByCode[buf[4]],
 		Rank:       rankByCode[buf[5]],
@@ -306,19 +312,20 @@ func decodeRequestFrame(buf []byte) (id uint64, tenant string, req engine.Reques
 		arrays++
 	}
 	if n64 > uint64(rest)/uint64(8*arrays) {
-		return 0, "", req, errTruncated
+		return 0, "", errTruncated
 	}
 	n := int(n64)
 	off := hdrLen
 	readInts := func() []int {
-		out := make([]int, n)
+		out := ws.IntsNoZero(it.wsp, n)
 		for i := range out {
 			out[i] = int(int64(binary.LittleEndian.Uint64(buf[off:])))
 			off += 8
 		}
 		return out
 	}
-	req.List = &list.List{Next: readInts(), Head: int(head)}
+	it.list = list.List{Next: readInts(), Head: int(head)}
+	req.List = &it.list
 	if flags&flagValues != 0 {
 		req.Values = readInts()
 	}
@@ -327,26 +334,27 @@ func decodeRequestFrame(buf []byte) (id uint64, tenant string, req engine.Reques
 	}
 	if flags&flagTenant != 0 {
 		if len(buf)-off < 2 {
-			return 0, "", req, errTruncated
+			return 0, "", errTruncated
 		}
 		tl := int(binary.LittleEndian.Uint16(buf[off:]))
 		off += 2
 		if len(buf)-off < tl {
-			return 0, "", req, errTruncated
+			return 0, "", errTruncated
 		}
 		tenant = string(buf[off : off+tl])
 		off += tl
 	}
 	if off != len(buf) {
-		return 0, "", req, errTrailing
+		return 0, "", errTrailing
 	}
-	return id, tenant, req, nil
+	return id, tenant, nil
 }
 
-// appendResponseFrame encodes one response (length prefix included).
-// A nil item is an admission-time failure: no timestamps beyond the
-// ones the caller provides. tc echoes the request's (possibly
-// server-minted) trace context so the client learns its trace id.
+// appendResponseFrame encodes one response (length prefix included),
+// growing dst once to the frame's size up front. A nil item is an
+// admission-time failure: no timestamps beyond the ones the caller
+// provides. tc echoes the request's (possibly server-minted) trace
+// context so the client learns its trace id.
 func appendResponseFrame(dst []byte, id uint64, st byte, op engine.Op, it *item, tc obs.TraceContext, errMsg string) []byte {
 	var hdr [respHdrLenV2]byte
 	hdr[0] = respMagic
@@ -377,6 +385,7 @@ func appendResponseFrame(dst []byte, id uint64, st byte, op engine.Op, it *item,
 	} else {
 		size += 6*8 + 4 + len(res.Algorithm) + 8 + len(res.In) + 8 + 8*len(res.Labels) + 8 + 8*len(res.Ranks)
 	}
+	dst = slices.Grow(dst, 4+size)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(size))
 	dst = append(dst, hdr[:]...)
 	if st != StatusOK {
@@ -577,6 +586,7 @@ func (s *Server) serveConn(c net.Conn) {
 
 	br := bufio.NewReaderSize(c, 1<<16)
 	var lenBuf [4]byte
+	var rbuf []byte // the connection's reused read buffer (frameBuf)
 	for {
 		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
 			return // client closed (or half a prefix: nothing to answer)
@@ -587,32 +597,39 @@ func (s *Server) serveConn(c net.Conn) {
 				fmt.Sprintf("frame of %d bytes exceeds limit %d", size, s.maxFrame)))
 			return
 		}
-		buf := make([]byte, size)
+		buf := frameBuf(&rbuf, size)
 		if _, err := io.ReadFull(br, buf); err != nil {
 			return
 		}
-		id, tenant, req, err := decodeRequestFrame(buf)
+		// The decode copies everything it keeps out of buf, so the next
+		// frame may overwrite it while this request is served.
+		it := s.items.get()
+		id, tenant, err := decodeRequest(buf, it)
 		if err != nil {
-			write(appendResponseFrame(nil, id, StatusInvalid, 0, nil, req.Trace, err.Error()))
+			write(appendResponseFrame(nil, id, StatusInvalid, 0, nil, it.bi.Req.Trace, err.Error()))
+			s.release(it)
 			return
 		}
+		op := it.bi.Req.Op
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			it, tc, st, err := s.do(ctx, "binary", tenant, req)
-			if it != nil {
-				defer s.finishRequest()
-			}
+			tc, st, err := s.do(ctx, it, "binary", tenant)
 			msg := ""
 			if err != nil {
 				msg = err.Error()
 			}
 			// A non-OK item whose ctx died may still be owned by the
 			// batcher; encode from it only once its outcome settled.
+			enc := it
 			if st != StatusOK {
-				it = nil
+				enc = nil
 			}
-			write(appendResponseFrame(nil, id, st, req.Op, it, tc, msg))
+			// The frame is encoded outside the write lock, so pipelined
+			// responses encode in parallel and serialize only the write.
+			it.frame = appendResponseFrame(it.frame[:0], id, st, op, enc, tc, msg)
+			write(it.frame)
+			s.release(it)
 		}()
 	}
 }

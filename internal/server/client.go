@@ -162,13 +162,16 @@ func (c *Client) Do(ctx context.Context, req engine.Request) (*Response, error) 
 func (c *Client) readLoop() {
 	br := bufio.NewReaderSize(c.conn, 1<<16)
 	var lenBuf [4]byte
+	// rbuf is reused for every frame: decodeResponseFrame copies the
+	// result arrays out, so each Response stays the caller's.
+	var rbuf []byte
 	var err error
 	for {
 		if _, err = io.ReadFull(br, lenBuf[:]); err != nil {
 			break
 		}
 		size := int(binary.LittleEndian.Uint32(lenBuf[:]))
-		buf := make([]byte, size)
+		buf := frameBuf(&rbuf, size)
 		if _, err = io.ReadFull(br, buf); err != nil {
 			break
 		}

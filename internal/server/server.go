@@ -88,6 +88,9 @@ type Server struct {
 	bat      *batcher
 	lim      *rateLimiter
 	maxFrame int
+	// items recycles request items, with their decoded arrays, results
+	// and response frames, across both framings.
+	items itemPool
 
 	// rec and sampleRate are the tracing knobs resolved from Config
 	// (rec nil = tracing off).
@@ -234,19 +237,20 @@ func (s *Server) childSpan(tc obs.TraceContext, link uint64, name string, shard 
 	})
 }
 
-// do admits one request, rides it through the batcher, and waits for
-// its outcome (or the caller's ctx). On success the returned item
-// carries the result and every life-cycle timestamp; on failure the
-// status classifies it, err carries detail, and the item is nil unless
-// its outcome is settled. The returned TraceContext is the request's
-// identity — wire-propagated or freshly minted — on every path, so
-// responses can echo it. A non-nil item means the request was
-// admitted: the caller MUST call finishRequest exactly once after
-// writing its response, so Shutdown's drain covers the write.
-func (s *Server) do(ctx context.Context, proto, tenant string, req engine.Request) (*item, obs.TraceContext, byte, error) {
+// do admits the request in it.bi.Req (it comes from s.items), rides it
+// through the batcher, and waits for its outcome (or the caller's
+// ctx). On success the item carries the result and every life-cycle
+// timestamp; on failure the status classifies it and err carries
+// detail, and the item must not be read unless its outcome settled
+// with status OK. The returned TraceContext is the request's identity
+// — wire-propagated or freshly minted — on every path, so responses
+// can echo it. The caller MUST hand the item to release exactly once,
+// after writing its response, so Shutdown's drain covers the write.
+func (s *Server) do(ctx context.Context, it *item, proto, tenant string) (obs.TraceContext, byte, error) {
 	if tenant == "" {
 		tenant = DefaultTenant
 	}
+	req := &it.bi.Req
 	s.met.requests(proto, opName(req.Op)).Inc()
 	t0 := time.Now()
 
@@ -255,10 +259,10 @@ func (s *Server) do(ctx context.Context, proto, tenant string, req engine.Reques
 	}
 	tc := req.Trace
 
-	fail := func(st byte, err error) (*item, obs.TraceContext, byte, error) {
+	fail := func(st byte, err error) (obs.TraceContext, byte, error) {
 		s.met.failures(statusName(st)).Inc()
 		s.rootSpan(tc, t0, st)
-		return nil, tc, st, err
+		return tc, st, err
 	}
 	if req.List == nil {
 		return fail(StatusInvalid, engine.ErrNilList)
@@ -267,15 +271,12 @@ func (s *Server) do(ctx context.Context, proto, tenant string, req engine.Reques
 		return fail(StatusInvalid, fmt.Errorf("server: %d nodes exceeds limit %d", n, s.cfg.MaxNodes))
 	}
 
-	it := &item{
-		ctx:    ctx,
-		tenant: tenant,
-		proto:  proto,
-		trace:  tc,
-		enq:    t0,
-		done:   make(chan struct{}),
-	}
-	it.bi.Req = req
+	it.ctx = ctx
+	it.tenant = tenant
+	it.proto = proto
+	it.trace = tc
+	it.enq = t0
+	it.done = make(chan struct{})
 
 	s.mu.RLock()
 	if s.draining {
@@ -294,6 +295,7 @@ func (s *Server) do(ctx context.Context, proto, tenant string, req engine.Reques
 		s.met.sheds(tenant, "inbox_full").Inc()
 		return fail(StatusShed, errors.New("server: batcher inbox full"))
 	}
+	it.admitted = true
 	s.inflight.Add(1)
 	s.met.inflight.Add(1)
 	s.mu.RUnlock()
@@ -302,16 +304,18 @@ func (s *Server) do(ctx context.Context, proto, tenant string, req engine.Reques
 	case <-it.done:
 	case <-ctx.Done():
 		// The batcher still owns the item and will resolve it; this
-		// caller has stopped listening. The item is NOT safe to read.
+		// caller has stopped listening. The item is NOT safe to read,
+		// and is never recycled.
+		it.abandoned = true
 		st := statusOf(ctx.Err())
 		s.met.failures(statusName(st)).Inc()
 		s.rootSpan(tc, t0, st)
-		return it, tc, st, ctx.Err()
+		return tc, st, ctx.Err()
 	}
 	if it.status != StatusOK {
 		s.met.failures(statusName(it.status)).Inc()
 		s.rootSpan(tc, t0, it.status)
-		return it, tc, it.status, it.err
+		return tc, it.status, it.err
 	}
 	s.met.serviceNs.Observe(it.bi.End.Sub(it.bi.Start).Nanoseconds())
 	if tc.Sampled {
@@ -322,14 +326,21 @@ func (s *Server) do(ctx context.Context, proto, tenant string, req engine.Reques
 		s.met.respondNs.Observe(time.Since(it.enq).Nanoseconds())
 	}
 	s.rootSpan(tc, t0, StatusOK)
-	return it, tc, StatusOK, nil
+	return tc, StatusOK, nil
 }
 
-// finishRequest retires one admitted request after its response has
-// been written; Shutdown's drain waits for it.
-func (s *Server) finishRequest() {
-	s.met.inflight.Add(-1)
-	s.inflight.Done()
+// release retires a handled item once its response has been written:
+// it returns to the item pool unless the batcher still owns it, and an
+// admitted item then leaves Shutdown's drain count.
+func (s *Server) release(it *item) {
+	admitted := it.admitted
+	if !it.abandoned {
+		s.items.put(it)
+	}
+	if admitted {
+		s.met.inflight.Add(-1)
+		s.inflight.Done()
+	}
 }
 
 // Handler returns the HTTP side of the server: the seven /v1/<op>
@@ -375,10 +386,10 @@ func (s *Server) httpOp(op engine.Op) http.HandlerFunc {
 		// A wire-propagated trace context rides in; garbage is treated
 		// as absent (the server mints a fresh context instead).
 		req.Trace, _ = obs.ParseTraceHeader(r.Header.Get(TraceHeader))
-		it, tc, st, err := s.do(r.Context(), "http", r.Header.Get(TenantHeader), req)
-		if it != nil {
-			defer s.finishRequest()
-		}
+		it := s.items.get()
+		it.bi.Req = req
+		defer s.release(it)
+		tc, st, err := s.do(r.Context(), it, "http", r.Header.Get(TenantHeader))
 		if tc.Valid() {
 			w.Header().Set(TraceHeader, tc.Header())
 		}

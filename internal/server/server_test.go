@@ -132,10 +132,7 @@ func parkEngines(t *testing.T, s *Server, o *parkObserver) <-chan error {
 	l := &list.List{Next: []int{1, -1}, Head: 0}
 	for i := 0; i < o.engines; i++ {
 		go func() {
-			it, _, _, err := s.do(context.Background(), "test", "parker", engine.Request{Op: engine.OpRank, List: l})
-			if it != nil {
-				s.finishRequest()
-			}
+			_, err := doRequest(context.Background(), s, "parker", engine.Request{Op: engine.OpRank, List: l})
 			done <- err
 		}()
 		select {
@@ -145,6 +142,16 @@ func parkEngines(t *testing.T, s *Server, o *parkObserver) <-chan error {
 		}
 	}
 	return done
+}
+
+// doRequest runs req through s.do on a pooled item and releases the
+// item afterwards, as a handler does.
+func doRequest(ctx context.Context, s *Server, tenant string, req engine.Request) (byte, error) {
+	it := s.items.get()
+	it.bi.Req = req
+	_, st, err := s.do(ctx, it, "test", tenant)
+	s.release(it)
+	return st, err
 }
 
 // awaitParkers waits for k released parkers and fails on any error.
@@ -576,10 +583,7 @@ func TestCancelWhileBatched(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		it, _, st, err := s.do(ctx, "test", "t", engine.Request{Op: engine.OpRank, List: l})
-		if it != nil {
-			s.finishRequest()
-		}
+		st, err := doRequest(ctx, s, "t", engine.Request{Op: engine.OpRank, List: l})
 		if st != StatusInternal && st != StatusDeadline {
 			err = fmt.Errorf("status %s, err %v", statusName(st), err)
 		} else if !errors.Is(err, context.Canceled) {
