@@ -14,11 +14,21 @@ import (
 	mathbits "math/bits"
 )
 
+// log2DomainError is Log2's panic value on a non-positive argument. A
+// typed value instead of a formatted string keeps Log2, MSB and MSB's
+// hot caller partition.F within the compiler's inlining budget; Error
+// formats the message.
+type log2DomainError int
+
+func (x log2DomainError) Error() string {
+	return fmt.Sprintf("bits: Log2 of non-positive value %d", int(x))
+}
+
 // Log2 returns ⌊log₂ x⌋ for x ≥ 1. It panics for x ≤ 0 because the
 // paper's uses (MSB of a XOR b with a ≠ b) never produce such inputs.
 func Log2(x int) int {
 	if x <= 0 {
-		panic(fmt.Sprintf("bits: Log2 of non-positive value %d", x))
+		panic(log2DomainError(x))
 	}
 	return mathbits.Len(uint(x)) - 1
 }

@@ -32,34 +32,63 @@ func ThreeColor(m *pram.Machine, l *list.List, e *partition.Evaluator) []int {
 		e = partition.NewEvaluator(partition.MSB, widthOf(n))
 	}
 	m.Phase("coin-tossing")
-	iters := partition.IterationsToRange(n, constantRange)
-	lab := partition.Iterate(m, l, e, iters)
+	lab := partition.Iterate(m, l, e, CoinTossingRounds(n))
 
 	m.Phase("reduce-to-3")
 	pred := predOf(m, l)
 	for c := constantRange - 1; c >= 3; c-- {
 		cc := c
 		m.ParFor(n, func(v int) {
-			if lab[v] != cc {
-				return
+			if lab[v] == cc {
+				lab[v] = recolor(lab, pred[v], l.Next[v])
 			}
-			used := [3]bool{}
-			if p := pred[v]; p != list.Nil && lab[p] < 3 {
-				used[lab[p]] = true
-			}
-			if s := l.Next[v]; s != list.Nil && lab[s] < 3 {
-				used[lab[s]] = true
-			}
-			for k := 0; k < 3; k++ {
-				if !used[k] {
-					lab[v] = k
-					return
-				}
-			}
-			panic("color: no free colour in reduction")
 		})
 	}
 	return lab
+}
+
+// CoinTossingRounds is the number of applications of f that ThreeColor
+// runs on an n-node list: the fewest that bring the address labels into
+// the constant range [0, 6).
+func CoinTossingRounds(n int) int { return partition.IterationsToRange(n, constantRange) }
+
+// NativeReduceToThree is ThreeColor's reduction of colour classes 5, 4
+// and 3 without simulated rounds, for the native executor: lab holds
+// the labels after CoinTossingRounds(n) applications of f (the
+// partition kernel's output), and each class is recoloured in place by
+// one plain pass on the calling goroutine, with ThreeColor's per-node
+// rule. The colours are ThreeColor's exactly; nothing is charged.
+func NativeReduceToThree(m *pram.Machine, l *list.List, lab []int) []int {
+	m.Phase("reduce-to-3")
+	pred := l.PredInto(ws.IntsNoZero(m.Workspace(), l.Len()))
+	for c := constantRange - 1; c >= 3; c-- {
+		for v, s := range l.Next {
+			if lab[v] == c {
+				lab[v] = recolor(lab, pred[v], s)
+			}
+		}
+	}
+	return lab
+}
+
+// recolor is the colour-class reduction's per-node step: the smallest
+// colour in {0,1,2} that neither neighbour p nor s (list.Nil for none)
+// holds. A colour class is an independent set, so every node of one
+// class can pick at once.
+func recolor(lab []int, p, s int) int {
+	used := [3]bool{}
+	if p != list.Nil && lab[p] < 3 {
+		used[lab[p]] = true
+	}
+	if s != list.Nil && lab[s] < 3 {
+		used[lab[s]] = true
+	}
+	for k := 0; k < 3; k++ {
+		if !used[k] {
+			return k
+		}
+	}
+	panic("color: no free colour in reduction")
 }
 
 // VerifyColoring checks col is a proper colouring with values in
@@ -110,25 +139,42 @@ func MISFromColoring(m *pram.Machine, l *list.List, col []int, colors int) []boo
 // matched pointers are never adjacent), then admit every node that has
 // no neighbour in the set. Maximality of the matching guarantees that no
 // two nodes admitted by the fix-up are adjacent (three consecutive
-// unmatched pointers would otherwise exist). One extra round: O(n/p).
+// unmatched pointers would otherwise exist), so the fix-up reads only
+// the matched tails: whether it sees another admission or not, each
+// node decides the same. One extra round: O(n/p).
 func MISFromMatching(m *pram.Machine, l *list.List, matched []bool) []bool {
 	n := l.Len()
 	in := ws.Bools(m.Workspace(), n)
 	pred := predOf(m, l)
 	m.ParFor(n, func(v int) { in[v] = matched[v] })
 	m.ParFor(n, func(v int) {
-		if in[v] {
-			return
+		if !in[v] {
+			in[v] = misJoins(matched, v, pred[v], l.Next[v])
 		}
-		if p := pred[v]; p != list.Nil && in[p] {
-			return
-		}
-		if s := l.Next[v]; s != list.Nil && in[s] {
-			return
-		}
-		in[v] = true
 	})
 	return in
+}
+
+// NativeMISFromMatching is MISFromMatching without simulated rounds,
+// for the native executor: the same per-node rule as one plain pass on
+// the calling goroutine. The set is MISFromMatching's exactly; nothing
+// is charged. The result aliases the machine's workspace.
+func NativeMISFromMatching(m *pram.Machine, l *list.List, matched []bool) []bool {
+	n := l.Len()
+	w := m.Workspace()
+	pred := l.PredInto(ws.IntsNoZero(w, n))
+	in := ws.BoolsNoZero(w, n)
+	for v, s := range l.Next {
+		in[v] = misJoins(matched, v, pred[v], s)
+	}
+	return in
+}
+
+// misJoins is the MIS fix-up's per-node rule: v belongs to the set iff
+// it is the tail of a matched pointer or neither neighbour p nor s
+// (list.Nil for none) is.
+func misJoins(matched []bool, v, p, s int) bool {
+	return matched[v] || (p == list.Nil || !matched[p]) && (s == list.Nil || !matched[s])
 }
 
 // VerifyMIS checks that in is an independent set (no two adjacent nodes)

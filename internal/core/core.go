@@ -241,9 +241,9 @@ func Prefix(l *list.List, vals []int, o Options) ([]int, pram.Stats, error) {
 }
 
 // ScheduleMatching converts any externally supplied matching partition
-// (labels in [0, K), consecutive pointers labelled differently) into a
-// maximal matching with §4's processor-scheduling technique, in
-// O(n/p + K) simulated time.
+// (labels in [0, K), consecutive pointers labelled differently,
+// 1 ≤ K ≤ max(n, 6)) into a maximal matching with §4's
+// processor-scheduling technique, in O(n/p + K) simulated time.
 func ScheduleMatching(l *list.List, lab []int, K int, o Options) (*Result, error) {
 	req := o.request(engine.OpSchedule, l)
 	req.Labels = lab

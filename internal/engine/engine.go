@@ -123,6 +123,18 @@ var (
 	ErrBadValues = errors.New("values length mismatch")
 	// ErrBadIterations reports an OpPartition iteration count < 1.
 	ErrBadIterations = errors.New("partition iterations must be ≥ 1")
+	// ErrListTooShort reports a one-node list for an operation that
+	// needs a pointer between two distinct nodes: OpPartition (the lone
+	// node is its own pseudo-successor, and f(a, a) is undefined) and
+	// Match3 (its table plan needs n ≥ 2). It is checked before any
+	// kernel runs, on every executor.
+	ErrListTooShort = errors.New("list needs at least 2 nodes")
+	// ErrBadSchedule reports an OpSchedule input that fails
+	// ScheduleMatching's checks: labels of the wrong length, K outside
+	// [1, max(n, 6)], a pointer label outside [0, K), or labels that are
+	// not a matching partition. It is matching.ErrBadSchedule, which
+	// every such error wraps; Sequential and Native fail alike.
+	ErrBadSchedule = matching.ErrBadSchedule
 	// ErrUnknownOp reports a Request.Op outside the known set.
 	ErrUnknownOp = errors.New("unknown operation")
 	// ErrNativeUnsupported reports a request feature the Native executor
@@ -202,7 +214,8 @@ type Request struct {
 	// Values are OpPrefix's addends (length must equal the list's).
 	Values []int
 	// Labels and K are OpSchedule's externally supplied matching
-	// partition: labels in [0, K), consecutive pointers distinct.
+	// partition: labels in [0, K), consecutive pointers distinct, and
+	// 1 ≤ K ≤ max(n, 6).
 	Labels []int
 	K      int
 
@@ -630,6 +643,7 @@ func (e *Engine) dispatch(req Request, res *Result) (err error) {
 
 	m, l := e.m, req.List
 	n := l.Len()
+	native := e.cfg.Exec == pram.Native
 	switch req.Op {
 	case OpMatching:
 		return e.runMatching(req, res)
@@ -637,13 +651,13 @@ func (e *Engine) dispatch(req Request, res *Result) (err error) {
 		if req.Iters < 1 {
 			return fmt.Errorf("engine: i=%d: %w", req.Iters, ErrBadIterations)
 		}
+		if n < 2 {
+			return fmt.Errorf("engine: partition of %d node: %w", n, ErrListTooShort)
+		}
 		var lab []int
 		var rng int
-		if e.cfg.Exec == pram.Native {
-			if e.nativePart == nil {
-				e.nativePart = partition.NewNativeRunner(m)
-			}
-			lab = e.nativePart.Iterate(l, e.eval(req.Variant, n), req.Iters)
+		if native {
+			lab = e.partRunner().Iterate(l, e.eval(req.Variant, n), req.Iters)
 			rng = partition.RangeAfter(n, req.Iters)
 		} else {
 			lab, rng = matching.PartitionIterated(m, l, e.eval(req.Variant, n), req.Iters)
@@ -652,15 +666,35 @@ func (e *Engine) dispatch(req Request, res *Result) (err error) {
 		res.Sets = rng
 		res.Rounds = req.Iters
 	case OpThreeColor:
-		res.Labels = append(res.Labels, color.ThreeColor(m, l, e.eval(req.Variant, n))...)
+		var lab []int
+		if native {
+			lab = e.partRunner().Iterate(l, e.eval(req.Variant, n), color.CoinTossingRounds(n))
+			lab = color.NativeReduceToThree(m, l, lab)
+		} else {
+			lab = color.ThreeColor(m, l, e.eval(req.Variant, n))
+		}
+		res.Labels = append(res.Labels, lab...)
 	case OpMIS:
 		i := req.I
 		if i < 1 {
 			i = 3
 		}
-		in, err := color.MISViaMatching(m, l, matching.Match4Config{I: i, UseTable: req.UseTable})
-		if err != nil {
-			return err
+		var in []bool
+		if native && !req.UseTable {
+			nr, err := e.matchRunner(i)
+			if err != nil {
+				return err
+			}
+			if err := nr.Run(l, &e.mres); err != nil {
+				return err
+			}
+			in = color.NativeMISFromMatching(m, l, e.mres.In)
+		} else {
+			var err error
+			in, err = color.MISViaMatching(m, l, matching.Match4Config{I: i, UseTable: req.UseTable})
+			if err != nil {
+				return err
+			}
 		}
 		res.In = append(res.In, in...)
 	case OpRank:
@@ -710,9 +744,26 @@ func (e *Engine) dispatch(req Request, res *Result) (err error) {
 		}
 		res.Ranks = append(res.Ranks, out...)
 	case OpSchedule:
-		r, err := matching.ScheduleMatching(m, l, req.Labels, req.K)
-		if err != nil {
-			return err
+		var r *matching.Result
+		if native {
+			// Schedule applies f zero times, so any cached runner serves.
+			i := e.nativeIters
+			if e.native == nil {
+				i = 3
+			}
+			nr, err := e.matchRunner(i)
+			if err != nil {
+				return err
+			}
+			if err := nr.Schedule(l, req.Labels, req.K, &e.mres); err != nil {
+				return err
+			}
+			r = &e.mres
+		} else {
+			var err error
+			if r, err = matching.ScheduleMatching(m, l, req.Labels, req.K); err != nil {
+				return err
+			}
 		}
 		e.copyMatching(r, res)
 	default:
@@ -745,14 +796,11 @@ func (e *Engine) runMatching(req Request, res *Result) error {
 	case AlgoMatch4:
 		if !req.UseTable && req.Variant == partition.MSB {
 			if e.cfg.Exec == pram.Native {
-				if e.native == nil || e.nativeIters != i {
-					e.native, err = matching.NewNativeRunner(m, i)
-					if err != nil {
-						return err
-					}
-					e.nativeIters = i
+				nr, err := e.matchRunner(i)
+				if err != nil {
+					return err
 				}
-				if err := e.native.Run(l, &e.mres); err != nil {
+				if err := nr.Run(l, &e.mres); err != nil {
 					return err
 				}
 				r = &e.mres
@@ -779,6 +827,9 @@ func (e *Engine) runMatching(req Request, res *Result) error {
 	case AlgoMatch2:
 		r = matching.Match2(m, l, e.eval(req.Variant, n))
 	case AlgoMatch3:
+		if n < 2 {
+			return fmt.Errorf("engine: match3 of %d node: %w", n, ErrListTooShort)
+		}
 		r, err = matching.Match3(m, l, e.eval(req.Variant, n), matching.Match3Config{CRCWBuild: req.CRCW})
 	case AlgoSequential:
 		in := matching.Sequential(l)
@@ -796,6 +847,27 @@ func (e *Engine) runMatching(req Request, res *Result) error {
 	e.copyMatching(r, res)
 	e.m.SnapshotInto(&res.Stats)
 	return nil
+}
+
+// matchRunner returns the cached native Match4 kernel for parameter i,
+// rebuilding it when i changes.
+func (e *Engine) matchRunner(i int) (*matching.NativeRunner, error) {
+	if e.native == nil || e.nativeIters != i {
+		nr, err := matching.NewNativeRunner(e.m, i)
+		if err != nil {
+			return nil, err
+		}
+		e.native, e.nativeIters = nr, i
+	}
+	return e.native, nil
+}
+
+// partRunner returns the cached native partition kernel.
+func (e *Engine) partRunner() *partition.NativeRunner {
+	if e.nativePart == nil {
+		e.nativePart = partition.NewNativeRunner(e.m)
+	}
+	return e.nativePart
 }
 
 // copyMatching moves a matching result into the caller-owned Result

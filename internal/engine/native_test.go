@@ -2,9 +2,11 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
+	"parlist/internal/color"
 	"parlist/internal/list"
 	"parlist/internal/matching"
 	"parlist/internal/partition"
@@ -28,12 +30,15 @@ func nativeEngines(t *testing.T) (native, seq *Engine) {
 // sequential and randomized baselines, partition under both variants,
 // both native-served rank schemes and both fallback schemes, prefix,
 // 3-colouring, MIS, and schedule — returns outputs bit-identical to the
-// sequential engine's. Requests served by native kernels (Match4
-// default, partition, contraction/wyllie ranks, prefix) must report
-// zero simulated Time/Work; requests on the simulated fallback must
-// report Stats bit-identical to sequential's.
+// sequential engine's, on native engines of 1, 2 and 4 workers.
+// Requests served by native kernels (Match4 default, partition,
+// contraction/wyllie ranks, prefix, 3-colouring, MIS without the table
+// route, schedule) must report zero simulated Time/Work; requests on
+// the simulated fallback must report Stats bit-identical to
+// sequential's.
 func TestNativeMatchesSequentialAllOps(t *testing.T) {
-	native, seq := nativeEngines(t)
+	seq := New(Config{Processors: 8})
+	defer seq.Close()
 	l := list.RandomList(3000, 42)
 	zz := list.ZigZagList(701)
 
@@ -43,7 +48,12 @@ func TestNativeMatchesSequentialAllOps(t *testing.T) {
 	}
 	pm := pram.New(4)
 	labels, K := matching.PartitionIterated(pm, l, nil, 3)
+	zzLabels, zzK := matching.PartitionIterated(pm, zz, nil, 2)
 	pm.Close()
+	// The tail has no pointer, so its pseudo-label may lie outside
+	// [0, K); schedule reads it as 0.
+	tailFree := append([]int(nil), labels...)
+	tailFree[l.Tail()] = K + 7
 
 	cases := []struct {
 		name   string
@@ -63,66 +73,98 @@ func TestNativeMatchesSequentialAllOps(t *testing.T) {
 		{"partition-i1", Request{Op: OpPartition, List: l, Iters: 1}, true},
 		{"partition-i3", Request{Op: OpPartition, List: l, Iters: 3}, true},
 		{"partition-lsb", Request{Op: OpPartition, List: l, Iters: 2, Variant: partition.LSB}, true},
-		{"threecolor", Request{Op: OpThreeColor, List: l}, false},
-		{"mis", Request{Op: OpMIS, List: l}, false},
+		{"threecolor", Request{Op: OpThreeColor, List: l}, true},
+		{"threecolor-lsb", Request{Op: OpThreeColor, List: l, Variant: partition.LSB}, true},
+		{"threecolor-zigzag", Request{Op: OpThreeColor, List: zz}, true},
+		{"mis", Request{Op: OpMIS, List: l}, true},
+		{"mis-i1", Request{Op: OpMIS, List: l, I: 1}, true},
+		{"mis-table", Request{Op: OpMIS, List: l, UseTable: true}, false},
 		{"rank-contraction", Request{Op: OpRank, List: l, Rank: RankContraction}, true},
 		{"rank-wyllie", Request{Op: OpRank, List: l, Rank: RankWyllie}, true},
 		{"rank-loadbalanced", Request{Op: OpRank, List: l, Rank: RankLoadBalanced}, false},
 		{"rank-randommate", Request{Op: OpRank, List: l, Rank: RankRandomMate, Seed: 5}, false},
 		{"prefix", Request{Op: OpPrefix, List: l, Values: vals}, true},
-		{"schedule", Request{Op: OpSchedule, List: l, Labels: labels, K: K}, false},
+		{"schedule", Request{Op: OpSchedule, List: l, Labels: labels, K: K}, true},
+		{"schedule-zigzag", Request{Op: OpSchedule, List: zz, Labels: zzLabels, K: zzK}, true},
+		{"schedule-tail-label", Request{Op: OpSchedule, List: l, Labels: tailFree, K: K}, true},
+	}
+	natives := map[int]*Engine{}
+	for _, workers := range []int{1, 2, 4} {
+		natives[workers] = New(Config{Processors: 8, Exec: pram.Native, Workers: workers})
+		defer natives[workers].Close()
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got, err := native.Run(bg, tc.req)
-			if err != nil {
-				t.Fatalf("native: %v", err)
-			}
-			want, err := seq.Run(bg, tc.req)
-			if err != nil {
-				t.Fatalf("sequential: %v", err)
-			}
-			if !reflect.DeepEqual(got.In, want.In) {
-				t.Error("In diverges from sequential")
-			}
-			if !reflect.DeepEqual(got.Labels, want.Labels) {
-				t.Error("Labels diverge from sequential")
-			}
-			if !reflect.DeepEqual(got.Ranks, want.Ranks) {
-				t.Error("Ranks diverge from sequential")
-			}
-			if got.Size != want.Size || got.Sets != want.Sets {
-				t.Errorf("detail diverges: got %d/%d want %d/%d",
-					got.Size, got.Sets, want.Size, want.Sets)
-			}
-			if tc.kernel {
-				if got.Stats.Time != 0 || got.Stats.Work != 0 {
-					t.Errorf("native kernel charged %d/%d, want 0/0",
-						got.Stats.Time, got.Stats.Work)
-				}
-			} else if got.Stats.Time != want.Stats.Time || got.Stats.Work != want.Stats.Work {
-				t.Errorf("fallback accounting %d/%d diverges from sequential %d/%d",
-					got.Stats.Time, got.Stats.Work, want.Stats.Time, want.Stats.Work)
-			}
-
-			// Independent from-first-principles checkers on the native
-			// outputs, where the op has one.
-			lst := tc.req.List
-			switch tc.req.Op {
-			case OpMatching, OpSchedule:
-				if err := verify.MaximalMatching(lst, got.In); err != nil {
-					t.Errorf("independent checker: %v", err)
-				}
-			case OpPartition:
-				if err := verify.Partition(lst, got.Labels, got.Sets); err != nil {
-					t.Errorf("independent checker: %v", err)
-				}
-			case OpRank:
-				if err := verify.Ranks(lst, got.Ranks); err != nil {
-					t.Errorf("independent checker: %v", err)
-				}
+			for _, workers := range []int{1, 2, 4} {
+				t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+					testNativeCase(t, natives[workers], seq, tc.req, tc.kernel)
+				})
 			}
 		})
+	}
+}
+
+// testNativeCase runs req on native and seq and checks that the outputs
+// are identical, that the accounting is 0/0 for a kernel and
+// Sequential's for a fallback, and the native output against an
+// independent checker where the op has one.
+func testNativeCase(t *testing.T, native, seq *Engine, req Request, kernel bool) {
+	t.Helper()
+	got, err := native.Run(bg, req)
+	if err != nil {
+		t.Fatalf("native: %v", err)
+	}
+	want, err := seq.Run(bg, req)
+	if err != nil {
+		t.Fatalf("sequential: %v", err)
+	}
+	if !reflect.DeepEqual(got.In, want.In) {
+		t.Error("In diverges from sequential")
+	}
+	if !reflect.DeepEqual(got.Labels, want.Labels) {
+		t.Error("Labels diverge from sequential")
+	}
+	if !reflect.DeepEqual(got.Ranks, want.Ranks) {
+		t.Error("Ranks diverge from sequential")
+	}
+	if got.Size != want.Size || got.Sets != want.Sets || got.Rounds != want.Rounds ||
+		got.TableSize != want.TableSize || got.Algorithm != want.Algorithm {
+		t.Errorf("detail diverges: got %q %d/%d/%d/%d want %q %d/%d/%d/%d",
+			got.Algorithm, got.Size, got.Sets, got.Rounds, got.TableSize,
+			want.Algorithm, want.Size, want.Sets, want.Rounds, want.TableSize)
+	}
+	if kernel {
+		if got.Stats.Time != 0 || got.Stats.Work != 0 {
+			t.Errorf("native kernel charged %d/%d, want 0/0",
+				got.Stats.Time, got.Stats.Work)
+		}
+	} else if got.Stats.Time != want.Stats.Time || got.Stats.Work != want.Stats.Work {
+		t.Errorf("fallback accounting %d/%d diverges from sequential %d/%d",
+			got.Stats.Time, got.Stats.Work, want.Stats.Time, want.Stats.Work)
+	}
+
+	lst := req.List
+	switch req.Op {
+	case OpMatching, OpSchedule:
+		if err := verify.MaximalMatching(lst, got.In); err != nil {
+			t.Errorf("independent checker: %v", err)
+		}
+	case OpPartition:
+		if err := verify.Partition(lst, got.Labels, got.Sets); err != nil {
+			t.Errorf("independent checker: %v", err)
+		}
+	case OpRank:
+		if err := verify.Ranks(lst, got.Ranks); err != nil {
+			t.Errorf("independent checker: %v", err)
+		}
+	case OpThreeColor:
+		if err := verify.Partition(lst, got.Labels, 3); err != nil {
+			t.Errorf("independent checker: %v", err)
+		}
+	case OpMIS:
+		if err := color.VerifyMIS(lst, got.In); err != nil {
+			t.Errorf("MIS checker: %v", err)
+		}
 	}
 }
 
@@ -147,16 +189,19 @@ func TestNativeKernelEdgeSizes(t *testing.T) {
 			for i := range vals {
 				vals[i] = (i*7)%19 - 9
 			}
+			labels, K := scheduleInput(t, seq, l)
 			reqs := []Request{
 				{Op: OpMatching, List: l},
 				{Op: OpRank, List: l, Rank: RankContraction},
 				{Op: OpRank, List: l, Rank: RankWyllie},
 				{Op: OpPrefix, List: l, Values: vals},
+				{Op: OpThreeColor, List: l},
+				{Op: OpMIS, List: l},
+				{Op: OpSchedule, List: l, Labels: labels, K: K},
 			}
 			if n > 1 {
-				// OpPartition is undefined at n = 1 on every executor:
-				// the lone node's pseudo-successor is itself and f(a,a)
-				// does not exist.
+				// OpPartition is undefined at n = 1 on every executor
+				// (TestOneNodePartitionRejected).
 				reqs = append(reqs, Request{Op: OpPartition, List: l, Iters: 2})
 			}
 			for _, req := range reqs {
@@ -168,9 +213,7 @@ func TestNativeKernelEdgeSizes(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/n=%d/%s: sequential: %v", g.name, n, req.Op, err)
 				}
-				if !reflect.DeepEqual(got.In, want.In) ||
-					!reflect.DeepEqual(got.Labels, want.Labels) ||
-					!reflect.DeepEqual(got.Ranks, want.Ranks) {
+				if !sameOutput(got, want) {
 					t.Errorf("%s/n=%d/%s: output diverges from sequential", g.name, n, req.Op)
 				}
 			}
@@ -178,9 +221,32 @@ func TestNativeKernelEdgeSizes(t *testing.T) {
 	}
 }
 
+// sameOutput reports whether two results carry the same outputs —
+// everything but the simulated Stats.
+func sameOutput(a, b *Result) bool {
+	return reflect.DeepEqual(a.In, b.In) && reflect.DeepEqual(a.Labels, b.Labels) &&
+		reflect.DeepEqual(a.Ranks, b.Ranks) && a.Size == b.Size && a.Sets == b.Sets &&
+		a.Rounds == b.Rounds && a.TableSize == b.TableSize && a.Algorithm == b.Algorithm
+}
+
+// scheduleInput returns an OpSchedule partition of l: the reference
+// engine's two-application partition, or the lone label 0 for a
+// one-node list, which has no partition.
+func scheduleInput(t testing.TB, ref *Engine, l *list.List) ([]int, int) {
+	t.Helper()
+	if l.Len() < 2 {
+		return []int{0}, 1
+	}
+	part, err := ref.Run(bg, Request{Op: OpPartition, List: l, Iters: 2})
+	if err != nil {
+		t.Fatalf("reference partition: %v", err)
+	}
+	return part.Labels, part.Sets
+}
+
 // TestNativeSteadyStateZeroAlloc extends the engine's headline number to
 // the native executor: after warmup, kernel-served requests at a fixed
-// n — matching, partition, rank, prefix — allocate nothing.
+// n — all seven ops — allocate nothing.
 func TestNativeSteadyStateZeroAlloc(t *testing.T) {
 	eng := New(Config{Processors: 8, Exec: pram.Native, Workers: 4})
 	defer eng.Close()
@@ -189,14 +255,21 @@ func TestNativeSteadyStateZeroAlloc(t *testing.T) {
 	for i := range vals {
 		vals[i] = i % 5
 	}
+	part, err := eng.Run(bg, Request{Op: OpPartition, List: l, Iters: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name string
 		req  Request
 	}{
 		{"matching", Request{List: l}},
 		{"partition", Request{Op: OpPartition, List: l, Iters: 2}},
+		{"threecolor", Request{Op: OpThreeColor, List: l}},
+		{"mis", Request{Op: OpMIS, List: l}},
 		{"rank", Request{Op: OpRank, List: l, Rank: RankContraction}},
 		{"prefix", Request{Op: OpPrefix, List: l, Values: vals}},
+		{"schedule", Request{Op: OpSchedule, List: l, Labels: part.Labels, K: part.Sets}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var res Result
@@ -256,38 +329,52 @@ func FuzzNativeEquivalence(f *testing.F) {
 		defer native.Close()
 		seq := New(Config{Processors: 8})
 		defer seq.Close()
+		labels, K := scheduleInput(t, seq, l)
 		reqs := []Request{
 			{Op: OpMatching, List: l, I: iters},
+			{Op: OpPartition, List: l, Iters: iters},
+			{Op: OpThreeColor, List: l},
+			{Op: OpMIS, List: l, I: iters},
 			{Op: OpRank, List: l, Rank: RankContraction},
 			{Op: OpRank, List: l, Rank: RankWyllie},
 			{Op: OpPrefix, List: l, Values: vals},
-		}
-		if n > 1 {
-			// f(a,a) is undefined, so OpPartition needs ≥ 2 nodes on
-			// every executor.
-			reqs = append(reqs, Request{Op: OpPartition, List: l, Iters: iters})
+			{Op: OpSchedule, List: l, Labels: labels, K: K},
 		}
 		for _, req := range reqs {
 			got, err := native.Run(bg, req)
+			want, werr := seq.Run(bg, req)
+			if req.Op == OpPartition && n == 1 {
+				// f(a,a) is undefined, so a one-node partition is refused
+				// on every executor, with the same error.
+				if !errors.Is(err, ErrListTooShort) || werr == nil || err.Error() != werr.Error() {
+					t.Fatalf("one-node partition: native %v, sequential %v; want ErrListTooShort on both", err, werr)
+				}
+				continue
+			}
 			if err != nil {
 				t.Fatalf("n=%d iters=%d %s: native: %v", n, iters, req.Op, err)
 			}
-			want, err := seq.Run(bg, req)
-			if err != nil {
-				t.Fatalf("n=%d iters=%d %s: sequential: %v", n, iters, req.Op, err)
+			if werr != nil {
+				t.Fatalf("n=%d iters=%d %s: sequential: %v", n, iters, req.Op, werr)
 			}
-			if !reflect.DeepEqual(got.In, want.In) ||
-				!reflect.DeepEqual(got.Labels, want.Labels) ||
-				!reflect.DeepEqual(got.Ranks, want.Ranks) {
+			if !sameOutput(got, want) {
 				t.Fatalf("n=%d iters=%d %s: native output diverges from sequential", n, iters, req.Op)
 			}
 			switch req.Op {
-			case OpMatching:
+			case OpMatching, OpSchedule:
 				if err := verify.MaximalMatching(l, got.In); err != nil {
-					t.Fatalf("n=%d: %v", n, err)
+					t.Fatalf("n=%d %s: %v", n, req.Op, err)
 				}
 			case OpPartition:
 				if err := verify.Partition(l, got.Labels, got.Sets); err != nil {
+					t.Fatalf("n=%d: %v", n, err)
+				}
+			case OpThreeColor:
+				if err := verify.Partition(l, got.Labels, 3); err != nil {
+					t.Fatalf("n=%d: %v", n, err)
+				}
+			case OpMIS:
+				if err := color.VerifyMIS(l, got.In); err != nil {
 					t.Fatalf("n=%d: %v", n, err)
 				}
 			case OpRank:
@@ -297,4 +384,110 @@ func FuzzNativeEquivalence(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestNativeScheduleInputErrors: the native schedule kernel runs
+// ScheduleMatching's input checks, so every malformed partition fails
+// with the sequential engine's exact error, wrapping ErrBadSchedule —
+// and leaves the native engine serviceable. K is bounded by max(n, 6):
+// both paths size their scratch by K, so K = 2^30 on four nodes would
+// otherwise exhaust memory. K at the bound is served.
+func TestNativeScheduleInputErrors(t *testing.T) {
+	native, seq := nativeEngines(t)
+	l := list.RandomList(200, 4)
+	labels, K := scheduleInput(t, seq, l)
+	four := list.RandomList(4, 9)
+	fourLabels, _ := scheduleInput(t, seq, four)
+	outOfRange := append([]int(nil), labels...)
+	outOfRange[l.Head] = K
+	negative := append([]int(nil), labels...)
+	negative[l.Head] = -1
+	// Copying the head's label onto its successor gives two consecutive
+	// pointers one label: not a matching partition.
+	improper := append([]int(nil), labels...)
+	improper[l.Next[l.Head]] = improper[l.Head]
+	for _, tc := range []struct {
+		name string
+		req  Request
+	}{
+		{"short labels", Request{Op: OpSchedule, List: l, Labels: labels[:10], K: K}},
+		{"no labels", Request{Op: OpSchedule, List: l, K: K}},
+		{"K zero", Request{Op: OpSchedule, List: l, Labels: labels, K: 0}},
+		{"K above n", Request{Op: OpSchedule, List: l, Labels: labels, K: 201}},
+		{"K above 6 on four nodes", Request{Op: OpSchedule, List: four, Labels: fourLabels, K: 7}},
+		{"K 2^30 on four nodes", Request{Op: OpSchedule, List: four, Labels: fourLabels, K: 1 << 30}},
+		{"label too large", Request{Op: OpSchedule, List: l, Labels: outOfRange, K: K}},
+		{"negative label", Request{Op: OpSchedule, List: l, Labels: negative, K: K}},
+		{"not a partition", Request{Op: OpSchedule, List: l, Labels: improper, K: K}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := native.Run(bg, tc.req)
+			_, want := seq.Run(bg, tc.req)
+			if !errors.Is(want, ErrBadSchedule) {
+				t.Fatalf("sequential err = %v, want ErrBadSchedule", want)
+			}
+			if !errors.Is(err, ErrBadSchedule) || err.Error() != want.Error() {
+				t.Fatalf("native err = %v, want %q", err, want)
+			}
+		})
+	}
+	for _, req := range []Request{
+		{Op: OpSchedule, List: l, Labels: labels, K: K},
+		{Op: OpSchedule, List: l, Labels: labels, K: 200},
+		{Op: OpSchedule, List: four, Labels: fourLabels, K: 6},
+	} {
+		res, err := native.Run(bg, req)
+		if err != nil {
+			t.Fatalf("n=%d K=%d after rejections: %v", req.List.Len(), req.K, err)
+		}
+		want, err := seq.Run(bg, req)
+		if err != nil {
+			t.Fatalf("n=%d K=%d sequential: %v", req.List.Len(), req.K, err)
+		}
+		if !sameOutput(res, want) {
+			t.Errorf("n=%d K=%d: native output diverges from sequential", req.List.Len(), req.K)
+		}
+		if err := verify.MaximalMatching(req.List, res.In); err != nil {
+			t.Errorf("n=%d K=%d: %v", req.List.Len(), req.K, err)
+		}
+	}
+}
+
+// TestOneNodePartitionRejected: a one-node OpPartition — and a one-node
+// Match3 — is refused with ErrListTooShort before any kernel runs, on
+// every executor at one worker and at four. The machine is not
+// degraded, so the refusal rebuilds nothing, and the engine serves the
+// next request.
+func TestOneNodePartitionRejected(t *testing.T) {
+	one := list.New([]int{list.Nil}, 0)
+	l := list.RandomList(64, 2)
+	for _, ex := range []pram.Exec{pram.Sequential, pram.Goroutines, pram.Pooled, pram.Native} {
+		for _, workers := range []int{1, 4} {
+			eng := New(Config{Processors: 4, Exec: ex, Workers: workers})
+			if _, err := eng.Run(bg, Request{List: l}); err != nil {
+				t.Fatalf("%v/%d: warm-up: %v", ex, workers, err)
+			}
+			before := eng.Stats().Rebuilds
+			for _, req := range []Request{
+				{Op: OpPartition, List: one, Iters: 1},
+				{Op: OpPartition, List: one, Iters: 3, Variant: partition.LSB},
+				{Op: OpMatching, List: one, Algorithm: AlgoMatch3},
+			} {
+				if _, err := eng.Run(bg, req); !errors.Is(err, ErrListTooShort) {
+					t.Errorf("%v/%d: %v %s: err = %v, want ErrListTooShort", ex, workers, req.Op, req.Algorithm, err)
+				}
+			}
+			res, err := eng.Run(bg, Request{Op: OpPartition, List: l, Iters: 1})
+			if err != nil {
+				t.Fatalf("%v/%d: after rejection: %v", ex, workers, err)
+			}
+			if err := verify.Partition(l, res.Labels, res.Sets); err != nil {
+				t.Errorf("%v/%d: after rejection: %v", ex, workers, err)
+			}
+			if got := eng.Stats().Rebuilds; got != before {
+				t.Errorf("%v/%d: Rebuilds %d → %d, want unchanged", ex, workers, before, got)
+			}
+			eng.Close()
+		}
+	}
 }

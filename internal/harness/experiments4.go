@@ -150,9 +150,9 @@ func runE17(cfg Config) ([]*Table, error) {
 //     buy speed or only burn cores — the work-efficiency question the
 //     pool's worker split (DESIGN.md "Native executor") answers.
 //   - allocs-per-req: must be 0 on every native row (the zero-alloc
-//     request path extends to all native kernels; CI guards this). The
-//     pooled executor is only zero-alloc for the default matching
-//     configuration — its rank/partition paths take the general route.
+//     request path extends to all seven ops' native kernels; CI guards
+//     this). The pooled executor is only zero-alloc for the default
+//     matching configuration — its other paths take the general route.
 //   - steps-per-req: the simulated accounting. Pooled rows charge the
 //     model's step counts; native kernel rows charge nothing, which is
 //     the executor's contract, not a measurement artifact.
@@ -171,6 +171,13 @@ func runE18(cfg Config) ([]*Table, error) {
 		vals[i] = (i % 7) - 3
 	}
 	ctx := context.Background()
+	// Schedule's input: the Sequential engine's k = 3 partition.
+	seq := engine.New(engine.Config{Processors: 256})
+	part, err := seq.Run(ctx, engine.Request{Op: engine.OpPartition, List: l, Iters: 3})
+	seq.Close()
+	if err != nil {
+		return nil, fmt.Errorf("E18 schedule input: %w", err)
+	}
 
 	ops := []struct {
 		name string
@@ -178,8 +185,11 @@ func runE18(cfg Config) ([]*Table, error) {
 	}{
 		{"match4/i=3", engine.Request{List: l}},
 		{"partition/k=3", engine.Request{Op: engine.OpPartition, List: l, Iters: 3}},
+		{"threecolor", engine.Request{Op: engine.OpThreeColor, List: l}},
+		{"mis/i=3", engine.Request{Op: engine.OpMIS, List: l}},
 		{"rank/contraction", engine.Request{Op: engine.OpRank, List: l}},
 		{"prefix", engine.Request{Op: engine.OpPrefix, List: l, Values: vals}},
+		{"schedule/k=3", engine.Request{Op: engine.OpSchedule, List: l, Labels: part.Labels, K: part.Sets}},
 	}
 	cells := []struct {
 		ex      pram.Exec

@@ -48,8 +48,10 @@ func (l *List) Tail() int {
 
 // Pred computes the predecessor array: pred[v] = u with Next[u] = v, or
 // Nil for the head.
-func (l *List) Pred() []int {
-	pred := make([]int, len(l.Next))
+func (l *List) Pred() []int { return l.PredInto(make([]int, len(l.Next))) }
+
+// PredInto is Pred into caller-provided scratch of length n, returned.
+func (l *List) PredInto(pred []int) []int {
 	for i := range pred {
 		pred[i] = Nil
 	}

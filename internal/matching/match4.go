@@ -1,6 +1,7 @@
 package matching
 
 import (
+	"errors"
 	"fmt"
 
 	"parlist/internal/list"
@@ -94,27 +95,10 @@ func Match4(m *pram.Machine, l *list.List, e *partition.Evaluator, cfg Match4Con
 // f machinery, from Bisection, or from any external source.
 func ScheduleMatching(m *pram.Machine, l *list.List, lab []int, K int) (*Result, error) {
 	n := l.Len()
-	if len(lab) != n {
-		return nil, fmt.Errorf("matching: ScheduleMatching labels %d, want %d", len(lab), n)
+	if err := checkSchedule(l, lab, K); err != nil {
+		return nil, err
 	}
-	if K < 1 {
-		return nil, fmt.Errorf("matching: ScheduleMatching range %d < 1", K)
-	}
-	for v, s := range l.Next {
-		if s == list.Nil {
-			continue
-		}
-		if lab[v] < 0 || lab[v] >= K {
-			return nil, fmt.Errorf("matching: label %d of pointer %d outside [0,%d)", lab[v], v, K)
-		}
-	}
-	// The WalkDown safety argument (no two adjacent pointers processed in
-	// one step) relies on the matching-partition property; reject inputs
-	// that lack it rather than risking an unsafe schedule. The check is
-	// one O(n/p) round.
-	if err := partition.Verify(l, lab); err != nil {
-		return nil, fmt.Errorf("matching: ScheduleMatching input is not a matching partition: %w", err)
-	}
+	// The partition check is one O(n/p) round.
 	m.Charge(int64((n+m.Processors()-1)/m.Processors()), int64(n))
 	if n < 2 {
 		return &Result{Algorithm: "schedule", In: make([]bool, n), Stats: m.Snapshot()}, nil
@@ -132,6 +116,60 @@ func ScheduleMatching(m *pram.Machine, l *list.List, lab []int, K int) (*Result,
 	}
 	r.Algorithm = "schedule"
 	return r, nil
+}
+
+// ErrBadSchedule is the sentinel every ScheduleMatching input error
+// wraps: callers test errors.Is(err, ErrBadSchedule) to tell a
+// malformed partition, the caller's fault, from a failure.
+var ErrBadSchedule = errors.New("matching: invalid ScheduleMatching input")
+
+// scheduleError is a ScheduleMatching input error: its own message,
+// ErrBadSchedule's identity.
+type scheduleError struct{ msg string }
+
+func (e *scheduleError) Error() string { return e.msg }
+func (e *scheduleError) Unwrap() error { return ErrBadSchedule }
+
+func badSchedule(format string, args ...any) error {
+	return &scheduleError{msg: fmt.Sprintf(format, args...)}
+}
+
+// checkSchedule is ScheduleMatching's input contract, shared by the
+// simulated and native paths: one label per node, 1 ≤ K ≤ max(n, 6),
+// every pointer's label in [0, K) (the tail's pseudo-label is free),
+// and the labels a matching partition. Every error wraps
+// ErrBadSchedule.
+//
+// The bound on K: address labels need K ≤ n, and every f-range
+// RangeAfter(n, k ≥ 1) is at most max(n, 6). Both schedule paths size
+// their column-sort scratch by K, so a larger K would only buy memory
+// that no pointer fills — at K = 2^30 enough to end the process. The
+// WalkDown safety argument (no two adjacent pointers processed in one
+// step) relies on the partition property, so inputs that lack it are
+// rejected rather than risking an unsafe schedule.
+func checkSchedule(l *list.List, lab []int, K int) error {
+	n := l.Len()
+	if len(lab) != n {
+		return badSchedule("matching: ScheduleMatching labels %d, want %d", len(lab), n)
+	}
+	if K < 1 {
+		return badSchedule("matching: ScheduleMatching range %d < 1", K)
+	}
+	if mx := max(n, 6); K > mx {
+		return badSchedule("matching: ScheduleMatching range %d > max(n, 6) = %d", K, mx)
+	}
+	for v, s := range l.Next {
+		if s == list.Nil {
+			continue
+		}
+		if lab[v] < 0 || lab[v] >= K {
+			return badSchedule("matching: label %d of pointer %d outside [0,%d)", lab[v], v, K)
+		}
+	}
+	if err := partition.Verify(l, lab); err != nil {
+		return badSchedule("matching: ScheduleMatching input is not a matching partition: %v", err)
+	}
+	return nil
 }
 
 // match4Finish runs steps 2–5 on a computed partition with label range K.

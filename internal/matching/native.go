@@ -24,6 +24,11 @@ import (
 // the outcome is bit-identical to the simulated Match4's — a property
 // the equivalence suites assert.
 //
+// Schedule runs the same team body on a caller's matching partition:
+// stage 1 copies the labels in and applies f zero times, so §4's
+// ScheduleMatching shares stages 2–4 with Match4 here as it does in the
+// simulated code.
+//
 // Nothing is charged to the simulated accounting (Result.Stats carries
 // Time = Work = 0); phase spans still flow to an attached observer.
 // Scratch comes from the machine's workspace, so steady-state reuse at
@@ -40,6 +45,9 @@ type NativeRunner struct {
 	// Per-request bindings read by the team body.
 	l          *list.List
 	n, x, y    int
+	k          int   // label range K: stage 1's labels lie in [0, k)
+	rounds     int   // applications of f in stage 1 (0 for Schedule)
+	given      []int // Schedule's caller labels; nil = addresses
 	lab0, lab1 []int // partition double buffers; parity picks the result
 
 	cellNode, rowOf                    []int
@@ -86,18 +94,25 @@ func (r *NativeRunner) team(ctx *pram.TeamCtx) {
 	// after the loop `lab` names the same slice in every party.
 	lo, hi := ctx.Chunk(n)
 	lab, out := r.lab0, r.lab1
-	for v := lo; v < hi; v++ {
-		lab[v] = v // Match1 step 1: label[v] := address of v
+	if r.given == nil {
+		for v := lo; v < hi; v++ {
+			lab[v] = v // Match1 step 1: label[v] := address of v
+		}
+	} else {
+		// The input checks put every pointer's label in [0, k), so only
+		// the tail's pseudo-label can be out of range; ScheduleMatching
+		// reads it as 0 too.
+		for v := lo; v < hi; v++ {
+			g := r.given[v]
+			if g < 0 || g >= r.k {
+				g = 0
+			}
+			lab[v] = g
+		}
 	}
 	ctx.Barrier()
-	for i := 0; i < r.iters; i++ {
-		for v := lo; v < hi; v++ {
-			s := next[v]
-			if s == list.Nil {
-				s = head
-			}
-			out[v] = r.e.Apply(lab[v], lab[s])
-		}
+	for i := 0; i < r.rounds; i++ {
+		r.e.ApplyRange(next, head, lab, out, lo, hi)
 		ctx.Barrier()
 		lab, out = out, lab
 	}
@@ -200,28 +215,57 @@ func (r *NativeRunner) Run(l *list.List, res *Result) error {
 	if l == nil {
 		return fmt.Errorf("matching: NativeRunner.Run with nil list")
 	}
-	m := r.m
-	w := m.Workspace()
 	n := l.Len()
-	r.l = l
-	r.n = n
-
-	res.Algorithm = "match4"
-	res.Rounds = 0
-	res.Sets = 0
-	res.Size = 0
-	res.TableSize = 0
 	if n < 2 {
-		res.In = ws.Bools(w, n)
-		m.SnapshotInto(&res.Stats)
+		r.empty(n, "match4", res)
 		return nil
 	}
 	if wd := width(n); r.e == nil || r.eWidth != wd {
 		r.e = partition.NewEvaluator(partition.MSB, wd)
 		r.eWidth = wd
 	}
+	r.run(l, nil, partition.RangeAfter(n, r.iters), r.iters, "match4", res)
+	return nil
+}
 
-	K := partition.RangeAfter(n, r.iters)
+// Schedule is ScheduleMatching on the team runtime: the same input
+// checks and errors, then stages 2–4 on the caller's labels. The
+// result matches ScheduleMatching's bit for bit; res.In aliases the
+// workspace, as with Run.
+func (r *NativeRunner) Schedule(l *list.List, lab []int, K int, res *Result) error {
+	if l == nil {
+		return fmt.Errorf("matching: NativeRunner.Schedule with nil list")
+	}
+	if err := checkSchedule(l, lab, K); err != nil {
+		return err
+	}
+	n := l.Len()
+	if n < 2 {
+		r.empty(n, "schedule", res)
+		return nil
+	}
+	r.run(l, lab, K, 0, "schedule", res)
+	return nil
+}
+
+// empty answers a list too short to hold two pointers: nothing matched.
+func (r *NativeRunner) empty(n int, algo string, res *Result) {
+	res.Algorithm = algo
+	res.In = ws.Bools(r.m.Workspace(), n)
+	res.Size, res.Sets, res.Rounds, res.TableSize = 0, 0, 0, 0
+	r.m.SnapshotInto(&res.Stats)
+}
+
+// run binds one request — labels given (nil = addresses) in [0, K),
+// then `rounds` applications of f — dispatches stages 1–4 as one team
+// run, and fills res.
+func (r *NativeRunner) run(l *list.List, given []int, K, rounds int, algo string, res *Result) {
+	m := r.m
+	w := m.Workspace()
+	n := l.Len()
+	r.l, r.n = l, n
+	r.given, r.k, r.rounds = given, K, rounds
+
 	x := K
 	if x < 2 {
 		x = 2
@@ -230,7 +274,9 @@ func (r *NativeRunner) Run(l *list.List, res *Result) error {
 	r.y = (n + x - 1) / x
 	y := r.y
 
-	m.Phase("partition")
+	if given == nil {
+		m.Phase("partition") // Schedule's copy-in is no partition stage
+	}
 	r.lab0 = ws.IntsNoZero(w, n)
 	r.lab1 = ws.IntsNoZero(w, n)
 	r.cellNode = ws.IntsNoZero(w, n)
@@ -253,11 +299,13 @@ func (r *NativeRunner) Run(l *list.List, res *Result) error {
 	r.states = r.states[:y]
 
 	m.RunTeam(r.teamF)
+	r.given = nil
 
+	res.Algorithm = algo
 	res.In = r.in
 	res.Size = Count(r.in)
 	res.Sets = K
-	res.Rounds = r.iters
+	res.Rounds = rounds
+	res.TableSize = 0
 	m.SnapshotInto(&res.Stats)
-	return nil
 }

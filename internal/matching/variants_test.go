@@ -1,6 +1,7 @@
 package matching
 
 import (
+	"errors"
 	"testing"
 
 	"parlist/internal/list"
@@ -173,8 +174,19 @@ func TestScheduleMatchingRejectsBadInput(t *testing.T) {
 		t.Error("zero range accepted")
 	}
 	bad := []int{0, 1, 0, 1, 0, 1, 9, 0} // out-of-range pointer label
-	if _, err := ScheduleMatching(m, l, bad, 2); err == nil {
-		t.Error("out-of-range label accepted")
+	if _, err := ScheduleMatching(m, l, bad, 2); !errors.Is(err, ErrBadSchedule) {
+		t.Errorf("out-of-range label: err = %v, want ErrBadSchedule", err)
+	}
+	// K beyond max(n, 6) would size the scratch by K alone.
+	ok := []int{0, 1, 0, 1, 0, 1, 0, 0}
+	if _, err := ScheduleMatching(m, l, ok, 1<<30); !errors.Is(err, ErrBadSchedule) {
+		t.Errorf("K = 2^30: err = %v, want ErrBadSchedule", err)
+	}
+	if _, err := ScheduleMatching(m, l, ok, 9); !errors.Is(err, ErrBadSchedule) {
+		t.Errorf("K = n+1: err = %v, want ErrBadSchedule", err)
+	}
+	if _, err := ScheduleMatching(m, l, ok, 8); err != nil {
+		t.Errorf("K = n: %v", err)
 	}
 }
 

@@ -48,13 +48,7 @@ func (r *NativeRunner) team(ctx *pram.TeamCtx) {
 	}
 	ctx.Barrier()
 	for rd := 0; rd < k; rd++ {
-		for v := lo; v < hi; v++ {
-			s := next[v]
-			if s == list.Nil {
-				s = head
-			}
-			out[v] = e.Apply(lab[v], lab[s])
-		}
+		e.ApplyRange(next, head, lab, out, lo, hi)
 		// Round rd+1 reads what this round wrote; every party swaps its
 		// local views identically, so the buffers stay in sync.
 		ctx.Barrier()

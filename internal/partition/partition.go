@@ -46,10 +46,12 @@ func (v Variant) String() string {
 }
 
 // F computes f(⟨a,b⟩) = 2k + a_k with k the most significant bit where a
-// and b differ. a must differ from b; both must be ≥ 0.
+// and b differ. a must differ from b; both must be ≥ 0. F is within the
+// compiler's inlining budget, so a loop calling it pays no call per
+// pointer (see ApplyRange).
 func F(a, b int) int {
 	if a == b {
-		panic(fmt.Sprintf("partition: F(%d,%d) with equal arguments", a, b))
+		panic(equalArgsError{a, b})
 	}
 	k := bits.MSB(a ^ b)
 	return 2*k + bits.Bit(a, k)
@@ -63,6 +65,15 @@ func FLSB(a, b int) int {
 	}
 	k := bits.LSB(a ^ b)
 	return 2*k + bits.Bit(a, k)
+}
+
+// equalArgsError is F's panic value on equal arguments, where f is
+// undefined. A typed value instead of a formatted string keeps F
+// inlinable; Error formats the message.
+type equalArgsError struct{ a, b int }
+
+func (e equalArgsError) Error() string {
+	return fmt.Sprintf("partition: F(%d,%d) with equal arguments", e.a, e.b)
 }
 
 // NextRange returns the label-range size after one application of f to
@@ -179,6 +190,32 @@ func (e *Evaluator) Apply(a, b int) int {
 		k = e.u.LSBLookup(a, b)
 	}
 	return 2*k + bits.Bit(a, k)
+}
+
+// ApplyRange is one CREW application of f over the nodes [lo, hi):
+// out[v] = f(⟨lab[v], lab[suc(v)]⟩), the tail reading the head's label
+// as its pseudo-successor (Step's rule). The direct MSB evaluator runs
+// a loop over the inlined F, with no call per pointer; every other
+// evaluator goes through Apply, which is over the inlining budget. The
+// native kernels call it on their chunk of every application.
+func (e *Evaluator) ApplyRange(next []int, head int, lab, out []int, lo, hi int) {
+	if e.u == nil && e.variant == MSB {
+		for v := lo; v < hi; v++ {
+			s := next[v]
+			if s == list.Nil {
+				s = head
+			}
+			out[v] = F(lab[v], lab[s])
+		}
+		return
+	}
+	for v := lo; v < hi; v++ {
+		s := next[v]
+		if s == list.Nil {
+			s = head
+		}
+		out[v] = e.Apply(lab[v], lab[s])
+	}
 }
 
 // Fold evaluates f^(k) on a tuple of k values by k-1 pairwise passes:

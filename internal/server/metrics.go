@@ -1,11 +1,15 @@
 package server
 
-import "parlist/internal/obs"
+import (
+	"parlist/internal/engine"
+	"parlist/internal/obs"
+)
 
-// serverMetrics is the parlistd_* family set. Label-less families are
-// created eagerly so /metrics shows them from the first scrape;
-// labelled families materialise children on first use (obs.Registry
-// constructors are idempotent lookups).
+// serverMetrics is the parlistd_* family set. Label-less families, and
+// the per-framing, per-op request counters, are created eagerly so
+// /metrics shows them from the first scrape; other labelled families
+// materialise children on first use (obs.Registry constructors are
+// idempotent lookups).
 type serverMetrics struct {
 	reg *obs.Registry
 	// inflight is the number of admitted requests that have not yet
@@ -22,7 +26,16 @@ type serverMetrics struct {
 	// flushes counts batch flushes by trigger, one series per entry of
 	// flushCauses.
 	flushes map[string]*obs.Counter
+	// reqs holds parlistd_requests_total's children for each framing in
+	// protos, indexed by op, so admitting a request does no registry
+	// lookup.
+	reqs map[string][]*obs.Counter
 }
+
+// protos lists the framings that admit requests.
+var protos = []string{"http", "binary"}
+
+const requestsHelp = "Requests admitted, by framing and operation."
 
 // flushCauses lists the batcher's flush triggers, in /statusz order:
 // idle (an engine was free), size (the group filled to BatchSize),
@@ -48,14 +61,27 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 		m.flushes[c] = reg.Counter("parlistd_batch_flush_total",
 			"Coalescing-batch flushes, by trigger.", "cause", c)
 	}
+	m.reqs = make(map[string][]*obs.Counter, len(protos))
+	for _, p := range protos {
+		byOp := make([]*obs.Counter, len(opsByName))
+		for op := range byOp {
+			byOp[op] = reg.Counter("parlistd_requests_total", requestsHelp,
+				"proto", p, "op", engine.Op(op).String())
+		}
+		m.reqs[p] = byOp
+	}
 	return m
 }
 
-// requests counts admitted requests by framing and op.
-func (m *serverMetrics) requests(proto, op string) *obs.Counter {
-	return m.reg.Counter("parlistd_requests_total",
-		"Requests admitted, by framing and operation.",
-		"proto", proto, "op", op)
+// requests counts admitted requests by framing and op. Any pair outside
+// the pre-resolved set (an unknown op from a binary frame) is looked up
+// in the registry.
+func (m *serverMetrics) requests(proto string, op engine.Op) *obs.Counter {
+	if byOp := m.reqs[proto]; op >= 0 && int(op) < len(byOp) {
+		return byOp[op]
+	}
+	return m.reg.Counter("parlistd_requests_total", requestsHelp,
+		"proto", proto, "op", op.String())
 }
 
 // failures counts non-OK responses by status label.

@@ -120,6 +120,8 @@ func statusOf(err error) byte {
 		errors.Is(err, engine.ErrUnknownRankScheme),
 		errors.Is(err, engine.ErrBadValues),
 		errors.Is(err, engine.ErrBadIterations),
+		errors.Is(err, engine.ErrListTooShort),
+		errors.Is(err, engine.ErrBadSchedule),
 		errors.Is(err, engine.ErrUnknownOp),
 		errors.Is(err, engine.ErrNativeUnsupported):
 		return StatusInvalid
@@ -128,7 +130,8 @@ func statusOf(err error) byte {
 }
 
 // opsByName maps URL path segments (and client-facing op names) onto
-// engine ops; the seven served operations.
+// engine ops; the seven served operations. Each name is its op's
+// String, which names the op on responses and metrics.
 var opsByName = map[string]engine.Op{
 	"matching":   engine.OpMatching,
 	"partition":  engine.OpPartition,
@@ -137,16 +140,6 @@ var opsByName = map[string]engine.Op{
 	"rank":       engine.OpRank,
 	"prefix":     engine.OpPrefix,
 	"schedule":   engine.OpSchedule,
-}
-
-// opName returns the path segment for an op (inverse of opsByName).
-func opName(op engine.Op) string {
-	for name, o := range opsByName {
-		if o == op {
-			return name
-		}
-	}
-	return fmt.Sprintf("op(%d)", int(op))
 }
 
 // jsonRequest is the HTTP/JSON request body for every /v1/<op>

@@ -116,8 +116,9 @@ func TestWireServerAllocs(t *testing.T) {
 		// concurrency, so the measured rounds draw no fresh items.
 		warm   = 100
 		rounds = 500
-		// allocBudget bounds the fixed allocations of one round trip.
-		allocBudget = 24
+		// allocBudget bounds the fixed allocations of one round trip
+		// (about 10 measured, with or without -race).
+		allocBudget = 14
 	)
 	pool := engine.NewPool(engine.PoolConfig{
 		Engines: 2, QueueDepth: 64,

@@ -251,7 +251,7 @@ func (s *Server) do(ctx context.Context, it *item, proto, tenant string) (obs.Tr
 		tenant = DefaultTenant
 	}
 	req := &it.bi.Req
-	s.met.requests(proto, opName(req.Op)).Inc()
+	s.met.requests(proto, req.Op).Inc()
 	t0 := time.Now()
 
 	if s.rec != nil && !req.Trace.Valid() {
@@ -399,7 +399,7 @@ func (s *Server) httpOp(op engine.Op) http.HandlerFunc {
 		}
 		res := &it.bi.Res
 		resp := jsonResponse{
-			Op:        opName(res.Op),
+			Op:        res.Op.String(),
 			Algorithm: res.Algorithm,
 			In:        res.In,
 			Labels:    res.Labels,

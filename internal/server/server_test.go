@@ -500,6 +500,97 @@ func TestMalformedListIsInvalid(t *testing.T) {
 	}
 }
 
+// TestUnservableInputIsInvalid: a one-node partition (f(a, a) is
+// undefined), a one-node Match3 and a schedule whose K exceeds
+// max(n, 6) or whose labels fall outside [0, K) are the client's
+// fault. Both framings answer 400 invalid on the simulated and native
+// executors, the native engines at four parties included, and the
+// server goes on serving the same connection. The one-node partition
+// and the schedule with K = 2^30 used to end the process.
+func TestUnservableInputIsInvalid(t *testing.T) {
+	for _, exec := range []pram.Exec{pram.Sequential, pram.Native} {
+		pool := engine.NewPool(engine.PoolConfig{Engines: 2, QueueDepth: 64,
+			Engine: engine.Config{Processors: 8, Exec: exec, Workers: 4}})
+		s, addr := newTestServer(t, Config{Pool: pool, BatchSize: 4, MaxWait: time.Millisecond})
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+		c, err := Dial(addr, "")
+		if err != nil {
+			t.Fatalf("Dial: %v", err)
+		}
+		defer c.Close()
+		one := &list.List{Next: []int{list.Nil}, Head: 0}
+		four := &list.List{Next: []int{1, 2, 3, list.Nil}, Head: 0}
+		for _, tc := range []struct {
+			path string
+			body string
+			req  engine.Request
+		}{
+			{"/v1/partition", `{"next":[-1],"head":0,"iters":1}`,
+				engine.Request{Op: engine.OpPartition, List: one, Iters: 1}},
+			{"/v1/matching", `{"next":[-1],"algorithm":"match3"}`,
+				engine.Request{Op: engine.OpMatching, List: one, Algorithm: engine.AlgoMatch3}},
+			{"/v1/schedule", `{"next":[1,2,3,-1],"labels":[0,1,0,0],"k":1073741824}`,
+				engine.Request{Op: engine.OpSchedule, List: four, Labels: []int{0, 1, 0, 0}, K: 1 << 30}},
+			{"/v1/schedule", `{"next":[1,2,3,-1],"labels":[0,1,2,0],"k":2}`,
+				engine.Request{Op: engine.OpSchedule, List: four, Labels: []int{0, 1, 2, 0}, K: 2}},
+		} {
+			resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatalf("%s %s: %v", exec, tc.body, err)
+			}
+			var je jsonError
+			json.NewDecoder(resp.Body).Decode(&je)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || je.Code != "invalid" {
+				t.Errorf("%s HTTP %s: status %d code %q (%s), want 400 invalid",
+					exec, tc.body, resp.StatusCode, je.Code, je.Error)
+			}
+			_, err = c.Do(context.Background(), tc.req)
+			var se *StatusError
+			if !errors.As(err, &se) || se.Code != StatusInvalid {
+				t.Errorf("%s binary %s: err = %v, want status invalid", exec, tc.body, err)
+			}
+		}
+
+		two := &list.List{Next: []int{1, list.Nil}, Head: 0}
+		r, err := c.Do(context.Background(), engine.Request{Op: engine.OpPartition, List: two, Iters: 1})
+		if err != nil || r.Status != StatusOK || len(r.Result.Labels) != 2 {
+			t.Errorf("%s binary: two-node partition after the refusals: %+v, %v", exec, r, err)
+		}
+		resp, err := http.Post(ts.URL+"/v1/partition", "application/json",
+			strings.NewReader(`{"next":[1,-1],"iters":1}`))
+		if err != nil {
+			t.Fatalf("%s: %v", exec, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("%s HTTP: two-node partition after the refusals: status %d", exec, resp.StatusCode)
+		}
+	}
+}
+
+// TestRequestSeriesFromStartup: every parlistd_requests_total series —
+// both framings × the seven ops — is exported before the first request,
+// and each route's name is its op's String, which labels the series
+// and the JSON response.
+func TestRequestSeriesFromStartup(t *testing.T) {
+	s, _ := newTestServer(t, Config{BatchSize: 1, MaxWait: time.Millisecond})
+	var sb strings.Builder
+	s.Registry().WritePrometheus(&sb)
+	for name, op := range opsByName {
+		if op.String() != name {
+			t.Errorf("route %q serves op %v named %q", name, int(op), op.String())
+		}
+		for _, proto := range protos {
+			series := fmt.Sprintf("parlistd_requests_total{proto=%q,op=%q} 0", proto, name)
+			if !strings.Contains(sb.String(), series) {
+				t.Errorf("missing %s", series)
+			}
+		}
+	}
+}
+
 // TestMalformedFrames sends broken binary frames and expects an
 // Invalid response followed by connection close.
 func TestMalformedFrames(t *testing.T) {

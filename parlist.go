@@ -234,8 +234,9 @@ func MaximalMatching(l *List, o Options) (*Result, error) {
 func Verify(l *List, in []bool) error { return core.Verify(l, in) }
 
 // ScheduleMatching converts any matching partition (labels in [0, K),
-// consecutive pointers labelled differently) into a maximal matching
-// with the paper's §4 processor-scheduling technique: O(n/p + K) time.
+// consecutive pointers labelled differently, 1 ≤ K ≤ max(n, 6)) into a
+// maximal matching with the paper's §4 processor-scheduling technique:
+// O(n/p + K) time.
 func ScheduleMatching(l *List, lab []int, K int, o Options) (*Result, error) {
 	return core.ScheduleMatching(l, lab, K, o)
 }
