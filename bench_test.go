@@ -341,13 +341,9 @@ func BenchmarkRankLoadBalanced(b *testing.B) {
 	b.ReportMetric(float64(work)/float64(n), "work-per-node")
 }
 
-// E11 — executor wall-clock (the goroutine substitution itself).
+// E11 — executor wall-clock.
 func BenchmarkWallClockSequentialExec(b *testing.B) {
 	benchWallClock(b, pram.Sequential)
-}
-
-func BenchmarkWallClockGoroutineExec(b *testing.B) {
-	benchWallClock(b, pram.Goroutines)
 }
 
 func BenchmarkWallClockPooledExec(b *testing.B) {
@@ -370,19 +366,18 @@ func benchWallClock(b *testing.B, exec pram.Exec) {
 }
 
 // BenchmarkExecutorOverhead measures the pure per-round dispatch cost —
-// an empty ParFor body over n = 1<<18 items — for the spawn-per-round
-// executor vs the persistent pool, across simulated processor counts.
+// an empty ParFor body over n = 1<<18 items — for the persistent pool
+// against inline execution, across simulated processor counts.
 // Workers are pinned to 4 so the real parallel dispatch path is
 // exercised even on few-core hosts (with the GOMAXPROCS default a
-// single-core machine would silently fall back to inline execution for
-// both executors). The machine is reused across iterations, so the
-// pooled numbers are steady-state: no goroutine spawns and ~0 allocs
-// per round. The sequential rows are the inline baseline: subtracting
+// single-core machine would silently fall back to inline execution).
+// The machine is reused across iterations, so the pooled numbers are
+// steady-state: no goroutine spawns and ~0 allocs per round. The sequential rows are the inline baseline: subtracting
 // them isolates pure dispatch overhead (the body itself — n indirect
 // calls — costs the same everywhere when cores are scarce).
 func BenchmarkExecutorOverhead(b *testing.B) {
 	n := 1 << 18
-	for _, exec := range []pram.Exec{pram.Sequential, pram.Goroutines, pram.Pooled} {
+	for _, exec := range []pram.Exec{pram.Sequential, pram.Pooled} {
 		for _, p := range []int{4, 64, 1024} {
 			b.Run(fmt.Sprintf("%s/p=%d", exec, p), func(b *testing.B) {
 				m := pram.New(p, pram.WithExec(exec), pram.WithWorkers(4))

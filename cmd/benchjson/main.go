@@ -537,7 +537,7 @@ func run(args []string, stdout *os.File) error {
 	// Native appears here too: a plain ParFor on a Native machine takes
 	// the simulated fallback dispatch, so its overhead row measures the
 	// fallback path (expected ≈ pooled), not the team kernels.
-	for _, exec := range []pram.Exec{pram.Sequential, pram.Goroutines, pram.Pooled, pram.Native} {
+	for _, exec := range []pram.Exec{pram.Sequential, pram.Pooled, pram.Native} {
 		for _, p := range []int{4, 64, 1024} {
 			m := pram.New(p, pram.WithExec(exec), pram.WithWorkers(4))
 			e := measure(stdout, fmt.Sprintf("executor-overhead/%s/p=%d", exec, p), nOver, p, func() pram.Stats {
@@ -556,7 +556,7 @@ func run(args []string, stdout *os.File) error {
 
 	// End-to-end wall clock: Match4 under each executor.
 	lw := list.RandomList(nWall, seed)
-	for _, exec := range []pram.Exec{pram.Sequential, pram.Goroutines, pram.Pooled} {
+	for _, exec := range []pram.Exec{pram.Sequential, pram.Pooled} {
 		rep.Benches = append(rep.Benches, measure(stdout, fmt.Sprintf("wallclock-match4/%s", exec), nWall, 1024, func() pram.Stats {
 			m := pram.New(1024, pram.WithExec(exec))
 			defer m.Close()

@@ -19,7 +19,7 @@ import (
 	"fmt"
 	"os"
 
-	"parlist/internal/core"
+	"parlist"
 	"parlist/internal/list"
 	"parlist/internal/pram"
 	"parlist/internal/verify"
@@ -55,8 +55,7 @@ func run(args []string, out *os.File) error {
 	gen := fs.String("gen", "random", "generator: random|sequential|reversed|zigzag|blocked")
 	seed := fs.Int64("seed", 1, "generator seed")
 	useTable := fs.Bool("table", false, "use the Lemma 5 table partition in Match4")
-	goroutines := fs.Bool("goroutines", false, "execute simulated steps on a goroutine pool (same as -exec goroutines)")
-	execFlag := fs.String("exec", "", "executor: sequential|goroutines|pooled|native (overrides -goroutines)")
+	execFlag := fs.String("exec", "sequential", "executor: sequential|pooled|native")
 	render := fs.Bool("render", false, "draw the bisecting-line view (small n)")
 	trace := fs.Bool("trace", false, "print a round-level trace summary and Gantt bar")
 	load := fs.String("load", "", "read the list from a file written with -save instead of generating")
@@ -115,22 +114,9 @@ func run(args []string, out *os.File) error {
 		fmt.Fprint(out, l.RenderBisection())
 	}
 
-	exec := pram.Sequential
-	if *goroutines {
-		exec = pram.Goroutines
-	}
-	switch *execFlag {
-	case "":
-	case "sequential":
-		exec = pram.Sequential
-	case "goroutines":
-		exec = pram.Goroutines
-	case "pooled":
-		exec = pram.Pooled
-	case "native":
-		exec = pram.Native
-	default:
-		return usagef("unknown executor %q", *execFlag)
+	exec, err := pram.ParseExec(*execFlag)
+	if err != nil {
+		return usageError{err}
 	}
 	if *trace && exec == pram.Native {
 		return usagef("-trace needs the simulated round stream, which the native executor's fast-path kernels bypass; use -exec pooled or -exec sequential")
@@ -139,8 +125,8 @@ func run(args []string, out *os.File) error {
 	if *trace {
 		tracer = &pram.Tracer{}
 	}
-	res, err := core.MaximalMatching(l, core.Options{
-		Algorithm:  core.Algorithm(*algo),
+	res, err := parlist.MaximalMatching(l, parlist.Options{
+		Algorithm:  parlist.Algorithm(*algo),
 		Processors: *p,
 		I:          *i,
 		UseTable:   *useTable,
@@ -151,7 +137,7 @@ func run(args []string, out *os.File) error {
 	if err != nil {
 		return err
 	}
-	if err := core.Verify(l, res.In); err != nil {
+	if err := parlist.Verify(l, res.In); err != nil {
 		return fmt.Errorf("verification FAILED: %w", err)
 	}
 

@@ -20,7 +20,7 @@ import (
 	"fmt"
 	"os"
 
-	"parlist/internal/core"
+	"parlist"
 	"parlist/internal/list"
 	"parlist/internal/pram"
 )
@@ -51,7 +51,7 @@ func run(args []string, out *os.File) error {
 	n := fs.Int("n", 1<<16, "list size")
 	p := fs.Int("p", 256, "simulated PRAM processors")
 	seed := fs.Int64("seed", 1, "generator seed")
-	execFlag := fs.String("exec", "sequential", "executor: sequential|goroutines|pooled|native")
+	execFlag := fs.String("exec", "sequential", "executor: sequential|pooled|native")
 	if err := fs.Parse(args); err != nil {
 		return usageError{err}
 	}
@@ -61,36 +61,27 @@ func run(args []string, out *os.File) error {
 	if *p < 1 {
 		return usagef("-p must be >= 1 (got %d)", *p)
 	}
-	var exec pram.Exec
-	switch *execFlag {
-	case "sequential":
-		exec = pram.Sequential
-	case "goroutines":
-		exec = pram.Goroutines
-	case "pooled":
-		exec = pram.Pooled
-	case "native":
-		// Native serves contraction and wyllie through the splitter-walk
-		// kernel (zero simulated time/work); loadbalanced and randommate
-		// fall back to the simulated machine with full accounting.
-		exec = pram.Native
-	default:
-		return usagef("unknown executor %q", *execFlag)
+	// Native serves contraction and wyllie through the splitter-walk
+	// kernel (zero simulated time/work); loadbalanced and randommate
+	// fall back to the simulated machine with full accounting.
+	exec, err := pram.ParseExec(*execFlag)
+	if err != nil {
+		return usageError{err}
 	}
 
 	l := list.RandomList(*n, *seed)
 	pos := l.Position()
 
-	eng := core.NewEngine(core.EngineConfig{Processors: *p, Exec: exec})
+	eng := parlist.NewEngine(parlist.EngineConfig{Processors: *p, Exec: exec})
 	defer eng.Close()
 
-	schemes := []core.RankScheme{
-		core.RankWyllie, core.RankContraction,
-		core.RankLoadBalanced, core.RankRandomMate,
+	schemes := []parlist.RankScheme{
+		parlist.RankWyllie, parlist.RankContraction,
+		parlist.RankLoadBalanced, parlist.RankRandomMate,
 	}
 	fmt.Fprintf(out, "n = %d, p = %d\n", *n, *p)
 	for _, scheme := range schemes {
-		rk, st, err := eng.Rank(l, core.Options{Rank: scheme, Seed: *seed})
+		rk, st, err := eng.Rank(l, parlist.Options{Rank: scheme, Seed: *seed})
 		if err != nil {
 			return fmt.Errorf("%s: %w", scheme, err)
 		}

@@ -127,7 +127,7 @@ func run(args []string, out *os.File) error {
 	fs := flag.NewFlagSet("loadgen", flag.ContinueOnError)
 	nFlag := fs.String("n", "4096", "list size(s), comma-separated; requests cycle through them")
 	p := fs.Int("p", 256, "simulated PRAM processors")
-	execFlag := fs.String("exec", "sequential", "per-engine executor: sequential|goroutines|pooled|native")
+	execFlag := fs.String("exec", "sequential", "per-engine executor: sequential|pooled|native")
 	enginesN := fs.Int("engines", 2, "engines in the pool")
 	concFlag := fs.String("conc", "1,2,4", "closed-loop concurrency sweep, comma-separated")
 	requests := fs.Int("requests", 128, "requests per sweep level (total in -qps mode)")
@@ -177,22 +177,13 @@ func run(args []string, out *os.File) error {
 	if *shardsN > 1 && *qps > 0 {
 		return usagef("-shards works in the closed loop only (ShardedDo blocks; drop -qps)")
 	}
-	var exec pram.Exec
-	switch *execFlag {
-	case "sequential":
-		exec = pram.Sequential
-	case "goroutines":
-		exec = pram.Goroutines
-	case "pooled":
-		exec = pram.Pooled
-	case "native":
-		// The default matching request runs Match4 through the native
-		// fast-path kernels; Stats report zero simulated time/work for it.
-		// loadgen never attaches fault plans, so no request can hit
-		// engine.ErrNativeUnsupported.
-		exec = pram.Native
-	default:
-		return usagef("unknown executor %q", *execFlag)
+	// Under native the default matching request runs Match4 through the
+	// fast-path kernels; Stats report zero simulated time/work for it.
+	// loadgen never attaches fault plans, so no request can hit
+	// engine.ErrNativeUnsupported.
+	exec, err := pram.ParseExec(*execFlag)
+	if err != nil {
+		return usageError{err}
 	}
 
 	lists := make([]*list.List, len(sizes))

@@ -51,24 +51,18 @@ func run(args []string, out *os.File) error {
 	quick := fs.Bool("quick", false, "shrink the sweeps")
 	seed := fs.Int64("seed", 1, "list-generation seed")
 	check := fs.Bool("verify", false, "re-check experiment outputs with the independent verifiers")
-	execFlag := fs.String("exec", "", "override the serving-layer experiments' executor (E16/E17): sequential|goroutines|pooled|native")
+	execFlag := fs.String("exec", "", "override the serving-layer experiments' executor (E16/E17): sequential|pooled|native")
 	if err := fs.Parse(args); err != nil {
 		return usageError{err}
 	}
 
 	cfg := harness.Config{Quick: *quick, Seed: *seed, Verify: *check}
-	switch *execFlag {
-	case "":
-	case "sequential":
-		cfg.Exec, cfg.ExecSet = pram.Sequential, true
-	case "goroutines":
-		cfg.Exec, cfg.ExecSet = pram.Goroutines, true
-	case "pooled":
-		cfg.Exec, cfg.ExecSet = pram.Pooled, true
-	case "native":
-		cfg.Exec, cfg.ExecSet = pram.Native, true
-	default:
-		return usagef("unknown executor %q", *execFlag)
+	if *execFlag != "" {
+		exec, err := pram.ParseExec(*execFlag)
+		if err != nil {
+			return usageError{err}
+		}
+		cfg.Exec, cfg.ExecSet = exec, true
 	}
 	var suite []harness.Experiment
 	if *exp == "" {

@@ -97,7 +97,7 @@ func run(args []string, out *os.File) error {
 	enginesN := fs.Int("engines", 2, "engines in the pool")
 	queueDepth := fs.Int("queue", 64, "per-engine admission queue depth")
 	p := fs.Int("p", 256, "simulated PRAM processors per engine")
-	execFlag := fs.String("exec", "sequential", "per-engine executor: sequential|goroutines|pooled|native")
+	execFlag := fs.String("exec", "sequential", "per-engine executor: sequential|pooled|native")
 	workers := fs.Int("workers", 0, "real workers per engine for the parallel executors (0 = GOMAXPROCS ÷ engines, at least 1)")
 	cache := fs.Int("cache", 0, "result-cache entries (0 = no cache)")
 	batch := fs.Int("batch", 16, "coalescing batch size (1 = per-request dispatch)")
@@ -115,18 +115,9 @@ func run(args []string, out *os.File) error {
 	if *enginesN < 1 || *queueDepth < 1 || *p < 1 || *batch < 1 {
 		return usagef("-engines, -queue, -p and -batch must be >= 1")
 	}
-	var exec pram.Exec
-	switch *execFlag {
-	case "sequential":
-		exec = pram.Sequential
-	case "goroutines":
-		exec = pram.Goroutines
-	case "pooled":
-		exec = pram.Pooled
-	case "native":
-		exec = pram.Native
-	default:
-		return usagef("unknown executor %q", *execFlag)
+	exec, err := pram.ParseExec(*execFlag)
+	if err != nil {
+		return usageError{err}
 	}
 	if *burst == 0 {
 		*burst = *rate

@@ -3,14 +3,13 @@
 // pool) and one workspace arena, serving algorithm requests through a
 // single serialized entry point.
 //
-// The package-level functions in core construct a fresh machine per
-// call and let every scratch array fall to the garbage collector; the
-// engine instead keeps the machine warm and recycles the scratch, so
-// the second and later requests at a fixed size run without heap
-// allocation (BenchmarkEngineReuse asserts this). N concurrent callers
-// may share one Engine: requests are serialized onto the machine, and
-// every output is copied out of the workspace before the next request
-// can reset it.
+// The engine keeps the machine warm and recycles the scratch, so the
+// second and later requests at a fixed size run without heap
+// allocation (BenchmarkEngineReuse asserts this); parlist's
+// package-level functions share one lazily created engine per
+// executor. N concurrent callers may share one Engine: requests are
+// serialized onto the machine, and every output is copied out of the
+// workspace before the next request can reset it.
 package engine
 
 import (
@@ -101,6 +100,13 @@ func (o Op) String() string {
 	return fmt.Sprintf("op(%d)", int(o))
 }
 
+// MaxIterations caps OpPartition's Iters and Match4's I. Each unit
+// costs one more application of f over the whole list, and no useful
+// input needs many: IterationsToRange(n, 6) ≤ 4 and G(n) ≤ 5 for every
+// n up to 2^62. Without the cap one request could hold an engine for
+// hours.
+const MaxIterations = 64
+
 // Typed request-validation errors. Callers test with errors.Is; the
 // returned errors carry request detail around these sentinels.
 var (
@@ -121,8 +127,11 @@ var (
 	ErrUnknownRankScheme = errors.New("unknown ranking scheme")
 	// ErrBadValues reports an OpPrefix value slice of the wrong length.
 	ErrBadValues = errors.New("values length mismatch")
-	// ErrBadIterations reports an OpPartition iteration count < 1.
-	ErrBadIterations = errors.New("partition iterations must be ≥ 1")
+	// ErrBadIterations reports an iteration count outside
+	// [1, MaxIterations]: OpPartition's Iters, or Match4's I on
+	// OpMatching and OpMIS (where I < 1 selects the default 3). It is
+	// checked before any kernel runs, on every executor.
+	ErrBadIterations = fmt.Errorf("iterations must be in [1, %d]", MaxIterations)
 	// ErrListTooShort reports a one-node list for an operation that
 	// needs a pointer between two distinct nodes: OpPartition (the lone
 	// node is its own pseudo-successor, and f(a, a) is undefined) and
@@ -648,8 +657,8 @@ func (e *Engine) dispatch(req Request, res *Result) (err error) {
 	case OpMatching:
 		return e.runMatching(req, res)
 	case OpPartition:
-		if req.Iters < 1 {
-			return fmt.Errorf("engine: i=%d: %w", req.Iters, ErrBadIterations)
+		if req.Iters < 1 || req.Iters > MaxIterations {
+			return fmt.Errorf("engine: iters=%d: %w", req.Iters, ErrBadIterations)
 		}
 		if n < 2 {
 			return fmt.Errorf("engine: partition of %d node: %w", n, ErrListTooShort)
@@ -675,9 +684,9 @@ func (e *Engine) dispatch(req Request, res *Result) (err error) {
 		}
 		res.Labels = append(res.Labels, lab...)
 	case OpMIS:
-		i := req.I
-		if i < 1 {
-			i = 3
+		i, err := match4I(req.I)
+		if err != nil {
+			return err
 		}
 		var in []bool
 		if native && !req.UseTable {
@@ -690,7 +699,6 @@ func (e *Engine) dispatch(req Request, res *Result) (err error) {
 			}
 			in = color.NativeMISFromMatching(m, l, e.mres.In)
 		} else {
-			var err error
 			in, err = color.MISViaMatching(m, l, matching.Match4Config{I: i, UseTable: req.UseTable})
 			if err != nil {
 				return err
@@ -784,14 +792,11 @@ func (e *Engine) runMatching(req Request, res *Result) error {
 	if algo == "" {
 		algo = AlgoMatch4
 	}
-	i := req.I
-	if i < 1 {
-		i = 3
+	i, err := match4I(req.I)
+	if err != nil {
+		return err
 	}
-	var (
-		r   *matching.Result
-		err error
-	)
+	var r *matching.Result
 	switch algo {
 	case AlgoMatch4:
 		if !req.UseTable && req.Variant == partition.MSB {
@@ -847,6 +852,18 @@ func (e *Engine) runMatching(req Request, res *Result) error {
 	e.copyMatching(r, res)
 	e.m.SnapshotInto(&res.Stats)
 	return nil
+}
+
+// match4I resolves Match4's parameter I: below 1 selects the default 3,
+// above MaxIterations is refused.
+func match4I(i int) (int, error) {
+	switch {
+	case i > MaxIterations:
+		return 0, fmt.Errorf("engine: i=%d: %w", i, ErrBadIterations)
+	case i < 1:
+		return 3, nil
+	}
+	return i, nil
 }
 
 // matchRunner returns the cached native Match4 kernel for parameter i,

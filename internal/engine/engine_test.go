@@ -29,7 +29,6 @@ func TestEngineMatchesDirectRuns(t *testing.T) {
 		exec pram.Exec
 	}{
 		{"sequential", pram.Sequential},
-		{"goroutines", pram.Goroutines},
 		{"pooled", pram.Pooled},
 	}
 	algos := []Algorithm{AlgoMatch1, AlgoMatch2, AlgoMatch3, AlgoMatch4, AlgoSequential, AlgoRandomized}
@@ -344,6 +343,9 @@ func TestEngineValidation(t *testing.T) {
 		{"unknown rank scheme", Request{List: l, Op: OpRank, Rank: "psychic"}, ErrUnknownRankScheme},
 		{"bad prefix values", Request{List: l, Op: OpPrefix, Values: []int{1}}, ErrBadValues},
 		{"bad partition iters", Request{List: l, Op: OpPartition}, ErrBadIterations},
+		{"partition iters over the cap", Request{List: l, Op: OpPartition, Iters: MaxIterations + 1}, ErrBadIterations},
+		{"matching i over the cap", Request{List: l, I: MaxIterations + 1}, ErrBadIterations},
+		{"mis i over the cap", Request{List: l, Op: OpMIS, I: MaxIterations + 1}, ErrBadIterations},
 		{"unknown op", Request{List: l, Op: Op(99)}, ErrUnknownOp},
 	}
 	for _, c := range cases {
@@ -354,6 +356,17 @@ func TestEngineValidation(t *testing.T) {
 	}
 	if st := eng.Stats(); st.Failures != int64(len(cases)) {
 		t.Errorf("Failures = %d, want %d", st.Failures, len(cases))
+	}
+
+	// At the cap itself every iteration parameter is served.
+	for _, req := range []Request{
+		{List: l, Op: OpPartition, Iters: MaxIterations},
+		{List: l, I: MaxIterations},
+		{List: l, Op: OpMIS, I: MaxIterations},
+	} {
+		if _, err := eng.Run(bg, req); err != nil {
+			t.Errorf("%v at the cap: %v", req.Op, err)
+		}
 	}
 
 	// A corrupt list is rejected by the shared validator.

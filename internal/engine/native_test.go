@@ -461,7 +461,7 @@ func TestNativeScheduleInputErrors(t *testing.T) {
 func TestOneNodePartitionRejected(t *testing.T) {
 	one := list.New([]int{list.Nil}, 0)
 	l := list.RandomList(64, 2)
-	for _, ex := range []pram.Exec{pram.Sequential, pram.Goroutines, pram.Pooled, pram.Native} {
+	for _, ex := range []pram.Exec{pram.Sequential, pram.Pooled, pram.Native} {
 		for _, workers := range []int{1, 4} {
 			eng := New(Config{Processors: 4, Exec: ex, Workers: workers})
 			if _, err := eng.Run(bg, Request{List: l}); err != nil {

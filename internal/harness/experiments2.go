@@ -325,7 +325,7 @@ func runE11(cfg Config) ([]*Table, error) {
 		Note:   "identical simulated step counts required; wall-clock differs with real cores available",
 		Header: []string{"executor", "simulated-p", "steps", "wall-ms", "match-ok"},
 	}
-	for _, ex := range []pram.Exec{pram.Sequential, pram.Goroutines, pram.Pooled} {
+	for _, ex := range []pram.Exec{pram.Sequential, pram.Pooled} {
 		m := pram.New(1024, pram.WithExec(ex))
 		start := time.Now()
 		r, err := matching.Match4(m, l, nil, matching.Match4Config{I: 3})

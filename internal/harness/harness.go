@@ -153,7 +153,7 @@ func All() []Experiment {
 		{ID: "E8", Title: "Optimality and crossovers across all algorithms", Run: runE8},
 		{ID: "E9", Title: "Applications: 3-colouring and MIS", Run: runE9},
 		{ID: "E10", Title: "List ranking: contraction vs Wyllie", Run: runE10},
-		{ID: "E11", Title: "Executor ablation: sequential vs goroutines vs pooled", Run: runE11},
+		{ID: "E11", Title: "Executor ablation: sequential vs pooled", Run: runE11},
 		{ID: "E12", Title: "Appendix: G(n), log G(n), table-lookup evaluation", Run: runE12},
 		{ID: "E13", Title: "Remark: shuffle-graph colourings vs the log^(k-1) u lower bound", Run: runE13},
 		{ID: "E14", Title: "§4 open problem: constant-range partition at p = n/G(n)", Run: runE14},

@@ -231,22 +231,22 @@ func TestExecutorsProduceSameMatching(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rg, err := run(pram.Goroutines)
+	rp, err := run(pram.Pooled)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rs.Stats.Time != rg.Stats.Time || rs.Stats.Work != rg.Stats.Work {
-		t.Errorf("step counts differ: %d/%d vs %d/%d", rs.Stats.Time, rs.Stats.Work, rg.Stats.Time, rg.Stats.Work)
+	if rs.Stats.Time != rp.Stats.Time || rs.Stats.Work != rp.Stats.Work {
+		t.Errorf("step counts differ: %d/%d vs %d/%d", rs.Stats.Time, rs.Stats.Work, rp.Stats.Time, rp.Stats.Work)
 	}
-	if err := Verify(l, rg.In); err != nil {
-		t.Errorf("goroutine matching invalid: %v", err)
+	if err := Verify(l, rp.In); err != nil {
+		t.Errorf("pooled matching invalid: %v", err)
 	}
-	// The goroutine executor may interleave greedy decisions differently
+	// The pooled executor may interleave greedy decisions differently
 	// (the schedule guarantees both interleavings are safe), so only
 	// validity — not equality — is required of the matching itself; the
 	// deterministic phases must agree exactly.
 	for v := range rs.In {
-		if rs.In[v] != rg.In[v] {
+		if rs.In[v] != rp.In[v] {
 			// Both valid is acceptable; stop at the first difference.
 			return
 		}

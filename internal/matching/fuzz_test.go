@@ -19,7 +19,7 @@ import (
 // accounting bit-identical too; the native team kernels are fuzzed
 // separately in internal/engine's FuzzNativeEquivalence.)
 
-var fuzzExecs = []pram.Exec{pram.Sequential, pram.Goroutines, pram.Pooled, pram.Native}
+var fuzzExecs = []pram.Exec{pram.Sequential, pram.Pooled, pram.Native}
 
 // checkMatching applies both checkers to a candidate matching.
 func checkMatching(t *testing.T, l *list.List, in []bool, ctx string) {

@@ -1,9 +1,8 @@
 // Executor equivalence: every algorithm must produce bit-identical
 // results AND bit-identical accounting (Time, Work, per-phase stats)
-// under the sequential executor, the spawn-per-round goroutine executor,
-// and the persistent pooled executor with fused-round dispatch. The
-// package is external (matching_test) so the suite can also cover list
-// ranking, which imports matching.
+// under the sequential executor and the persistent pooled executor with
+// fused-round dispatch. The package is external (matching_test) so the
+// suite can also cover list ranking, which imports matching.
 package matching_test
 
 import (
@@ -18,11 +17,11 @@ import (
 	"parlist/internal/verify"
 )
 
-var equivExecs = []pram.Exec{pram.Sequential, pram.Goroutines, pram.Pooled}
+var equivExecs = []pram.Exec{pram.Sequential, pram.Pooled}
 
 // TestExecutorEquivalenceMatching runs Match1–Match4 (all routes) under
-// all three executors on the same randomized input, asserting identical
-// matchings and accounting.
+// both simulated executors on the same randomized input, asserting
+// identical matchings and accounting.
 func TestExecutorEquivalenceMatching(t *testing.T) {
 	n := 30000
 	l := list.RandomList(n, 77)
@@ -81,7 +80,7 @@ func TestExecutorEquivalenceMatching(t *testing.T) {
 }
 
 // TestExecutorEquivalenceRank runs contraction ranking and Wyllie (the
-// fused pointer-jumping hot loop) under all three executors.
+// fused pointer-jumping hot loop) under both simulated executors.
 func TestExecutorEquivalenceRank(t *testing.T) {
 	n := 20000
 	l := list.RandomList(n, 99)

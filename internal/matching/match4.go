@@ -222,7 +222,7 @@ func match4Finish(m *pram.Machine, l *list.List, lab []int, K, rounds, tableSize
 	rowOf := ws.IntsNoZero(wk, n)
 	colKeys := make([][]int, y)
 	// Flat per-column scratch, sliced by column index: columns touch
-	// disjoint ranges, so the goroutine executor stays race-free, and the
+	// disjoint ranges, so the parallel executors stay race-free, and the
 	// round performs O(1) allocations instead of O(y) per-column ones
 	// (the in-body counting sort still allocates its counters).
 	keyBuf := ws.IntsNoZero(wk, y*x)

@@ -45,7 +45,7 @@ func runAll(t *testing.T, m *pram.Machine, l *list.List) (pram.Stats, [][]bool) 
 // to the unobserved run. Observation is a wall-clock side channel only.
 func TestStatsIdenticalWithObserverAllAlgorithms(t *testing.T) {
 	l := list.RandomList(2048, 7)
-	for _, ex := range []pram.Exec{pram.Sequential, pram.Goroutines, pram.Pooled} {
+	for _, ex := range []pram.Exec{pram.Sequential, pram.Pooled} {
 		t.Run(ex.String(), func(t *testing.T) {
 			plain := pram.New(16, pram.WithExec(ex), pram.WithWorkers(4))
 			defer plain.Close()

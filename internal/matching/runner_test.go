@@ -18,7 +18,6 @@ func TestRunnerMatchesMatch4(t *testing.T) {
 		exec pram.Exec
 	}{
 		{"sequential", pram.Sequential},
-		{"goroutines", pram.Goroutines},
 		{"pooled", pram.Pooled},
 	}
 	for _, ex := range execs {

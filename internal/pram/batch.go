@@ -15,8 +15,8 @@ package pram
 // coordinating goroutine in program order, so loops whose trip count or
 // bounds depend on earlier rounds' results work unchanged.
 //
-// On the Sequential and Goroutines executors (and on a Pooled or Native
-// machine with a single worker or after Close) Batch is a transparent
+// On the Sequential executor (and on a Pooled or Native machine with a
+// single worker or after Close) Batch is a transparent
 // wrapper: the primitives execute exactly as their Machine counterparts.
 // On a Native machine, fusing applies to the simulated fallback rounds;
 // RunTeam refuses to dispatch inside an open batch.

@@ -35,7 +35,7 @@ func expectDeadlinePanic(t *testing.T, f func()) *DeadlineExceeded {
 // restores normal execution with accounting untouched by the aborted
 // attempts.
 func TestDeadlineAbortsPrimitives(t *testing.T) {
-	for _, exec := range []Exec{Sequential, Goroutines, Pooled, Native} {
+	for _, exec := range []Exec{Sequential, Pooled, Native} {
 		t.Run(exec.String(), func(t *testing.T) {
 			m := New(4, WithExec(exec), WithWorkers(4))
 			defer m.Close()

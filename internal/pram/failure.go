@@ -27,12 +27,10 @@ import (
 // stack at recovery time, so the failure is attributable even though it
 // crossed goroutines.
 //
-// Worker identifies the real executor that panicked: on the pooled
-// executor participant 0 is the coordinating goroutine and participant
-// q ≥ 1 is background worker q; on the spawn-per-round goroutines
-// executor it is the spawned chunk index. Round is the executor's
-// dispatch-round counter (pooled) or the machine's simulated round
-// (goroutines) when the panic occurred.
+// Worker identifies the real executor that panicked: participant 0 is
+// the coordinating goroutine and participant q ≥ 1 is background worker
+// q. Round is the pool's dispatch-round counter when the panic
+// occurred.
 type WorkerPanic struct {
 	Value  any
 	Worker int

@@ -139,34 +139,6 @@ func TestSingleRoundPanicRecovery(t *testing.T) {
 	}
 }
 
-// TestGoroutinesPanicRecovery: the spawn-per-round executor reports the
-// panic on the coordinator instead of crashing the process from a
-// spawned goroutine, and the machine (which has no pool) keeps working.
-func TestGoroutinesPanicRecovery(t *testing.T) {
-	m := New(64, WithExec(Goroutines), WithWorkers(4))
-	var recovered any
-	func() {
-		defer func() { recovered = recover() }()
-		m.ParFor(4000, func(i int) {
-			if i == 2500 {
-				panic("goroutine boom")
-			}
-		})
-	}()
-	wp, ok := recovered.(*WorkerPanic)
-	if !ok {
-		t.Fatalf("recovered %T, want *WorkerPanic", recovered)
-	}
-	if wp.Value != "goroutine boom" {
-		t.Errorf("Value = %v", wp.Value)
-	}
-	var total int32
-	m.ParFor(100, func(i int) { atomic.AddInt32(&total, 1) })
-	if total != 100 {
-		t.Fatalf("machine unusable after recovery: %d of 100", total)
-	}
-}
-
 // TestInjectedPanicAtCoordinates drives the FaultPlan panic injection:
 // the failure surfaces with exactly the planned (round, worker)
 // coordinates and the recovery path leaves the machine usable.

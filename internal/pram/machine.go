@@ -6,16 +6,15 @@
 // (Time) along with total operations (Work), so measured step counts can
 // be compared directly against bounds such as O(n·log i/p + log^(i) n).
 //
-// Four executors are provided. The sequential executor runs every
+// Three executors are provided. The sequential executor runs every
 // simulated processor in program order and is fully deterministic. The
-// goroutine executor shards each round across freshly spawned goroutines
-// — the "goroutines for simulated PRAM steps" substitution — and yields
-// identical step counts (asserted in tests) with real wall-clock
-// parallelism. The pooled executor keeps the substitution but replaces
-// the per-round spawn with a persistent worker pool (pool.go) woken per
-// round, plus a fused-round fast path (Machine.Batch) that amortizes one
-// wake across many consecutive rounds; accounting is executor-independent,
-// so all three produce bit-identical Stats. The native executor (Native,
+// pooled executor shards each round across a persistent worker pool
+// (pool.go) woken per round — the "goroutines for simulated PRAM steps"
+// substitution — plus a fused-round fast path (Machine.Batch) that
+// amortizes one wake across many consecutive rounds. Accounting is
+// executor-independent, so it yields Stats bit-identical to the
+// sequential executor's (asserted in tests) with real wall-clock
+// parallelism. The native executor (Native,
 // native.go) leaves the simulation behind for selected hot operations:
 // it reuses the pooled machine's workers through the SPMD RunTeam
 // primitive — per-worker chunk ownership, explicit barriers, no step
@@ -35,9 +34,6 @@ package pram
 import (
 	"fmt"
 	"runtime"
-	"runtime/debug"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"parlist/internal/ws"
@@ -74,9 +70,6 @@ type Exec int
 const (
 	// Sequential runs all simulated processors on the calling goroutine.
 	Sequential Exec = iota
-	// Goroutines spawns a fresh set of goroutines for every round (the
-	// original substitution; kept as the spawn-per-round baseline).
-	Goroutines
 	// Pooled shards rounds across a persistent worker pool created once
 	// in New — no per-round goroutine spawning — and supports fused
 	// dispatch of consecutive rounds via Machine.Batch.
@@ -96,14 +89,23 @@ func (e Exec) String() string {
 	switch e {
 	case Sequential:
 		return "sequential"
-	case Goroutines:
-		return "goroutines"
 	case Pooled:
 		return "pooled"
 	case Native:
 		return "native"
 	}
 	return fmt.Sprintf("exec(%d)", int(e))
+}
+
+// ParseExec returns the executor whose String is name, or an error for
+// any other name.
+func ParseExec(name string) (Exec, error) {
+	for e := Sequential; e <= Native; e++ {
+		if e.String() == name {
+			return e, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown executor %q", name)
 }
 
 // PhaseStat records the time/work accumulated under one named phase.
@@ -207,7 +209,7 @@ type Option func(*Machine)
 // WithExec selects the executor (default Sequential).
 func WithExec(e Exec) Option { return func(m *Machine) { m.exec = e } }
 
-// WithWorkers sets the real worker count for the Goroutines and Pooled
+// WithWorkers sets the real worker count for the Pooled and Native
 // executors (default runtime.GOMAXPROCS(0)).
 func WithWorkers(w int) Option {
 	return func(m *Machine) {
@@ -623,10 +625,9 @@ func (m *Machine) beginRound() {
 
 // dispatch shards one round of n bodies across real workers and reports
 // whether it did: the fused batch path when a Batch has the pool checked
-// out, the persistent pool for single Pooled rounds, or spawned
-// goroutines for the Goroutines executor. Returns false when the round
-// must run inline (Sequential executor, a single worker, trivial n, or a
-// Pooled machine after Close or a recovered failure).
+// out, or the persistent pool for single Pooled rounds. Returns false
+// when the round must run inline (Sequential executor, a single worker,
+// trivial n, or a Pooled machine after Close or a recovered failure).
 //
 // A panic recovered from a worker (or a watchdog-declared barrier
 // stall) is re-raised here on the coordinator after the round's
@@ -641,10 +642,6 @@ func (m *Machine) dispatch(n int, body func(i int)) bool {
 	case m.fused && m.pool != nil:
 		if err := m.pool.runFused(n, body); err != nil {
 			m.failPool(err)
-		}
-	case m.exec == Goroutines:
-		if rec := m.runChunks(n, body); rec != nil {
-			panic(rec)
 		}
 	case (m.exec == Pooled || m.exec == Native) && m.pool != nil:
 		if err := m.pool.run(n, body); err != nil {
@@ -686,58 +683,4 @@ func (m *Machine) failPool(err error) {
 		m.note("pram: barrier watchdog abandoned the worker pool in round %d (missing workers %v); machine degraded to inline execution", e.Round, e.Missing)
 	}
 	panic(err)
-}
-
-// runChunks shards [0,n) across freshly spawned goroutines — the
-// spawn-per-round baseline the pooled executor is measured against. A
-// panicking chunk is recovered and reported (first panic wins) after
-// every goroutine has been joined, so the executor never crashes the
-// process from a spawned goroutine.
-func (m *Machine) runChunks(n int, body func(i int)) *WorkerPanic {
-	w := m.workers
-	if w > n {
-		w = n
-	}
-	var (
-		wg      sync.WaitGroup
-		failure atomic.Pointer[WorkerPanic]
-	)
-	round := uint64(m.round)
-	chunk := (n + w - 1) / w
-	for q := 0; q < w; q++ {
-		lo := q * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(q, lo, hi int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					failure.CompareAndSwap(nil, &WorkerPanic{
-						Value:  r,
-						Worker: q,
-						Round:  round,
-						Stack:  debug.Stack(),
-					})
-				}
-			}()
-			for i := lo; i < hi; i++ {
-				body(i)
-			}
-		}(q, lo, hi)
-	}
-	var t0 time.Time
-	if m.obsv != nil {
-		t0 = time.Now()
-	}
-	wg.Wait()
-	if m.obsv != nil {
-		m.obsv.BarrierWaitObserved(0, time.Since(t0))
-	}
-	return failure.Load()
 }

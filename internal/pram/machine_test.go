@@ -62,11 +62,12 @@ func TestParForBrentLaw(t *testing.T) {
 }
 
 func TestParForVisitsEachIndexOnce(t *testing.T) {
-	for _, exec := range []Exec{Sequential, Goroutines} {
+	for _, exec := range []Exec{Sequential, Pooled} {
 		m := New(8, WithExec(exec), WithWorkers(4))
 		n := 1000
 		var counts [1000]int32
 		m.ParFor(n, func(i int) { atomic.AddInt32(&counts[i], 1) })
+		m.Close()
 		for i, c := range counts {
 			if c != 1 {
 				t.Fatalf("%v: index %d visited %d times", exec, i, c)
@@ -194,15 +195,13 @@ func TestExecutorsAgreeOnStepCounts(t *testing.T) {
 		return m.Time(), m.Work(), a[:40]
 	}
 	t1, w1, a1 := run(Sequential)
-	for _, exec := range []Exec{Goroutines, Pooled} {
-		t2, w2, a2 := run(exec)
-		if t1 != t2 || w1 != w2 {
-			t.Errorf("%v: executors disagree: time %d vs %d, work %d vs %d", exec, t1, t2, w1, w2)
-		}
-		for i := range a1 {
-			if a1[i] != a2[i] {
-				t.Errorf("%v: different data at %d: %d vs %d", exec, i, a1[i], a2[i])
-			}
+	t2, w2, a2 := run(Pooled)
+	if t1 != t2 || w1 != w2 {
+		t.Errorf("executors disagree: time %d vs %d, work %d vs %d", t1, t2, w1, w2)
+	}
+	for i := range a1 {
+		if a1[i] != a2[i] {
+			t.Errorf("different data at %d: %d vs %d", i, a1[i], a2[i])
 		}
 	}
 }
@@ -214,13 +213,30 @@ func TestModelString(t *testing.T) {
 	if Model(42).String() == "" {
 		t.Error("unknown model should still format")
 	}
-	if Sequential.String() != "sequential" || Goroutines.String() != "goroutines" {
+	if Sequential.String() != "sequential" || Pooled.String() != "pooled" {
 		t.Error("executor names wrong")
 	}
 }
 
+// TestParseExec: every executor parses back from its String, and names
+// outside the set are refused.
+func TestParseExec(t *testing.T) {
+	for _, e := range []Exec{Sequential, Pooled, Native} {
+		got, err := ParseExec(e.String())
+		if err != nil || got != e {
+			t.Errorf("ParseExec(%q) = %v, %v; want %v", e.String(), got, err, e)
+		}
+	}
+	for _, name := range []string{"goroutines", "", "Pooled", "exec(1)"} {
+		if _, err := ParseExec(name); err == nil {
+			t.Errorf("ParseExec(%q) accepted", name)
+		}
+	}
+}
+
 func TestWithWorkersClamps(t *testing.T) {
-	m := New(4, WithExec(Goroutines), WithWorkers(-5))
+	m := New(4, WithExec(Pooled), WithWorkers(-5))
+	defer m.Close()
 	if m.workers < 1 {
 		t.Errorf("workers = %d", m.workers)
 	}

@@ -57,9 +57,9 @@ type CheckedArray struct {
 // Access-discipline checking needs the Sequential executor: conflict
 // attribution relies on the deterministic virtual-time interleaving the
 // sequential simulator drives, and the bookkeeping map is not safe for
-// concurrent bodies. Under a parallel executor (pram.Goroutines,
-// pram.Pooled — parlist re-exports them as ExecGoroutines/ExecPooled —
-// or pram.Native) the array auto-degrades instead of panicking: it
+// concurrent bodies. Under a parallel executor (pram.Pooled or
+// pram.Native — parlist re-exports them as ExecPooled/ExecNative) the
+// array auto-degrades instead of panicking: it
 // still stores and returns values (race-free under the same
 // owner-writes contract as any plain array), but records no accesses
 // and reports no violations, and the degradation is noted in the

@@ -6,29 +6,27 @@ import (
 )
 
 func TestCheckedArrayDegradesUnderParallelExecutors(t *testing.T) {
-	for _, exec := range []Exec{Goroutines, Pooled} {
-		m := New(4, WithExec(exec), WithWorkers(4))
-		a := NewCheckedArray(m, EREW, "a", 8)
-		if a.Checked() {
-			t.Errorf("%s: discipline checking claims to be active", exec)
-		}
-		notes := m.Snapshot().Notes
-		if len(notes) != 1 || !strings.Contains(notes[0], "disabled") {
-			t.Errorf("%s: degradation not noted in Stats: %v", exec, notes)
-		}
-		// Storage still works (owner-writes access pattern), and no
-		// violations are ever recorded in degraded mode.
-		m.ParFor(8, func(i int) { a.Write(i, i*i) })
-		m.ParFor(8, func(i int) {
-			if a.Read(i) != i*i {
-				t.Errorf("%s: cell %d lost its value", exec, i)
-			}
-		})
-		if v := a.Violations(); len(v) != 0 {
-			t.Errorf("%s: degraded array recorded violations: %v", exec, v)
-		}
-		m.Close()
+	pm := New(4, WithExec(Pooled), WithWorkers(4))
+	a := NewCheckedArray(pm, EREW, "a", 8)
+	if a.Checked() {
+		t.Error("pooled: discipline checking claims to be active")
 	}
+	notes := pm.Snapshot().Notes
+	if len(notes) != 1 || !strings.Contains(notes[0], "disabled") {
+		t.Errorf("pooled: degradation not noted in Stats: %v", notes)
+	}
+	// Storage still works (owner-writes access pattern), and no
+	// violations are ever recorded in degraded mode.
+	pm.ParFor(8, func(i int) { a.Write(i, i*i) })
+	pm.ParFor(8, func(i int) {
+		if a.Read(i) != i*i {
+			t.Errorf("pooled: cell %d lost its value", i)
+		}
+	})
+	if v := a.Violations(); len(v) != 0 {
+		t.Errorf("pooled: degraded array recorded violations: %v", v)
+	}
+	pm.Close()
 
 	// On the Sequential executor checking stays on.
 	m := New(4)

@@ -13,7 +13,7 @@ import "time"
 // With no observer attached every hook site is a nil-check no-op; with
 // one attached, the machine only reads clocks and calls these methods —
 // Stats (Time, Work, Phases, Notes) are bit-identical either way, which
-// the equivalence tests assert across all three executors.
+// the equivalence tests assert on every executor.
 //
 // BarrierWaitObserved is called concurrently from pool workers; the
 // other methods are called from the coordinating goroutine only.
@@ -25,8 +25,8 @@ type Observer interface {
 	// BarrierWaitObserved reports one participant's wait at an executor
 	// synchronization point: worker 0 is the coordinator, worker q ≥ 1 a
 	// background pool worker. Fused batches report both the release and
-	// the completion barrier; single pooled rounds and the Goroutines
-	// executor report the coordinator's wait for the slowest worker.
+	// the completion barrier; single pooled rounds report the
+	// coordinator's wait for the slowest worker.
 	BarrierWaitObserved(worker int, wall time.Duration)
 	// PhaseObserved reports a completed accounting phase as a wall-clock
 	// span: the machine entered phase name at start and left it wall

@@ -47,7 +47,7 @@ func workload(m *pram.Machine) {
 // simulated accounting in any way, on any executor. The two machines
 // run the same workload; their Snapshots must be deep-equal.
 func TestStatsIdenticalWithObserver(t *testing.T) {
-	for _, ex := range []pram.Exec{pram.Sequential, pram.Goroutines, pram.Pooled} {
+	for _, ex := range []pram.Exec{pram.Sequential, pram.Pooled} {
 		t.Run(ex.String(), func(t *testing.T) {
 			plain := pram.New(8, pram.WithExec(ex), pram.WithWorkers(4))
 			defer plain.Close()

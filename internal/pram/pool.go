@@ -25,10 +25,9 @@ import (
 //     so a group of k logical rounds costs one wake per worker plus 2k
 //     cheap atomic barriers instead of k spawn/WaitGroup cycles.
 //
-// Both modes use the same cache-aware contiguous chunking as the
-// spawn-per-round executor (chunk j covers [j·c, (j+1)·c) with
-// c = ⌈n/active⌉), so each executor visits one contiguous memory range
-// and ranges stay disjoint.
+// Both modes use the same cache-aware contiguous chunking (chunk j
+// covers [j·c, (j+1)·c) with c = ⌈n/active⌉), so each participant
+// visits one contiguous memory range and ranges stay disjoint.
 //
 // Failure semantics: every chunk runs under runChunkSafe, which
 // recovers panics and records the first one as a WorkerPanic; the
@@ -301,9 +300,9 @@ func (p *pool) beginBatch() {
 // runFused dispatches one round inside a batch: publish, release the
 // workers through the barrier, run the coordinator's chunk, rejoin at
 // the completion barrier. The coordinator stays a barrier participant,
-// so host code between fused rounds runs exactly where a spawn-per-round
-// executor would run it — fusion changes the synchronization cost, never
-// the schedule. Returns a WorkerPanic if a chunk panicked, or a
+// so host code between fused rounds runs exactly where it runs between
+// single rounds — fusion changes the synchronization cost, never the
+// schedule. Returns a WorkerPanic if a chunk panicked, or a
 // BarrierStall if the watchdog declared a barrier stalled.
 func (p *pool) runFused(n int, body func(i int)) error {
 	active := p.background + 1

@@ -501,12 +501,14 @@ func TestMalformedListIsInvalid(t *testing.T) {
 }
 
 // TestUnservableInputIsInvalid: a one-node partition (f(a, a) is
-// undefined), a one-node Match3 and a schedule whose K exceeds
-// max(n, 6) or whose labels fall outside [0, K) are the client's
-// fault. Both framings answer 400 invalid on the simulated and native
-// executors, the native engines at four parties included, and the
-// server goes on serving the same connection. The one-node partition
-// and the schedule with K = 2^30 used to end the process.
+// undefined), a one-node Match3, a schedule whose K exceeds max(n, 6)
+// or whose labels fall outside [0, K), and a partition iters or a
+// matching or MIS i above engine.MaxIterations are the client's fault.
+// Both framings answer 400 invalid on the simulated and native
+// executors, the native engines at four parties included, no machine
+// is rebuilt, and the server goes on serving the same connection; at
+// the cap the iteration counts are served. The one-node partition and
+// the schedule with K = 2^30 used to end the process.
 func TestUnservableInputIsInvalid(t *testing.T) {
 	for _, exec := range []pram.Exec{pram.Sequential, pram.Native} {
 		pool := engine.NewPool(engine.PoolConfig{Engines: 2, QueueDepth: 64,
@@ -521,6 +523,7 @@ func TestUnservableInputIsInvalid(t *testing.T) {
 		defer c.Close()
 		one := &list.List{Next: []int{list.Nil}, Head: 0}
 		four := &list.List{Next: []int{1, 2, 3, list.Nil}, Head: 0}
+		over := engine.MaxIterations + 1
 		for _, tc := range []struct {
 			path string
 			body string
@@ -534,6 +537,12 @@ func TestUnservableInputIsInvalid(t *testing.T) {
 				engine.Request{Op: engine.OpSchedule, List: four, Labels: []int{0, 1, 0, 0}, K: 1 << 30}},
 			{"/v1/schedule", `{"next":[1,2,3,-1],"labels":[0,1,2,0],"k":2}`,
 				engine.Request{Op: engine.OpSchedule, List: four, Labels: []int{0, 1, 2, 0}, K: 2}},
+			{"/v1/partition", fmt.Sprintf(`{"next":[1,2,3,-1],"iters":%d}`, over),
+				engine.Request{Op: engine.OpPartition, List: four, Iters: over}},
+			{"/v1/matching", fmt.Sprintf(`{"next":[1,2,3,-1],"i":%d}`, over),
+				engine.Request{Op: engine.OpMatching, List: four, I: over}},
+			{"/v1/mis", fmt.Sprintf(`{"next":[1,2,3,-1],"i":%d}`, over),
+				engine.Request{Op: engine.OpMIS, List: four, I: over}},
 		} {
 			resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
 			if err != nil {
@@ -553,6 +562,38 @@ func TestUnservableInputIsInvalid(t *testing.T) {
 			}
 		}
 
+		if got := rebuilds(pool); got != 0 {
+			t.Errorf("%s: the refusals rebuilt %d machines", exec, got)
+		}
+
+		// At the cap every iteration parameter is served, on both wire
+		// forms.
+		at := engine.MaxIterations
+		for _, tc := range []struct {
+			path string
+			body string
+			req  engine.Request
+		}{
+			{"/v1/partition", fmt.Sprintf(`{"next":[1,2,3,-1],"iters":%d}`, at),
+				engine.Request{Op: engine.OpPartition, List: four, Iters: at}},
+			{"/v1/matching", fmt.Sprintf(`{"next":[1,2,3,-1],"i":%d}`, at),
+				engine.Request{Op: engine.OpMatching, List: four, I: at}},
+			{"/v1/mis", fmt.Sprintf(`{"next":[1,2,3,-1],"i":%d}`, at),
+				engine.Request{Op: engine.OpMIS, List: four, I: at}},
+		} {
+			resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatalf("%s %s: %v", exec, tc.body, err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("%s HTTP %s: status %d, want 200", exec, tc.body, resp.StatusCode)
+			}
+			if r, err := c.Do(context.Background(), tc.req); err != nil || r.Status != StatusOK {
+				t.Errorf("%s binary %s: %+v, %v", exec, tc.body, r, err)
+			}
+		}
+
 		two := &list.List{Next: []int{1, list.Nil}, Head: 0}
 		r, err := c.Do(context.Background(), engine.Request{Op: engine.OpPartition, List: two, Iters: 1})
 		if err != nil || r.Status != StatusOK || len(r.Result.Labels) != 2 {
@@ -568,6 +609,15 @@ func TestUnservableInputIsInvalid(t *testing.T) {
 			t.Errorf("%s HTTP: two-node partition after the refusals: status %d", exec, resp.StatusCode)
 		}
 	}
+}
+
+// rebuilds sums the pool's machine replacements.
+func rebuilds(p *engine.EnginePool) int64 {
+	var n int64
+	for _, e := range p.Stats().PerEngine {
+		n += e.Stats.Rebuilds
+	}
+	return n
 }
 
 // TestRequestSeriesFromStartup: every parlistd_requests_total series —

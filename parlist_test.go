@@ -174,7 +174,7 @@ func TestPublicTypeAliases(t *testing.T) {
 	l := parlist.RandomList(1000, 9)
 	res, err := parlist.MaximalMatching(l, parlist.Options{
 		Processors: 16,
-		Exec:       parlist.ExecGoroutines,
+		Exec:       parlist.ExecPooled,
 		Variant:    parlist.VariantLSB,
 		Tracer:     tr,
 	})
