@@ -134,7 +134,6 @@ func run(args []string, out *os.File) error {
 	qps := fs.Float64("qps", 0, "open-loop target request rate; 0 = closed loop")
 	shardsN := fs.Int("shards", 1, "fan each request across K engine shards (closed-loop rank requests via ShardedDo); 1 = whole-request path")
 	queueDepth := fs.Int("queue", 32, "per-engine admission queue depth")
-	cache := fs.Int("cache", 0, "result-cache entries (0 = no cache)")
 	seed := fs.Int64("seed", 1, "list generator seed")
 	connect := fs.String("connect", "", "drive a running parlistd at this address over the binary framing instead of an in-process pool")
 	listen := fs.String("listen", "", "serve /metrics and /debug/pprof on this address; keeps serving after the run until SIGINT")
@@ -231,14 +230,13 @@ func run(args []string, out *os.File) error {
 	pool := engine.NewPool(engine.PoolConfig{
 		Engines:    *enginesN,
 		QueueDepth: *queueDepth,
-		CacheSize:  *cache,
 		Observer:   collector,
 		Engine:     engine.Config{Processors: *p, Exec: exec},
 	})
 	defer pool.Close()
 
-	fmt.Fprintf(out, "loadgen: engines=%d queue=%d cache=%d p=%d exec=%s sizes=%v\n",
-		*enginesN, *queueDepth, *cache, *p, exec, sizes)
+	fmt.Fprintf(out, "loadgen: engines=%d queue=%d p=%d exec=%s sizes=%v\n",
+		*enginesN, *queueDepth, *p, exec, sizes)
 
 	if *qps > 0 {
 		if err := openLoop(out, pool, lists, *requests, *qps, tr); err != nil {
@@ -256,8 +254,8 @@ func run(args []string, out *os.File) error {
 			}
 		}
 		st := pool.Stats()
-		fmt.Fprintf(out, "pool totals: requests=%d steps=%d failures=%d rejected=%d cache-hits=%d\n",
-			st.Requests, st.Steps, st.Failures, st.Rejected, st.CacheHits)
+		fmt.Fprintf(out, "pool totals: requests=%d steps=%d failures=%d rejected=%d\n",
+			st.Requests, st.Steps, st.Failures, st.Rejected)
 		for _, e := range st.PerEngine {
 			fmt.Fprintf(out, "  engine served=%d rebuilds=%d arena %d/%d hits\n",
 				e.Served, e.Stats.Rebuilds, e.Stats.Arena.Hits, e.Stats.Arena.Gets)

@@ -19,8 +19,8 @@
 //
 // Usage:
 //
-//	parlistd                              # defaults: :8080 HTTP, :7070 binary
-//	parlistd -engines 4 -p 256 -exec native -batch 32 -maxwait 1ms
+//	parlistd                              # defaults: :8080 HTTP, :7070 binary, native kernels
+//	parlistd -engines 4 -p 256 -exec sequential -batch 32 -maxwait 1ms
 //	parlistd -rate 100 -burst 200         # per-tenant token buckets
 //	curl -s localhost:8080/v1/rank -d '{"next": [1, 2, -1]}'
 //
@@ -97,9 +97,8 @@ func run(args []string, out *os.File) error {
 	enginesN := fs.Int("engines", 2, "engines in the pool")
 	queueDepth := fs.Int("queue", 64, "per-engine admission queue depth")
 	p := fs.Int("p", 256, "simulated PRAM processors per engine")
-	execFlag := fs.String("exec", "sequential", "per-engine executor: sequential|pooled|native")
+	execFlag := fs.String("exec", "native", "per-engine executor: native|sequential|pooled (native serves kernels, with sim_time/sim_work 0; sequential restores the model's step counts)")
 	workers := fs.Int("workers", 0, "real workers per engine for the parallel executors (0 = GOMAXPROCS ÷ engines, at least 1)")
-	cache := fs.Int("cache", 0, "result-cache entries (0 = no cache)")
 	batch := fs.Int("batch", 16, "coalescing batch size (1 = per-request dispatch)")
 	maxWait := fs.Duration("maxwait", 500*time.Microsecond, "cap on how long a coalescing group is held while every engine is busy (groups flush at once when an engine is idle)")
 	rate := fs.Float64("rate", 0, "per-tenant admitted requests/second (0 = unlimited)")
@@ -140,7 +139,6 @@ func run(args []string, out *os.File) error {
 	pool := engine.NewPool(engine.PoolConfig{
 		Engines:    *enginesN,
 		QueueDepth: *queueDepth,
-		CacheSize:  *cache,
 		Observer:   collector,
 		Engine:     engine.Config{Processors: *p, Exec: exec, Workers: *workers},
 	})

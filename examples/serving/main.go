@@ -23,7 +23,6 @@ func main() {
 	pool := parlist.NewEnginePool(parlist.PoolConfig{
 		Engines:    4,
 		QueueDepth: 4,
-		CacheSize:  16, // replay identical requests without an engine
 		Engine:     parlist.EngineConfig{Processors: 256},
 	})
 
@@ -40,7 +39,7 @@ func main() {
 
 	var wg sync.WaitGroup
 	var mu sync.Mutex
-	served, dropped, cacheHits := 0, 0, 0
+	served, dropped := 0, 0
 
 	for p := 0; p < producers; p++ {
 		wg.Add(1)
@@ -68,12 +67,8 @@ func main() {
 				if err := parlist.Verify(req.List, res.In); err != nil {
 					log.Fatalf("producer %d: bad matching: %v", p, err)
 				}
-				m := f.Metrics()
 				mu.Lock()
 				served++
-				if m.CacheHit {
-					cacheHits++
-				}
 				mu.Unlock()
 			}
 		}(p)
@@ -92,9 +87,8 @@ func main() {
 
 	st := pool.Stats()
 	fmt.Printf("served %d requests (%d verified by producers), dropped %d on overload\n",
-		st.Requests+int64(cacheHits), served, dropped)
-	fmt.Printf("cache hits: %d, rejected: %d, canceled: %d\n",
-		st.CacheHits, st.Rejected, st.Canceled)
+		st.Requests, served, dropped)
+	fmt.Printf("rejected: %d, canceled: %d\n", st.Rejected, st.Canceled)
 	if st.Requests > 0 {
 		fmt.Printf("avg queue wait %v, avg service %v\n",
 			st.QueueWait/time.Duration(st.Requests),

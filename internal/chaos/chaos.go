@@ -141,7 +141,7 @@ func (r *Report) Err() error {
 }
 
 // splitmix64 is the harness's deterministic decision stream — the same
-// mixer the fault planner and the result-cache fingerprint use.
+// mixer the fault planner and the pool's retry jitter use.
 func splitmix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9

@@ -6,19 +6,17 @@ package engine
 // batch runs as ONE machine acquisition — one trip through the shard
 // queue, one dispatcher wakeup, one engine-semaphore handshake, shared
 // across every item. Each item is then served back-to-back through the
-// exact serveOne path a solo request takes, on a machine whose arena
+// exact serveOne path Engine.RunInto takes, on a machine whose arena
 // already holds the right size-class buffers, so a coalesced batch's
 // results are bit-identical to per-request Do (pinned by
 // TestBatchBitIdenticalAllOps) while the per-request dispatch overhead
-// is paid once per batch instead of once per item.
+// is paid once per batch instead of once per item. The pool serves
+// Submit the same way, as a batch of one.
 
 import (
 	"context"
 	"errors"
-	"fmt"
 	"time"
-
-	"parlist/internal/pram"
 )
 
 // BatchItem is one request of a fused batch. The caller owns the item:
@@ -100,97 +98,25 @@ func (e *Engine) RunBatch(ctx context.Context, items []*BatchItem) error {
 // class.
 func SizeClass(n int) int { return sizeClass(n) }
 
-// batchSpec marks a Future that carries a fused batch instead of a
-// single request: the dispatcher runs RunBatch over the items and
-// resolves the Future with a nil Result once every item's Err/Res is
-// populated. Batch futures never touch the result cache and are never
-// retried as a unit — per-item failures keep their types and the next
-// request heals a degraded machine.
-type batchSpec struct {
-	items []*BatchItem
-}
-
 // SubmitBatch admits a fused batch as one queue entry and returns its
-// Future. Admission follows Submit's discipline exactly: it never
-// blocks, a full queue sheds the whole batch with ErrQueueFull (no item
-// ran — the caller can re-split or shed), and a closed pool fails with
-// ErrPoolClosed. The shard is chosen by the first item's size class, so
-// a batcher that keys batches by (op, size class) lands every batch on
-// the engine whose arena is already warm for that class.
+// Future. Admission is Submit's: it never blocks, a full queue sheds
+// the whole batch with ErrQueueFull (no item ran — the caller can
+// re-split or shed), and a closed pool fails with ErrPoolClosed. The
+// shard is chosen by the first item's size class, so a batcher that
+// keys batches by (op, size class) lands every batch on the engine
+// whose arena is already warm for that class.
 //
-// When the Future resolves, every item's Err and Res are populated;
-// Wait's error is reserved for whole-batch failures (a ctx that died
-// before the machine was acquired). Per-item deadlines (Req.Deadline)
-// are armed at admission, so queue time and time spent waiting behind
-// earlier batchmates spend the same budget as service.
+// When the Future resolves, every item's Err and Res are populated.
+// Wait's error is reserved for whole-batch failures — a ctx that died
+// before service, or a retry cut short — and every item then carries
+// it too. Per-item deadlines (Req.Deadline) are armed at admission, so
+// queue time and time spent waiting behind earlier batchmates spend
+// the same budget as service. Under a RetryPolicy, items that fail
+// transiently are re-run together on another engine; their batchmates
+// are not, and the Future resolves once every item has settled.
 func (p *EnginePool) SubmitBatch(ctx context.Context, items []*BatchItem) (*Future, error) {
 	if len(items) == 0 {
 		return nil, errors.New("engine pool: empty batch")
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	if p.closed {
-		return nil, fmt.Errorf("engine pool: %w", ErrPoolClosed)
-	}
-	now := time.Now()
-	for _, it := range items {
-		if it.Req.Deadline > 0 {
-			it.Req.deadlineAt = now.Add(it.Req.Deadline)
-		}
-	}
-	s := p.pick(items[0].Req)
-	f := &Future{ctx: ctx, enq: now, done: make(chan struct{}), batch: &batchSpec{items: items}}
-	s.pending.Add(1)
-	select {
-	case s.queue <- f:
-		if o := p.cfg.Observer; o != nil {
-			o.EnqueueObserved(len(s.queue))
-		}
-		return f, nil
-	default:
-		s.pending.Add(-1)
-		p.rejected.Add(1)
-		if o := p.cfg.Observer; o != nil {
-			o.ShedObserved()
-		}
-		return nil, fmt.Errorf("engine pool: engine %d: %w", s.id, ErrQueueFull)
-	}
-}
-
-// serveBatch runs an admitted batch on s's engine and resolves its
-// Future. Item failures are tallied into the shard counters by class
-// (deadline vs transient vs validation); a transient failure anywhere
-// in the batch feeds the breaker once, like a failed solo request.
-func (p *EnginePool) serveBatch(s *shard, f *Future, start time.Time) {
-	err := s.eng.RunBatch(f.ctx, f.batch.items)
-	s.served.Add(int64(len(f.batch.items)))
-	s.batches.Add(1)
-	transient := false
-	for _, it := range f.batch.items {
-		if it.Err == nil {
-			continue
-		}
-		s.failures.Add(1)
-		switch {
-		case errors.Is(it.Err, ErrDeadlineExceeded):
-			s.deadlined.Add(1)
-			if p.robsv != nil {
-				p.robsv.DeadlineExceededObserved()
-			}
-		case pram.Transient(it.Err):
-			transient = true
-		}
-	}
-	if transient {
-		p.noteFault(s)
-	} else {
-		p.noteOK(s)
-	}
-	f.m.Service = time.Since(start)
-	s.serviceNs.Add(int64(f.m.Service))
-	s.pending.Add(-1)
-	f.resolve(nil, err)
+	return p.admit(ctx, &Future{}, items)
 }

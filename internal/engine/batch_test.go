@@ -87,6 +87,50 @@ func TestBatchBitIdenticalAllOps(t *testing.T) {
 	}
 }
 
+// TestSubmitIsBatchOfOne pins the one request path: a Submit is served
+// as a batch of one, so it yields the same result as a one-item
+// SubmitBatch and moves PoolStats the same way — one request and one
+// machine acquisition each.
+func TestSubmitIsBatchOfOne(t *testing.T) {
+	pool := NewPool(PoolConfig{Engines: 1, Engine: Config{Processors: 8}})
+	defer pool.Close()
+	l := list.RandomList(700, 19)
+	delta := func(a, b PoolStats) [2]int64 {
+		return [2]int64{b.Requests - a.Requests, b.Batches - a.Batches}
+	}
+	for _, req := range batchTestRequests(t, l) {
+		before := pool.Stats()
+		f, err := pool.Submit(bg, req)
+		if err != nil {
+			t.Fatalf("%v: Submit: %v", req.Op, err)
+		}
+		got, err := f.Wait(bg)
+		if err != nil {
+			t.Fatalf("%v: Submit: %v", req.Op, err)
+		}
+		mid := pool.Stats()
+		it := &BatchItem{Req: req}
+		bf, err := pool.SubmitBatch(bg, []*BatchItem{it})
+		if err != nil {
+			t.Fatalf("%v: SubmitBatch: %v", req.Op, err)
+		}
+		if _, err := bf.Wait(bg); err != nil || it.Err != nil {
+			t.Fatalf("%v: SubmitBatch: %v / %v", req.Op, err, it.Err)
+		}
+		after := pool.Stats()
+		if !reflect.DeepEqual(got, &it.Res) {
+			t.Errorf("%v: Submit result differs from a one-item batch", req.Op)
+		}
+		want := [2]int64{1, 1}
+		if d := delta(before, mid); d != want {
+			t.Errorf("%v: Submit moved Requests/Batches by %v, want %v", req.Op, d, want)
+		}
+		if d := delta(mid, after); d != want {
+			t.Errorf("%v: one-item batch moved Requests/Batches by %v, want %v", req.Op, d, want)
+		}
+	}
+}
+
 // TestBatchRepeatedIdentical re-runs the same batch twice on one warm
 // pool: the second pass must be bit-identical to the first (warm arenas
 // and cached runners change nothing).

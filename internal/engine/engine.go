@@ -234,7 +234,8 @@ type Request struct {
 	// hits the same rounds no matter how many requests ran before.
 	// A pool with a retry policy applies the plan to the first attempt
 	// only — it models an environment fault, which a retry on a healthy
-	// engine escapes.
+	// engine escapes — whether the request came through Submit or as a
+	// SubmitBatch item.
 	Faults *pram.FaultPlan
 
 	// Deadline bounds the request's total latency: admission, queueing
@@ -247,10 +248,10 @@ type Request struct {
 
 	// Trace is the request's distributed-tracing context (zero value =
 	// untraced). It is observation-only: the computation, its Result
-	// and its simulated Stats are bit-identical with or without it, it
-	// never enters the result-cache key, and spans are emitted only
-	// when Trace.Sampled and the pool's observer implements
-	// SpanObserver. The serving daemon propagates it from the wire
+	// and its simulated Stats are bit-identical with or without it, and
+	// the pool emits spans for a Submit only when Trace.Sampled and its
+	// observer implements SpanObserver (a SubmitBatch item is traced by
+	// its submitter). The serving daemon propagates it from the wire
 	// (X-Parlist-Trace / the binary frame's trace block); in-process
 	// callers mint one from an obs.TraceSource.
 	Trace obs.TraceContext

@@ -35,8 +35,6 @@ type PoolObserver interface {
 	DequeueObserved(wait time.Duration, depth int)
 	// ShedObserved reports a Submit rejected with ErrQueueFull.
 	ShedObserved()
-	// CacheHitObserved reports a request answered from the result cache.
-	CacheHitObserved()
 }
 
 // ShardObserver receives sharded-execution observations from an

@@ -89,14 +89,14 @@ func TestEngineObserverResultsUnchanged(t *testing.T) {
 }
 
 // TestPoolObserverQueueMetrics wires a collector into an EnginePool and
-// checks the queue-side hooks: enqueue/dequeue wait, shed on overload,
-// and cache hits. The collector doubles as the per-engine observer, so
+// checks the queue-side hooks: enqueue/dequeue wait and shed on
+// overload. The collector doubles as the per-engine observer, so
 // request latencies flow from the same wiring.
 func TestPoolObserverQueueMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := obs.NewCollector(reg)
 	pool := NewPool(PoolConfig{
-		Engines: 1, QueueDepth: 1, CacheSize: 4,
+		Engines: 1, QueueDepth: 1,
 		Observer: c,
 		Engine:   Config{Processors: 256},
 	})
@@ -133,14 +133,6 @@ func TestPoolObserverQueueMetrics(t *testing.T) {
 	if _, err := filler.Wait(bg); err != nil {
 		t.Fatal(err)
 	}
-	// Same request twice → the second is a cache hit.
-	req := Request{List: list.RandomList(600, 4), Algorithm: AlgoRandomized, Seed: 7}
-	if _, err := pool.Do(bg, req); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pool.Do(bg, req); err != nil {
-		t.Fatal(err)
-	}
 
 	var qw obs.HistSnapshot
 	c.QueueWait().Snapshot(&qw)
@@ -154,7 +146,6 @@ func TestPoolObserverQueueMetrics(t *testing.T) {
 	text := b.String()
 	for _, want := range []string{
 		"parlist_queue_shed_total",
-		"parlist_cache_hits_total 1",
 		"parlist_requests_total",
 	} {
 		if !strings.Contains(text, want) {

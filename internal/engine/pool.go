@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"parlist/internal/list"
-	"parlist/internal/partition"
 	"parlist/internal/pram"
 )
 
@@ -36,8 +35,8 @@ var (
 )
 
 // PoolConfig shapes an EnginePool. The zero value is usable: it yields
-// GOMAXPROCS engines that split the CPUs between them, a 32-slot queue
-// per engine, and no result cache.
+// GOMAXPROCS engines that split the CPUs between them and a 32-slot
+// queue per engine.
 type PoolConfig struct {
 	// Engines is the number of warm engines (default GOMAXPROCS).
 	Engines int
@@ -45,13 +44,6 @@ type PoolConfig struct {
 	// 32). A Submit that finds the chosen engine's queue full fails
 	// immediately with ErrQueueFull.
 	QueueDepth int
-	// CacheSize bounds the optional result cache in entries (0 =
-	// disabled). The cache serves idempotent replay traffic: a request
-	// whose key — (op, seed, n, p, algorithm, parameters) plus a
-	// fingerprint of the input list — was served before returns a copy
-	// of the stored result without touching an engine. Requests with a
-	// fault plan are never cached.
-	CacheSize int
 	// Engine configures every engine in the pool (default processor
 	// count, executor, worker cap, watchdog). Tracer is ignored:
 	// tracers are per-machine and would interleave across shards.
@@ -68,7 +60,7 @@ type PoolConfig struct {
 	// state machine (zero value = disabled); see BreakerPolicy.
 	Breaker BreakerPolicy
 	// Observer, when non-nil, receives admission-path observations
-	// (queue wait/depth, sheds, cache hits). If it also implements
+	// (queue wait/depth, sheds). If it also implements
 	// EngineObserver and Engine.Observer is unset, it is wired into
 	// every engine too, so one obs.Collector attached here instruments
 	// the whole stack: pool admission, engine requests, and (when it
@@ -82,36 +74,45 @@ type PoolConfig struct {
 // RequestMetrics records how one pooled request was served. Valid once
 // the request's Future is done.
 type RequestMetrics struct {
-	// Engine is the index of the engine that served the request, or -1
-	// for a cache hit (no engine involved).
+	// Engine is the index of the engine that served the final attempt.
 	Engine int
-	// QueueWait is the time between admission and the start of service.
+	// QueueWait is the final attempt's time between admission (or
+	// re-admission) and the start of service.
 	QueueWait time.Duration
-	// Service is the engine-side service time of the final attempt
-	// (zero on a cache hit).
+	// Service is the engine-side service time of the final attempt.
 	Service time.Duration
 	// Retries is how many re-attempts the request consumed (0 = served
 	// on the first try).
 	Retries int
-	// CacheHit reports that the result came from the result cache.
-	CacheHit bool
 }
 
-// Future is the handle Submit returns: a single-assignment cell that
-// resolves to the request's Result or error when service completes.
+// Future is the handle Submit and SubmitBatch return: a
+// single-assignment cell that resolves when service completes. Every
+// admission is one kind of future: a batch of request items served by
+// one RunBatch, of which a Submit is the batch of one. ShardedDo's plan
+// steps are the only other kind.
 type Future struct {
 	ctx  context.Context
-	req  Request
 	enq  time.Time
 	done chan struct{}
+
+	// items is the request work: SubmitBatch's caller-owned batch, or
+	// solo's one item. A retry narrows it to the items whose attempt
+	// failed transiently; the caller's slice is never written.
+	items []*BatchItem
+	// solo holds the item Submit allocated (nil for a batch): Wait
+	// returns its Res and Err, and the pool traces it. Its array backs
+	// items, so a Submit allocates no slice.
+	solo [1]*BatchItem
 
 	// born is the original admission instant. Unlike enq it survives
 	// retry re-enqueues, so the traced root span covers the request's
 	// whole life, backoffs included.
 	born time.Time
 
-	// deadline is the absolute budget derived from Request.Deadline at
-	// admission (zero = none); attempts counts retries consumed. Both
+	// deadline is the absolute budget a Submit future's request armed at
+	// admission (zero = none; a batch's items carry their own, checked
+	// per item by the engine); attempts counts retries consumed. Both
 	// are touched only by the goroutine currently responsible for the
 	// future (submitter → dispatcher → retry goroutine → dispatcher), a
 	// chain of happens-before edges through the queue sends.
@@ -120,15 +121,8 @@ type Future struct {
 
 	// step marks a sharded plan-step future (shard.go): the dispatcher
 	// runs the step against the request's shared shard state instead of
-	// serving req, and resolves with a nil Result. Step futures never
-	// touch the result cache (there is no req.List to key on).
+	// serving items, and resolves with a nil Result.
 	step *stepSpec
-
-	// batch marks a fused-batch future (batch.go): the dispatcher runs
-	// RunBatch over the items — one machine acquisition for all of them
-	// — and resolves with a nil Result once every item's Err/Res is
-	// populated. Batch futures never touch the result cache.
-	batch *batchSpec
 
 	res *Result
 	err error
@@ -138,11 +132,13 @@ type Future struct {
 // Done returns a channel closed when the result is available.
 func (f *Future) Done() <-chan struct{} { return f.done }
 
-// Wait blocks until the request completes or ctx is done, returning the
-// request's result. The ctx passed here only bounds the wait — the
-// request itself keeps running under the ctx given to Submit. An
-// already-done ctx returns its error immediately and deterministically,
-// even when the result is also ready (select would pick at random).
+// Wait blocks until the request completes or ctx is done, returning a
+// Submit request's result (a SubmitBatch future returns a nil Result;
+// its items hold the outcomes). The ctx passed here only bounds the
+// wait — the request itself keeps running under the ctx given to
+// Submit. An already-done ctx returns its error immediately and
+// deterministically, even when the result is also ready (select would
+// pick at random).
 func (f *Future) Wait(ctx context.Context) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -166,6 +162,16 @@ func (f *Future) resolve(res *Result, err error) {
 	f.res, f.err = res, err
 	f.m.Retries = f.attempts
 	close(f.done)
+}
+
+// abort resolves f with err, which every pending item takes as its
+// outcome too: a context that died, a budget spent before service, or
+// a retry cut short.
+func (f *Future) abort(err error) {
+	for _, it := range f.items {
+		it.Err = err
+	}
+	f.resolve(nil, err)
 }
 
 // shard is one engine plus its private admission queue and counters.
@@ -221,9 +227,7 @@ type EnginePool struct {
 	// hint, never a correctness input.
 	affinity [maxSizeClasses]atomic.Int32
 
-	cache     *resultCache
-	cacheHits atomic.Int64
-	rejected  atomic.Int64
+	rejected atomic.Int64
 
 	// Resilience plumbing (resilience.go). robsv is the Observer's
 	// ResilienceObserver facet, if it has one; canary is the shared
@@ -315,9 +319,6 @@ func NewPool(cfg PoolConfig) *EnginePool {
 	if cfg.Breaker.Threshold > 0 {
 		p.canary = newCanary(cfg.Breaker.CanaryN)
 	}
-	if cfg.CacheSize > 0 {
-		p.cache = newResultCache(cfg.CacheSize)
-	}
 	p.shards = make([]*shard, cfg.Engines)
 	for i := range p.shards {
 		s := &shard{
@@ -344,8 +345,18 @@ func (p *EnginePool) Engines() int { return len(p.shards) }
 // blocks: if the chosen engine's queue is full the request is shed with
 // ErrQueueFull, and a ctx that is already done fails with ctx.Err().
 // The ctx travels with the request — cancellation while queued resolves
-// the Future with ctx.Err() without occupying an engine.
+// the Future with ctx.Err() without occupying an engine. The request
+// is served as a batch of one, through the same path as SubmitBatch.
 func (p *EnginePool) Submit(ctx context.Context, req Request) (*Future, error) {
+	f := &Future{}
+	f.solo[0] = &BatchItem{Req: req}
+	return p.admit(ctx, f, f.solo[:])
+}
+
+// admit is the one admission path: it arms each item's deadline, picks
+// the engine by the first item's size class, and enqueues f carrying
+// items — or sheds it with ErrQueueFull, never blocking.
+func (p *EnginePool) admit(ctx context.Context, f *Future, items []*BatchItem) (*Future, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -354,31 +365,17 @@ func (p *EnginePool) Submit(ctx context.Context, req Request) (*Future, error) {
 	if p.closed {
 		return nil, fmt.Errorf("engine pool: %w", ErrPoolClosed)
 	}
-	if p.cache != nil && req.Faults == nil {
-		if key, ok := keyOf(&p.cfg.Engine, req); ok {
-			if res := p.cache.get(key); res != nil {
-				p.cacheHits.Add(1)
-				if o := p.cfg.Observer; o != nil {
-					o.CacheHitObserved()
-				}
-				f := &Future{done: make(chan struct{}), m: RequestMetrics{Engine: -1, CacheHit: true}}
-				f.resolve(res, nil)
-				if p.spobsv != nil && req.Trace.Sampled {
-					now := time.Now()
-					p.childSpan(req.Trace, "cache", -1, 0, now, 0, "")
-					p.rootSpan(req.Trace, -1, 0, now, 0, "")
-				}
-				return f, nil
-			}
+	now := time.Now()
+	for _, it := range items {
+		if it.Req.Deadline > 0 {
+			it.Req.deadlineAt = now.Add(it.Req.Deadline)
 		}
 	}
-	s := p.pick(req)
-	f := &Future{ctx: ctx, req: req, enq: time.Now(), done: make(chan struct{})}
-	f.born = f.enq
-	if req.Deadline > 0 {
-		f.deadline = f.enq.Add(req.Deadline)
-		f.req.deadlineAt = f.deadline
+	if it := f.solo[0]; it != nil {
+		f.deadline = it.Req.deadlineAt
 	}
+	f.ctx, f.enq, f.born, f.done, f.items = ctx, now, now, make(chan struct{}), items
+	s := p.pick(items[0].Req.List)
 	s.pending.Add(1)
 	select {
 	case s.queue <- f:
@@ -421,14 +418,15 @@ func (p *EnginePool) Do(ctx context.Context, req Request) (*Result, error) {
 	}
 }
 
-// pick chooses the serving shard: the size class's last engine when it
-// is idle and admitting (maximal arena reuse), otherwise the best
-// shard by choose's class-then-load order — which routes around open
-// breakers — updating the affinity hint to the choice.
-func (p *EnginePool) pick(req Request) *shard {
+// pick chooses the serving shard for an input list: the size class's
+// last engine when it is idle and admitting (maximal arena reuse),
+// otherwise the best shard by choose's class-then-load order — which
+// routes around open breakers — updating the affinity hint to the
+// choice.
+func (p *EnginePool) pick(l *list.List) *shard {
 	n := 0
-	if req.List != nil {
-		n = req.List.Len()
+	if l != nil {
+		n = l.Len()
 	}
 	c := sizeClass(n)
 	s := p.shards[int(p.affinity[c].Load())%len(p.shards)]
@@ -464,9 +462,10 @@ func (p *EnginePool) dispatch(s *shard) {
 	}
 }
 
-// serve runs one admitted request on s's engine and resolves its
-// Future. A request whose ctx expired while queued is resolved without
-// touching the engine.
+// serve runs one admitted future on s's engine and resolves it. A
+// future whose ctx expired, or whose budget ran out, while queued is
+// resolved without touching the engine. Otherwise a step future runs
+// its plan step, and every other future runs its items as one batch.
 //
 // The load counter must drop BEFORE the future resolves: a caller
 // chaining Wait → Submit otherwise races the decrement, sees the shard
@@ -491,7 +490,7 @@ func (p *EnginePool) serve(s *shard, f *Future) {
 		if traced && f.step == nil {
 			p.rootSpan(tc, s.id, f.attempts, f.born, time.Since(f.born), spanStatus(err))
 		}
-		f.resolve(nil, err)
+		f.abort(err)
 		return
 	}
 	// A request whose budget ran out while queued is failed here without
@@ -506,23 +505,39 @@ func (p *EnginePool) serve(s *shard, f *Future) {
 		if traced && f.step == nil {
 			p.rootSpan(tc, s.id, f.attempts, f.born, time.Since(f.born), "deadline")
 		}
-		f.resolve(nil, fmt.Errorf("engine pool: engine %d: queued past deadline: %w", s.id, ErrDeadlineExceeded))
-		return
-	}
-	if f.batch != nil {
-		p.serveBatch(s, f, start)
+		f.abort(fmt.Errorf("engine pool: engine %d: queued past deadline: %w", s.id, ErrDeadlineExceeded))
 		return
 	}
 
 	var res *Result
-	var err error
+	var err, fault error // fault: the first transient failure, the retry's cause
+	succeeded := false
 	if f.step != nil {
 		err = s.eng.runStep(f.ctx, f.step)
 		s.steps.Add(1)
+		succeeded = err == nil
+		if p.tally(s, err) {
+			fault = err
+		}
 	} else {
-		res = new(Result)
-		err = s.eng.RunInto(f.ctx, f.req, res)
-		s.served.Add(1)
+		if err = s.eng.RunBatch(f.ctx, f.items); err != nil {
+			for _, it := range f.items {
+				it.Err = err // the machine was never acquired
+			}
+		}
+		s.served.Add(int64(len(f.items)))
+		s.batches.Add(1)
+		for _, it := range f.items {
+			succeeded = succeeded || it.Err == nil
+			if p.tally(s, it.Err) && fault == nil {
+				fault = it.Err
+			}
+		}
+		if it := f.solo[0]; it != nil {
+			if err = it.Err; err == nil {
+				res = &it.Res
+			}
+		}
 	}
 	f.m.Service = time.Since(start)
 	s.serviceNs.Add(int64(f.m.Service))
@@ -533,41 +548,44 @@ func (p *EnginePool) serve(s *shard, f *Future) {
 		}
 		p.childSpan(tc, name, s.id, f.attempts, start, f.m.Service, spanStatus(err))
 	}
-	if err != nil {
-		s.failures.Add(1)
-		switch {
-		case errors.Is(err, ErrDeadlineExceeded):
-			s.deadlined.Add(1)
-			if p.robsv != nil {
-				p.robsv.DeadlineExceededObserved()
-			}
-		case pram.Transient(err):
-			p.noteFault(s)
-			if p.retryable(f) && p.scheduleRetry(s, f, err) {
-				// The retry goroutine owns the future now; this shard is
-				// done with it.
-				s.pending.Add(-1)
-				return
-			}
-		}
-		s.pending.Add(-1)
-		if traced && f.step == nil {
-			p.rootSpan(tc, s.id, f.attempts, f.born, time.Since(f.born), spanStatus(err))
-		}
-		f.resolve(nil, err)
-		return
+	// One breaker rule for every future: a transient fault extends the
+	// engine's streak, and only a success resets it.
+	switch {
+	case fault != nil:
+		p.noteFault(s)
+	case succeeded:
+		p.noteOK(s)
 	}
-	p.noteOK(s)
-	if f.step == nil && p.cache != nil && f.req.Faults == nil {
-		if key, ok := keyOf(&p.cfg.Engine, f.req); ok {
-			p.cache.put(key, cloneResult(res))
-		}
+	if fault != nil && p.retryable(f) && p.scheduleRetry(s, f, fault) {
+		// The retry goroutine owns the future now; this shard is done
+		// with it.
+		s.pending.Add(-1)
+		return
 	}
 	s.pending.Add(-1)
 	if traced && f.step == nil {
-		p.rootSpan(tc, s.id, f.attempts, f.born, time.Since(f.born), "")
+		p.rootSpan(tc, s.id, f.attempts, f.born, time.Since(f.born), spanStatus(err))
 	}
-	f.resolve(res, nil)
+	f.resolve(res, err)
+}
+
+// tally counts one served outcome into s's failure counters and
+// reports whether it was a transient fault.
+func (p *EnginePool) tally(s *shard, err error) bool {
+	if err == nil {
+		return false
+	}
+	s.failures.Add(1)
+	switch {
+	case errors.Is(err, ErrDeadlineExceeded):
+		s.deadlined.Add(1)
+		if p.robsv != nil {
+			p.robsv.DeadlineExceededObserved()
+		}
+	case pram.Transient(err):
+		return true
+	}
+	return false
 }
 
 // Close drains and shuts the pool down: admission stops (further
@@ -630,17 +648,18 @@ type PoolStats struct {
 	// Engines is the pool size.
 	Engines int
 	// Requests counts requests served by an engine, successes and
-	// failures alike (cache hits and shed requests are not included).
+	// failures alike (shed requests are not included); a retried
+	// request counts once per attempt.
 	Requests int64
 	// Steps counts sharded plan steps served across all engines. A
 	// K-shard request contributes its 2K+1 engine-run steps here and
 	// nothing to Requests — Steps is sharded traffic's served-work
 	// counter.
 	Steps int64
-	// Batches counts fused batches served through SubmitBatch. Each
-	// batch's items are counted individually in Requests; Batches is the
-	// machine-acquisition count, so Requests/Batches over a batched
-	// workload is the achieved coalescing factor.
+	// Batches counts machine acquisitions for requests: one per served
+	// future, a SubmitBatch batch or a Submit (a batch of one). Each
+	// item counts individually in Requests, so Requests/Batches is the
+	// achieved coalescing factor (1 for Submit-only traffic).
 	Batches int64
 	// Failures counts served requests that returned an error.
 	Failures int64
@@ -648,14 +667,13 @@ type PoolStats struct {
 	Rejected int64
 	// Canceled counts requests whose context expired while queued.
 	Canceled int64
-	// Retries counts transient-failure re-attempts scheduled by the
-	// retry layer (a request retried twice counts twice).
+	// Retries counts re-admissions scheduled by the retry layer after a
+	// transient failure: a request retried twice counts twice, and a
+	// batch whose faulted items are re-admitted together counts once.
 	Retries int64
 	// DeadlineExceeded counts requests failed with ErrDeadlineExceeded —
 	// while queued, mid-service, or during retry backoff.
 	DeadlineExceeded int64
-	// CacheHits counts requests answered from the result cache.
-	CacheHits int64
 	// QueueWait and Service accumulate per-request queue latency and
 	// engine service time over all dequeued requests.
 	QueueWait time.Duration
@@ -669,7 +687,6 @@ func (p *EnginePool) Stats() PoolStats {
 	st := PoolStats{
 		Engines:   len(p.shards),
 		Rejected:  p.rejected.Load(),
-		CacheHits: p.cacheHits.Load(),
 		PerEngine: make([]EngineLoad, len(p.shards)),
 	}
 	for i, s := range p.shards {
@@ -692,127 +709,4 @@ func (p *EnginePool) Stats() PoolStats {
 		}
 	}
 	return st
-}
-
-// cacheKey identifies a request for the result cache: every field that
-// influences the output, plus a fingerprint of the input arrays. Two
-// requests with equal keys are bit-identical computations — all seven
-// ops are deterministic functions of (inputs, parameters, seed).
-type cacheKey struct {
-	op       Op
-	algo     Algorithm
-	rank     RankScheme
-	variant  partition.Variant
-	n, p     int
-	i, iters int
-	k        int
-	seed     int64
-	useTable bool
-	crcw     bool
-	fp       uint64
-}
-
-// keyOf builds a request's cache key, reporting false for requests the
-// cache must not serve (no input list to fingerprint).
-func keyOf(cfg *Config, req Request) (cacheKey, bool) {
-	if req.List == nil {
-		return cacheKey{}, false
-	}
-	p := req.Processors
-	if p == 0 {
-		p = cfg.Processors
-	}
-	if p < 1 {
-		p = 1
-	}
-	fp := fpInit
-	fp = fpInts(fp, req.List.Next)
-	fp = fpInt(fp, req.List.Head)
-	fp = fpInts(fp, req.Values)
-	fp = fpInts(fp, req.Labels)
-	return cacheKey{
-		op: req.Op, algo: req.Algorithm, rank: req.Rank, variant: req.Variant,
-		n: req.List.Len(), p: p, i: req.I, iters: req.Iters, k: req.K,
-		seed: req.Seed, useTable: req.UseTable, crcw: req.CRCW, fp: fp,
-	}, true
-}
-
-// fpInit seeds the input fingerprint (an arbitrary odd constant).
-const fpInit uint64 = 0x9e3779b97f4a7c15
-
-// fpInt folds one value into a fingerprint with a splitmix64 round —
-// the same mixer the fault planner uses for deterministic schedules.
-func fpInt(h uint64, v int) uint64 {
-	h += uint64(v) + 0x9e3779b97f4a7c15
-	h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
-	h = (h ^ (h >> 27)) * 0x94d049bb133111eb
-	return h ^ (h >> 31)
-}
-
-// fpInts folds a slice (length included) into a fingerprint.
-func fpInts(h uint64, vs []int) uint64 {
-	h = fpInt(h, len(vs))
-	for _, v := range vs {
-		h = fpInt(h, v)
-	}
-	return h
-}
-
-// resultCache is a bounded map of completed results with FIFO eviction.
-// Entries are immutable once stored; get hands out copies so callers
-// can mutate their results freely.
-type resultCache struct {
-	mu    sync.Mutex
-	max   int
-	m     map[cacheKey]*Result
-	order []cacheKey
-}
-
-// newResultCache returns an empty cache bounded to max entries.
-func newResultCache(max int) *resultCache {
-	return &resultCache{max: max, m: make(map[cacheKey]*Result, max)}
-}
-
-// get returns a copy of the stored result for key, or nil.
-func (c *resultCache) get(key cacheKey) *Result {
-	c.mu.Lock()
-	r := c.m[key]
-	c.mu.Unlock()
-	if r == nil {
-		return nil
-	}
-	return cloneResult(r)
-}
-
-// put stores res under key (res must not be mutated afterwards),
-// evicting the oldest entry when the cache is full.
-func (c *resultCache) put(key cacheKey, res *Result) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.m[key]; !ok && len(c.order) >= c.max {
-		oldest := c.order[0]
-		c.order = c.order[1:]
-		delete(c.m, oldest)
-	}
-	if _, ok := c.m[key]; !ok {
-		c.order = append(c.order, key)
-	}
-	c.m[key] = res
-}
-
-// cloneResult deep-copies a result so cached and caller-owned copies
-// never alias.
-func cloneResult(r *Result) *Result {
-	c := *r
-	c.In = append([]bool(nil), r.In...)
-	c.Labels = append([]int(nil), r.Labels...)
-	c.Ranks = append([]int(nil), r.Ranks...)
-	c.Stats.Phases = append([]pram.PhaseStat(nil), r.Stats.Phases...)
-	c.Stats.Notes = append([]string(nil), r.Stats.Notes...)
-	if r.Sharding != nil {
-		sh := *r.Sharding
-		sh.ContractWall = append([]time.Duration(nil), r.Sharding.ContractWall...)
-		c.Sharding = &sh
-	}
-	return &c
 }

@@ -390,87 +390,6 @@ func TestPoolAffinity(t *testing.T) {
 	}
 }
 
-// TestPoolResultCache covers the replay cache: a repeated request is a
-// hit served without an engine, the copy is independent of the cached
-// original, and capacity eviction is FIFO.
-func TestPoolResultCache(t *testing.T) {
-	pool := NewPool(PoolConfig{Engines: 2, CacheSize: 2, Engine: Config{Processors: 8}})
-	defer pool.Close()
-	l := list.RandomList(900, 3)
-	req := Request{List: l, Algorithm: AlgoRandomized, Seed: 42}
-
-	first, err := pool.Do(bg, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := pool.Submit(bg, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hit, err := f.Wait(bg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := f.Metrics()
-	if !m.CacheHit || m.Engine != -1 {
-		t.Fatalf("second request not a cache hit: %+v", m)
-	}
-	if !reflect.DeepEqual(hit, first) {
-		t.Error("cached result diverges from the computed one")
-	}
-	// The hit owns its slices: mutating it must not poison the cache.
-	hit.In[0] = !hit.In[0]
-	again, err := pool.Do(bg, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(again, first) {
-		t.Error("cache entry was mutated through a handed-out result")
-	}
-
-	// Different seed → different key → a fresh computation.
-	other, err := pool.Do(bg, Request{List: l, Algorithm: AlgoRandomized, Seed: 43})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reflect.DeepEqual(other.In, first.In) {
-		t.Error("different seeds collided in the cache")
-	}
-
-	// Capacity 2 with FIFO eviction: a third distinct key evicts the
-	// oldest, so the original request computes again.
-	if _, err := pool.Do(bg, Request{List: l, Algorithm: AlgoRandomized, Seed: 44}); err != nil {
-		t.Fatal(err)
-	}
-	before := pool.Stats()
-	if _, err := pool.Do(bg, req); err != nil {
-		t.Fatal(err)
-	}
-	after := pool.Stats()
-	if after.Requests != before.Requests+1 {
-		t.Errorf("evicted entry still served from cache (requests %d → %d)", before.Requests, after.Requests)
-	}
-	if after.CacheHits != 2 {
-		t.Errorf("CacheHits = %d, want 2", after.CacheHits)
-	}
-
-	// A faulted request must never be cached or served from the cache.
-	plan := &pram.FaultPlan{Seed: 1, PermuteSchedule: true}
-	if _, err := pool.Do(bg, Request{List: l, Faults: plan}); err != nil {
-		t.Fatal(err)
-	}
-	f2, err := pool.Submit(bg, Request{List: l, Faults: plan})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f2.Wait(bg); err != nil {
-		t.Fatal(err)
-	}
-	if f2.Metrics().CacheHit {
-		t.Error("faulted request served from the cache")
-	}
-}
-
 // TestPoolSpreadsUnderLoad proves the scaling half of the dispatch
 // policy: a request whose preferred engine is busy spills to an idle
 // sibling instead of queueing behind the backlog.
@@ -522,7 +441,6 @@ func newParkObserver(n int) *parkObserver {
 
 func (o *parkObserver) EnqueueObserved(int) {}
 func (o *parkObserver) ShedObserved()       {}
-func (o *parkObserver) CacheHitObserved()   {}
 func (o *parkObserver) DequeueObserved(time.Duration, int) {
 	o.mu.Lock()
 	park := o.left > 0

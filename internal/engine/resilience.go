@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"parlist/internal/list"
+	"parlist/internal/pram"
 	"parlist/internal/verify"
 )
 
@@ -268,20 +269,40 @@ func (p *EnginePool) backoff(f *Future) time.Duration {
 	if d > p.cfg.Retry.MaxBackoff {
 		d = p.cfg.Retry.MaxBackoff
 	}
-	h := fpInt(uint64(f.enq.UnixNano()), f.attempts)
+	h := splitmix64(uint64(f.enq.UnixNano()) + uint64(f.attempts))
 	return d/2 + time.Duration(h%uint64(d)) // [d/2, 3d/2)
 }
 
+// splitmix64 is the splitmix64 finalizer — the same mixer the fault
+// planner uses for deterministic schedules.
+func splitmix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
+
 // scheduleRetry moves a transiently-failed future onto the retry path:
-// count the attempt, drop the (first-attempt-only) fault plan, and
-// hand the future to a guarded backoff goroutine that re-enqueues it
-// on a different shard. Returns false — leaving the future unresolved
-// for the caller to fail — only when the pool is closing.
+// count the attempt, narrow a request future to its transiently failed
+// items (the rest have settled and are not re-run), drop the
+// (first-attempt-only) fault plans, and hand the future to a guarded
+// backoff goroutine that re-enqueues it on a different shard. Returns
+// false — leaving the future unresolved for the caller to fail — only
+// when the pool is closing.
 func (p *EnginePool) scheduleRetry(from *shard, f *Future, cause error) bool {
 	f.attempts++
-	f.req.Faults = nil // injected faults model the environment, not the request
 	if f.step != nil {
-		f.step.faults = nil // same rule for sharded plan steps
+		f.step.faults = nil // injected faults model the environment, not the request
+	} else {
+		// A fresh slice leaves the caller's batch unwritten.
+		var faulted []*BatchItem
+		for _, it := range f.items {
+			if pram.Transient(it.Err) {
+				it.Req.Faults = nil
+				faulted = append(faulted, it)
+			}
+		}
+		f.items = faulted
 	}
 	from.retries.Add(1)
 	if p.robsv != nil {
@@ -299,27 +320,34 @@ func (p *EnginePool) retry(from *shard, f *Future, cause error) {
 	tc := traceOf(f)
 	traced := p.spobsv != nil && tc.Sampled
 	t0 := time.Now()
-	// fail resolves f with err on a terminal retry-path exit, emitting
-	// the backoff span (tagged with the attempt it was buying) and — for
-	// plain futures — the trace's root span first, so a waiter that
-	// reads the recorder after Wait sees the finished trace.
-	fail := func(status string, err error) {
+	// backedOff emits the backoff span, tagged with the attempt it was
+	// buying. It lands before the future is re-enqueued, so it precedes
+	// the root span that the attempt's resolution emits.
+	backedOff := func(status string) {
 		if traced {
 			p.childSpan(tc, "retry", from.id, f.attempts, t0, time.Since(t0), status)
-			if f.step == nil {
-				p.rootSpan(tc, from.id, f.attempts, f.born, time.Since(f.born), status)
-			}
 		}
-		f.resolve(nil, err)
+	}
+	// fail resolves f with err on a terminal retry-path exit, emitting
+	// the trace's root span first for Submit futures, so a waiter that
+	// reads the recorder after Wait sees the finished trace.
+	fail := func(status string, err error) {
+		if traced && f.step == nil {
+			p.rootSpan(tc, from.id, f.attempts, f.born, time.Since(f.born), status)
+		}
+		f.abort(err)
 	}
 	t := time.NewTimer(p.backoff(f))
 	defer t.Stop()
 	select {
 	case <-t.C:
 	case <-f.ctx.Done():
-		fail(spanStatus(f.ctx.Err()), f.ctx.Err())
+		err := f.ctx.Err()
+		backedOff(spanStatus(err))
+		fail(spanStatus(err), err)
 		return
 	case <-p.stop:
+		backedOff("error")
 		fail("error", fmt.Errorf("engine pool: retry abandoned at shutdown: %w", cause))
 		return
 	}
@@ -328,17 +356,16 @@ func (p *EnginePool) retry(from *shard, f *Future, cause error) {
 			p.robsv.DeadlineExceededObserved()
 		}
 		from.deadlined.Add(1)
+		backedOff("deadline")
 		fail("deadline", fmt.Errorf("engine pool: deadline passed during retry backoff: %w", ErrDeadlineExceeded))
 		return
 	}
+	backedOff("")
 	s := p.choose(from.id)
 	s.pending.Add(1)
 	f.enq = time.Now()
 	select {
 	case s.queue <- f:
-		if traced {
-			p.childSpan(tc, "retry", from.id, f.attempts, t0, time.Since(t0), "")
-		}
 		if o := p.cfg.Observer; o != nil {
 			o.EnqueueObserved(len(s.queue))
 		}

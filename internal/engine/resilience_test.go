@@ -94,6 +94,74 @@ func TestPoolRetryTransient(t *testing.T) {
 	}
 }
 
+// TestBatchRetryFaultedItem is retry on the batch path: under a
+// RetryPolicy a batch item whose attempt dies to a transient fault is
+// re-run alone on the other engine, its batchmates are served once,
+// the caller's slice is left as it was, and every item is
+// bit-identical to a fault-free run.
+func TestBatchRetryFaultedItem(t *testing.T) {
+	pool := NewPool(PoolConfig{Engines: 2, QueueDepth: 8,
+		Engine: pooledCfg(),
+		Retry:  RetryPolicy{Max: 2},
+	})
+	defer pool.Close()
+	eng := New(pooledCfg())
+	defer eng.Close()
+
+	l := list.RandomList(2048, 31)
+	reqs := []Request{{List: l, Seed: 5}, {List: l, Seed: 7}, {Op: OpRank, List: l}}
+	items := make([]*BatchItem, len(reqs))
+	want := make([]*Result, len(reqs))
+	for i, req := range reqs {
+		var err error
+		if want[i], err = eng.Run(bg, req); err != nil {
+			t.Fatal(err)
+		}
+		items[i] = &BatchItem{Req: req}
+	}
+	items[1].Req.Faults = panicPlan(7)
+	batch := append([]*BatchItem(nil), items...)
+
+	f, err := pool.SubmitBatch(bg, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Wait(bg); err != nil {
+		t.Fatalf("Wait: %v", err)
+	}
+	for i, it := range items {
+		if it.Err != nil {
+			t.Fatalf("item %d: %v", i, it.Err)
+		}
+		if !reflect.DeepEqual(&it.Res, want[i]) {
+			t.Errorf("item %d: result diverges from a fault-free run", i)
+		}
+		if batch[i] != it {
+			t.Errorf("batch slot %d rewritten", i)
+		}
+	}
+	if got := f.Metrics().Retries; got != 1 {
+		t.Errorf("Metrics().Retries = %d, want 1", got)
+	}
+	st := pool.Stats()
+	if st.Requests != 4 || st.Batches != 2 || st.Retries != 1 || st.Failures != 1 {
+		t.Errorf("Requests/Batches/Retries/Failures = %d/%d/%d/%d, want 4/2/1/1",
+			st.Requests, st.Batches, st.Retries, st.Failures)
+	}
+	// The first attempt served all three items on one engine; the retry
+	// re-ran the faulted item alone on the other.
+	retried := f.Metrics().Engine
+	for i, pe := range st.PerEngine {
+		want := int64(3)
+		if i == retried {
+			want = 1
+		}
+		if pe.Stats.Requests != want {
+			t.Errorf("engine %d served %d requests, want %d", i, pe.Stats.Requests, want)
+		}
+	}
+}
+
 // TestPoolRetryBudgetExhausted proves a fault that outlives the retry
 // budget surfaces the real transient error (errors.As still finds the
 // *pram.WorkerPanic through the wrapping), with every attempt counted.
@@ -215,7 +283,6 @@ type recObserver struct {
 func (r *recObserver) EnqueueObserved(int)                {}
 func (r *recObserver) DequeueObserved(time.Duration, int) {}
 func (r *recObserver) ShedObserved()                      {}
-func (r *recObserver) CacheHitObserved()                  {}
 func (r *recObserver) RetryObserved(int)                  { r.mu.Lock(); r.retries++; r.mu.Unlock() }
 func (r *recObserver) DeadlineExceededObserved()          { r.mu.Lock(); r.deadlines++; r.mu.Unlock() }
 func (r *recObserver) QuarantineObserved(int, time.Duration) {

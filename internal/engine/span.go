@@ -8,11 +8,11 @@ package engine
 // preserved by construction, not by luck.
 //
 // Span topology is flat: one root "request" span per trace plus one
-// child per stage ("queue", "engine"/"step-*", "retry", "exchange",
-// "cache"), all parented directly onto the root. Children are emitted
-// as their stage completes; the root is emitted last, at terminal
-// resolution, because the recorder finalizes a trace when its root
-// lands (obs.SpanRecorder).
+// child per stage ("queue", "engine"/"step-*", "retry", "exchange"),
+// all parented directly onto the root. Children are emitted as their
+// stage completes; the root is emitted last, at terminal resolution,
+// because the recorder finalizes a trace when its root lands
+// (obs.SpanRecorder).
 
 import (
 	"context"
@@ -24,18 +24,17 @@ import (
 )
 
 // traceOf returns the trace context a future's spans belong to. Step
-// futures carry their sharded request's context (shard.go); batch
-// futures are untraced as a unit — the serving layer traces each fused
-// item itself — and plain futures carry their request's.
+// futures carry their sharded request's context (shard.go) and Submit
+// futures their request's; SubmitBatch futures are untraced as a unit —
+// the serving layer traces each fused item itself.
 func traceOf(f *Future) obs.TraceContext {
 	switch {
 	case f.step != nil:
 		return f.step.trace
-	case f.batch != nil:
-		return obs.TraceContext{}
-	default:
-		return f.req.Trace
+	case f.solo[0] != nil:
+		return f.solo[0].Req.Trace
 	}
+	return obs.TraceContext{}
 }
 
 // childSpan emits one child span of tc's root; the recorder mints the

@@ -1,10 +1,11 @@
 package engine
 
-// Tests for trace-span emission (span.go): the sharded span tree shape,
-// the retry attempt tag, the stats bit-identity invariant, and the
-// zero-cost guarantee when no span collector is attached.
+// Tests for trace-span emission (span.go): the Submit and sharded span
+// tree shapes, the retry attempt tag, the stats bit-identity invariant,
+// and the zero-cost guarantee when no span collector is attached.
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -146,12 +147,61 @@ func TestShardedSpanTreeRetryAttempt(t *testing.T) {
 	}
 }
 
+// TestSubmitSpanTree pins the spans a sampled Submit emits: a
+// "request" root carrying the context's span id, with one queue and
+// one engine span per attempt parented onto it. A retried request adds
+// a retry span, and every span names the attempt it belongs to.
+func TestSubmitSpanTree(t *testing.T) {
+	pool, rec := spanPool(t, PoolConfig{Engines: 2, QueueDepth: 16,
+		Engine: pooledCfg(),
+		Retry:  RetryPolicy{Max: 2},
+	})
+	l := list.RandomList(2048, 31)
+
+	type key struct {
+		name    string
+		attempt int
+		status  string
+	}
+	tree := func(faults *pram.FaultPlan) map[key]int {
+		tc := rec.Source().NewContext(true)
+		if _, err := pool.Do(bg, Request{List: l, Trace: tc, Faults: faults}); err != nil {
+			t.Fatal(err)
+		}
+		got := map[key]int{}
+		for _, s := range spansOf(rec, tc) {
+			if s.ParentID == 0 && s.SpanID != tc.SpanID {
+				t.Errorf("root span id = %x, want the context's %x", s.SpanID, tc.SpanID)
+			}
+			if s.ParentID != 0 && s.ParentID != tc.SpanID {
+				t.Errorf("span %q parented to %x, want the root %x", s.Name, s.ParentID, tc.SpanID)
+			}
+			got[key{s.Name, s.Attempt, s.Status}]++
+		}
+		return got
+	}
+
+	want := map[key]int{{"request", 0, ""}: 1, {"queue", 0, ""}: 1, {"engine", 0, ""}: 1}
+	if got := tree(nil); !reflect.DeepEqual(got, want) {
+		t.Errorf("fault-free spans = %v, want %v", got, want)
+	}
+	want = map[key]int{
+		{"request", 1, ""}: 1,
+		{"queue", 0, ""}:   1, {"engine", 0, "transient"}: 1,
+		{"retry", 1, ""}: 1,
+		{"queue", 1, ""}: 1, {"engine", 1, ""}: 1,
+	}
+	if got := tree(panicPlan(7)); !reflect.DeepEqual(got, want) {
+		t.Errorf("retried spans = %v, want %v", got, want)
+	}
+}
+
 // TestStatsIdenticalWithTracing is the bit-identity invariant: the same
 // request sequence yields the same pool statistics and results whether
 // every request is traced or none is.
 func TestStatsIdenticalWithTracing(t *testing.T) {
 	run := func(traced bool) (PoolStats, []int) {
-		pool, rec := spanPool(t, PoolConfig{Engines: 2, QueueDepth: 16, CacheSize: 8,
+		pool, rec := spanPool(t, PoolConfig{Engines: 2, QueueDepth: 16,
 			Engine: Config{Processors: 8},
 		})
 		l := list.RandomList(1500, 9)
@@ -176,11 +226,10 @@ func TestStatsIdenticalWithTracing(t *testing.T) {
 	type agg struct {
 		requests, steps, batches, failures    int64
 		rejected, canceled, retries, deadline int64
-		cacheHits                             int64
 	}
 	reduce := func(st PoolStats) agg {
 		return agg{st.Requests, st.Steps, st.Batches, st.Failures,
-			st.Rejected, st.Canceled, st.Retries, st.DeadlineExceeded, st.CacheHits}
+			st.Rejected, st.Canceled, st.Retries, st.DeadlineExceeded}
 	}
 	if reduce(offStats) != reduce(onStats) {
 		t.Errorf("pool stats diverge under tracing:\n off %+v\n on  %+v",

@@ -17,7 +17,7 @@ const MaxTrackedWorkers = 64
 // emit and lands them in a Registry. It structurally satisfies
 // pram.Observer (round wall time, per-worker barrier waits, phase
 // spans), engine.EngineObserver (per-op request latency, arena churn),
-// engine.PoolObserver (queue wait/depth, shed, cache hits) and
+// engine.PoolObserver (queue wait/depth, shed) and
 // engine.SpanObserver (distributed-tracing spans, forwarded to an
 // attached SpanRecorder) — one Collector can be attached at all layers
 // at once, and every method is safe for concurrent use (the hot paths
@@ -38,7 +38,6 @@ const MaxTrackedWorkers = 64
 //	parlist_queue_wait_ns            histogram  admission → service start
 //	parlist_queue_depth              gauge      depth of the event's shard
 //	parlist_queue_shed_total         counter    ErrQueueFull rejections
-//	parlist_cache_hits_total         counter    result-cache hits
 //	parlist_retries_total{engine}    counter    transient-failure retries
 //	parlist_deadline_exceeded_total  counter    requests past their budget
 //	parlist_breaker_state{engine}    gauge      0 closed, 1 open, 2 half-open
@@ -73,7 +72,6 @@ type Collector struct {
 	queueWait  *Histogram
 	queueDepth *Gauge
 	shed       *Counter
-	cacheHits  *Counter
 
 	// Resilience layer (engine.ResilienceObserver). Per-engine series
 	// are lazily created like the per-worker barrier counters.
@@ -106,7 +104,6 @@ func NewCollector(reg *Registry) *Collector {
 		queueWait:   reg.Histogram("parlist_queue_wait_ns", "admission-to-service wait in the pool queue"),
 		queueDepth:  reg.Gauge("parlist_queue_depth", "instantaneous depth of the event's shard queue"),
 		shed:        reg.Counter("parlist_queue_shed_total", "requests shed with a full admission queue"),
-		cacheHits:   reg.Counter("parlist_cache_hits_total", "requests served from the result cache"),
 		deadlineExceeded: reg.Counter("parlist_deadline_exceeded_total",
 			"requests failed past their deadline budget (queued, mid-service, or in retry backoff)"),
 		quarantineNs: reg.Histogram("parlist_quarantine_ns",
@@ -252,9 +249,6 @@ func (c *Collector) DequeueObserved(wait time.Duration, depth int) {
 
 // ShedObserved implements the pool's overload hook.
 func (c *Collector) ShedObserved() { c.shed.Inc() }
-
-// CacheHitObserved implements the pool's result-cache hook.
-func (c *Collector) CacheHitObserved() { c.cacheHits.Inc() }
 
 // RetryObserved implements the pool's resilience hook: one retry was
 // scheduled after a transient failure on the given engine.

@@ -26,7 +26,6 @@ func TestCollectorFeedsRegistry(t *testing.T) {
 	c.EnqueueObserved(3)
 	c.DequeueObserved(50*time.Microsecond, 2)
 	c.ShedObserved()
-	c.CacheHitObserved()
 
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {
@@ -43,7 +42,6 @@ func TestCollectorFeedsRegistry(t *testing.T) {
 		"parlist_arena_bytes_total 4096",
 		"parlist_queue_depth 2",
 		"parlist_queue_shed_total 1",
-		"parlist_cache_hits_total 1",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q\n%s", want, text)

@@ -561,12 +561,25 @@ func (s *Server) ServeBinary(ln net.Listener) error {
 	}
 }
 
+// Binary-listener read bounds. A connection must start its next frame
+// (the length prefix) within binaryIdleTimeout — parlistd's HTTP idle
+// timeout — and finish the frame's body within binaryFrameTimeout of
+// the prefix, so a client that goes silent or stalls mid-frame cannot
+// hold a connection and its goroutine indefinitely. Variables only so
+// a test can shorten them.
+var (
+	binaryIdleTimeout  = 2 * time.Minute
+	binaryFrameTimeout = 10 * time.Second
+)
+
 // serveConn is one connection's read loop. Frames are handled
 // concurrently (pipelining): each decoded request runs in its own
 // goroutine and writes its response under the connection's write lock.
 // A frame the decoder rejects gets an error response and the
 // connection is closed — after a framing error the stream offset can't
-// be trusted.
+// be trusted. A read that outlives its deadline ends the loop the way
+// a client close does: in-flight responses are still written, then
+// the connection closes.
 func (s *Server) serveConn(c net.Conn) {
 	defer s.connWG.Done()
 	s.trackConn(c)
@@ -588,8 +601,9 @@ func (s *Server) serveConn(c net.Conn) {
 	var lenBuf [4]byte
 	var rbuf []byte // the connection's reused read buffer (frameBuf)
 	for {
+		c.SetReadDeadline(time.Now().Add(binaryIdleTimeout))
 		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
-			return // client closed (or half a prefix: nothing to answer)
+			return // client closed or idle (or half a prefix: nothing to answer)
 		}
 		size := int(binary.LittleEndian.Uint32(lenBuf[:]))
 		if size > s.maxFrame {
@@ -597,6 +611,7 @@ func (s *Server) serveConn(c net.Conn) {
 				fmt.Sprintf("frame of %d bytes exceeds limit %d", size, s.maxFrame)))
 			return
 		}
+		c.SetReadDeadline(time.Now().Add(binaryFrameTimeout))
 		buf := frameBuf(&rbuf, size)
 		if _, err := io.ReadFull(br, buf); err != nil {
 			return

@@ -84,7 +84,6 @@ type parkObserver struct {
 
 func (o *parkObserver) EnqueueObserved(int) {}
 func (o *parkObserver) ShedObserved()       {}
-func (o *parkObserver) CacheHitObserved()   {}
 func (o *parkObserver) DequeueObserved(time.Duration, int) {
 	o.mu.Lock()
 	park := o.left > 0
@@ -709,6 +708,94 @@ func TestMalformedFrames(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestBinaryReadDeadlines plays two hostile clients against the binary
+// listener, with its read deadlines shortened: one connects and sends
+// nothing, the other sends a length prefix and stalls. Each must be
+// closed without a response, the stalled one at the frame deadline,
+// well before the idle one. A pipelined client that keeps sending
+// outlives the idle deadline, and nothing leaks once the server drains.
+func TestBinaryReadDeadlines(t *testing.T) {
+	const idle, frame = time.Second, 100 * time.Millisecond
+	defer func(i, f time.Duration) { binaryIdleTimeout, binaryFrameTimeout = i, f }(binaryIdleTimeout, binaryFrameTimeout)
+	binaryIdleTimeout, binaryFrameTimeout = idle, frame
+
+	base := runtime.NumGoroutine()
+	pool := engine.NewPool(engine.PoolConfig{
+		Engines: 2, QueueDepth: 16, Engine: engine.Config{Processors: 4}})
+	s, err := New(Config{Pool: pool, BatchSize: 1, MaxWait: time.Millisecond})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	go s.ServeBinary(ln)
+	addr := ln.Addr().String()
+
+	// hostile dials, sends prefix, and reports how long the server took
+	// to close the connection; a response byte or a connection still
+	// open after 5 s is an error.
+	hostile := func(name string, prefix []byte) <-chan time.Duration {
+		closed := make(chan time.Duration, 1)
+		start := time.Now() // before the server can arm its first deadline
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatalf("%s: dial: %v", name, err)
+		}
+		if _, err := conn.Write(prefix); err != nil {
+			t.Fatalf("%s: write: %v", name, err)
+		}
+		go func() {
+			defer conn.Close()
+			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			var b [1]byte
+			n, err := conn.Read(b[:])
+			if n != 0 || !errors.Is(err, io.EOF) {
+				t.Errorf("%s: read %d bytes, err %v; want the server to close with no response", name, n, err)
+			}
+			closed <- time.Since(start)
+		}()
+		return closed
+	}
+	stalledC := hostile("stalled", binary.LittleEndian.AppendUint32(nil, 64))
+	idleC := hostile("idle", nil)
+
+	c, err := Dial(addr, "pipelined")
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	l := list.RandomList(100, 1)
+	var chs []<-chan *Response
+	for end := time.Now().Add(idle + 2*frame); time.Now().Before(end); time.Sleep(frame) {
+		ch, err := c.Submit(engine.Request{Op: engine.OpRank, List: l})
+		if err != nil {
+			t.Fatalf("pipelined client cut off: %v", err)
+		}
+		chs = append(chs, ch)
+	}
+	for i, ch := range chs {
+		if r := <-ch; r.Status != StatusOK {
+			t.Errorf("pipelined request %d: %s: %s", i, statusName(r.Status), r.Message)
+		}
+	}
+
+	stalled, idled := <-stalledC, <-idleC
+	if stalled < frame || stalled >= idle {
+		t.Errorf("stalled frame closed after %v, want within [%v, %v)", stalled, frame, idle)
+	}
+	if idled < idle {
+		t.Errorf("idle connection closed after %v, before the %v idle deadline", idled, idle)
+	}
+	c.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	waitGoroutines(t, base)
 }
 
 // TestCancelWhileBatched parks both engines so an item waits in a

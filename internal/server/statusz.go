@@ -29,8 +29,8 @@ func (s *Server) statusz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(&buf, "engine pool\n")
 	fmt.Fprintf(&buf, "  engines %d  requests %d  steps %d  batches %d  failures %d\n",
 		st.Engines, st.Requests, st.Steps, st.Batches, st.Failures)
-	fmt.Fprintf(&buf, "  rejected %d  canceled %d  retries %d  deadline %d  cache-hits %d\n",
-		st.Rejected, st.Canceled, st.Retries, st.DeadlineExceeded, st.CacheHits)
+	fmt.Fprintf(&buf, "  rejected %d  canceled %d  retries %d  deadline %d\n",
+		st.Rejected, st.Canceled, st.Retries, st.DeadlineExceeded)
 	fmt.Fprintf(&buf, "  %-6s %8s %8s %10s %6s %9s\n", "engine", "served", "pending", "breaker", "trips", "rebuilds")
 	for i, e := range st.PerEngine {
 		fmt.Fprintf(&buf, "  %-6d %8d %8d %10s %6d %9d\n",

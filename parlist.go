@@ -393,9 +393,9 @@ func (e *Engine) ScheduleMatching(l *List, lab []int, K int, o Options) (*Result
 
 // EnginePool is a sharded pool of warm engines fronted by bounded
 // admission queues: Submit returns a Future immediately (or ErrQueueFull
-// under overload), Do blocks with backoff, same-size requests stick to
-// the same engine so each arena stays hot, and an optional result cache
-// replays idempotent traffic without touching an engine. Construct with
+// under overload), Do blocks with backoff, and same-size requests stick
+// to the same engine so each arena stays hot. A Submit is served as a
+// batch of one, through the same path as SubmitBatch. Construct with
 // NewEnginePool, release with Close:
 //
 //	p := parlist.NewEnginePool(parlist.PoolConfig{Engines: 4})
@@ -404,14 +404,14 @@ func (e *Engine) ScheduleMatching(l *List, lab []int, K int, o Options) (*Result
 type EnginePool = engine.EnginePool
 
 // PoolConfig shapes an engine pool: engine count (default GOMAXPROCS),
-// per-engine queue depth, result-cache capacity, the shared per-engine
-// EngineConfig, and the resilience knobs (Retry, Breaker). Unless
+// per-engine queue depth, the shared per-engine EngineConfig, and the
+// resilience knobs (Retry, Breaker). Unless
 // EngineConfig.Workers is set, the engines split GOMAXPROCS between
 // them: each gets max(1, GOMAXPROCS/Engines) real workers.
 type PoolConfig = engine.PoolConfig
 
 // PoolStats is a pool-wide counter snapshot: totals, rejections,
-// cancellations, cache hits, cumulative queue-wait/service time, and
+// cancellations, retries, cumulative queue-wait/service time, and
 // per-engine load.
 type PoolStats = engine.PoolStats
 
