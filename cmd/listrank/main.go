@@ -61,8 +61,8 @@ func run(args []string, out *os.File) error {
 	if *p < 1 {
 		return usagef("-p must be >= 1 (got %d)", *p)
 	}
-	// Native serves contraction and wyllie through the splitter-walk
-	// kernel (zero simulated time/work); loadbalanced and randommate
+	// Native serves contraction and wyllie through the native rank walker
+	// (zero simulated time/work); loadbalanced and randommate
 	// fall back to the simulated machine with full accounting.
 	exec, err := pram.ParseExec(*execFlag)
 	if err != nil {

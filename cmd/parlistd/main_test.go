@@ -28,12 +28,15 @@ func TestSlowHeadersDisconnected(t *testing.T) {
 	go hs.Serve(ln)
 	defer hs.Close()
 
+	// The server arms the header deadline when its connection goroutine
+	// starts reading, which can come before Dial returns here, so the
+	// clock starts before the dial.
+	start := time.Now()
 	conn, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
 	defer conn.Close()
-	start := time.Now()
 	dropped := make(chan time.Duration, 1)
 	go func() {
 		// The server answers nothing; the read ends when it closes.

@@ -157,15 +157,15 @@ func MISFromMatching(m *pram.Machine, l *list.List, matched []bool) []bool {
 
 // NativeMISFromMatching is MISFromMatching without simulated rounds,
 // for the native executor: the same per-node rule as one plain pass on
-// the calling goroutine. The set is MISFromMatching's exactly; nothing
-// is charged. The result aliases the machine's workspace.
-func NativeMISFromMatching(m *pram.Machine, l *list.List, matched []bool) []bool {
-	n := l.Len()
-	w := m.Workspace()
-	pred := l.PredInto(ws.IntsNoZero(w, n))
-	in := ws.BoolsNoZero(w, n)
+// the calling goroutine. used marks the nodes the matching covers
+// (matching.NativeRunner.Used), so v's predecessor is a matched tail
+// exactly when used[v] && !matched[v], and no predecessor array is
+// needed. The set is MISFromMatching's exactly; nothing is charged.
+// The result aliases the machine's workspace.
+func NativeMISFromMatching(m *pram.Machine, l *list.List, matched, used []bool) []bool {
+	in := ws.BoolsNoZero(m.Workspace(), l.Len())
 	for v, s := range l.Next {
-		in[v] = misJoins(matched, v, pred[v], s)
+		in[v] = matched[v] || !used[v] && (s == list.Nil || !matched[s])
 	}
 	return in
 }

@@ -1,12 +1,15 @@
 package color
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"parlist/internal/list"
 	"parlist/internal/matching"
 	"parlist/internal/pram"
+	"parlist/internal/ws"
 )
 
 func TestThreeColorAllGenerators(t *testing.T) {
@@ -98,6 +101,55 @@ func TestMISFromMatchingValid(t *testing.T) {
 				t.Errorf("n=%d %s: %v", n, g.Name, err)
 			}
 		}
+	}
+}
+
+// TestNativeMISFromMatching: the native post-pass, which reads the
+// Match4 kernel's cover flags where MISFromMatching builds predecessors,
+// picks MISFromMatching's set exactly, on every generator from 2 to
+// 2^16 nodes and on kernels of 1, 2 and 4 workers. Once warm, the
+// kernel and the post-pass together allocate nothing. As in the
+// engine's zero-alloc tests, the average is over 20 runs, so a rare
+// allocation inside the runtime's team wake-ups, which a 2-run average
+// once read as 1 alloc/op under -race, does not pass for a per-run one.
+func TestNativeMISFromMatching(t *testing.T) {
+	ref := pram.New(8)
+	defer ref.Close()
+	for _, workers := range []int{1, 2, 4} {
+		m := pram.New(8, pram.WithExec(pram.Native), pram.WithWorkers(workers), pram.WithWorkspace(ws.New()))
+		nr, err := matching.NewNativeRunner(m, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range list.Generators() {
+			for _, n := range []int{2, 3, 64, 4096, 65536} {
+				name := fmt.Sprintf("workers=%d %s n=%d", workers, g.Name, n)
+				l := g.Make(n, int64(n))
+				var res matching.Result
+				var in []bool
+				run := func() {
+					m.Workspace().Reset()
+					if err := nr.Run(l, &res); err != nil {
+						t.Fatal(err)
+					}
+					in = NativeMISFromMatching(m, l, res.In, nr.Used())
+				}
+				run()
+				if want := MISFromMatching(ref, l, res.In); !slices.Equal(in, want) {
+					t.Errorf("%s: set differs from MISFromMatching", name)
+				}
+				if err := VerifyMIS(l, in); err != nil {
+					t.Errorf("%s: %v", name, err)
+				}
+				if g.Name != "random" {
+					continue // allocation does not depend on the list's shape
+				}
+				if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+					t.Errorf("%s: %v allocs/op, want 0", name, allocs)
+				}
+			}
+		}
+		m.Close()
 	}
 }
 

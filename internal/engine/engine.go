@@ -536,14 +536,14 @@ func (e *Engine) serve(req Request, res *Result, at time.Time) error {
 	e.m.SetFaults(req.Faults)
 	e.m.SetDeadline(at)
 
-	// When the native splitter walk serves the request it certifies
+	// When the native rank walker serves the request it certifies
 	// reachability itself (walk), so only the degree pass runs here.
-	indeg := e.wsp.Ints(req.List.Len())
+	hasPred := e.wsp.Words(list.DegreeWords(req.List.Len()))
 	var err error
 	if e.nativeWalks(&req) {
-		err = req.List.ValidateDegrees(indeg)
+		err = req.List.ValidateDegrees(hasPred)
 	} else {
-		err = req.List.ValidateInto(indeg)
+		err = req.List.ValidateInto(hasPred)
 	}
 	if err != nil {
 		return err
@@ -559,7 +559,7 @@ func (e *Engine) serve(req Request, res *Result, at time.Time) error {
 	return e.dispatch(req, res)
 }
 
-// nativeWalks reports whether the native splitter walk serves req:
+// nativeWalks reports whether the native rank walker serves req:
 // OpRank under a scheme it is output-identical to, or OpPrefix with one
 // value per node. serve and dispatch both decide by it, so a request
 // skips the reachability half of validation exactly when walk runs.
@@ -580,7 +580,7 @@ func (e *Engine) nativeWalks(req *Request) bool {
 }
 
 // walk serves a nativeWalks request (vals nil = rank) on the cached
-// splitter-walk kernel. The walk's reached count stands in for the
+// rank walker. The walk's reached count stands in for the
 // reachability half of validation that serve skipped.
 func (e *Engine) walk(l *list.List, vals []int) ([]int, error) {
 	if e.nativeWalk == nil {
@@ -698,7 +698,7 @@ func (e *Engine) dispatch(req Request, res *Result) (err error) {
 			if err := nr.Run(l, &e.mres); err != nil {
 				return err
 			}
-			in = color.NativeMISFromMatching(m, l, e.mres.In)
+			in = color.NativeMISFromMatching(m, l, e.mres.In, nr.Used())
 		} else {
 			in, err = color.MISViaMatching(m, l, matching.Match4Config{I: i, UseTable: req.UseTable})
 			if err != nil {
@@ -715,7 +715,7 @@ func (e *Engine) dispatch(req Request, res *Result) (err error) {
 		var err error
 		switch scheme {
 		case RankContraction, RankWyllie:
-			// Ranks are unique, so the native splitter-walk kernel is
+			// Ranks are unique, so the native rank walker is
 			// output-identical to either simulated scheme.
 			if e.nativeWalks(&req) {
 				rk, err = e.walk(l, nil)

@@ -11,6 +11,7 @@ import (
 	"parlist/internal/matching"
 	"parlist/internal/partition"
 	"parlist/internal/pram"
+	"parlist/internal/rank"
 	"parlist/internal/verify"
 )
 
@@ -55,11 +56,12 @@ func TestNativeMatchesSequentialAllOps(t *testing.T) {
 	tailFree := append([]int(nil), labels...)
 	tailFree[l.Tail()] = K + 7
 
-	cases := []struct {
+	type opCase struct {
 		name   string
 		req    Request
 		kernel bool // served by a native kernel (zero simulated cost)
-	}{
+	}
+	cases := []opCase{
 		{"match1", Request{Op: OpMatching, List: l, Algorithm: AlgoMatch1}, false},
 		{"match2", Request{Op: OpMatching, List: l, Algorithm: AlgoMatch2}, false},
 		{"match3", Request{Op: OpMatching, List: l, Algorithm: AlgoMatch3}, false},
@@ -87,6 +89,25 @@ func TestNativeMatchesSequentialAllOps(t *testing.T) {
 		{"schedule", Request{Op: OpSchedule, List: l, Labels: labels, K: K}, true},
 		{"schedule-zigzag", Request{Op: OpSchedule, List: zz, Labels: zzLabels, K: zzK}, true},
 		{"schedule-tail-label", Request{Op: OpSchedule, List: l, Labels: tailFree, K: K}, true},
+	}
+	// Rank and prefix on both sides of the walker's sweep thresholds,
+	// every generator at 2^16 nodes; prefix values go negative.
+	for _, gen := range list.Generators() {
+		for _, n := range []int{rank.SweepMinRank - 1, rank.SweepMinRank, rank.SweepMinRank + 1,
+			rank.SweepMinPrefix - 1, rank.SweepMinPrefix, rank.SweepMinPrefix + 1} {
+			if gen.Name != "random" && n != rank.SweepMinPrefix {
+				continue
+			}
+			big := gen.Make(n, int64(n))
+			bigVals := make([]int, n)
+			for i := range bigVals {
+				bigVals[i] = i%13 - 6
+			}
+			suffix := fmt.Sprintf("-%s-n=%d", gen.Name, n)
+			cases = append(cases,
+				opCase{"rank" + suffix, Request{Op: OpRank, List: big}, true},
+				opCase{"prefix" + suffix, Request{Op: OpPrefix, List: big, Values: bigVals}, true})
+		}
 	}
 	natives := map[int]*Engine{}
 	for _, workers := range []int{1, 2, 4} {
@@ -246,7 +267,9 @@ func scheduleInput(t testing.TB, ref *Engine, l *list.List) ([]int, int) {
 
 // TestNativeSteadyStateZeroAlloc extends the engine's headline number to
 // the native executor: after warmup, kernel-served requests at a fixed
-// n — all seven ops — allocate nothing.
+// n — all seven ops at 4,096 nodes, and the ops the walker serves or
+// that read Match4's cover flags at 2^16, where the ruler sweep runs —
+// allocate nothing.
 func TestNativeSteadyStateZeroAlloc(t *testing.T) {
 	eng := New(Config{Processors: 8, Exec: pram.Native, Workers: 4})
 	defer eng.Close()
@@ -254,6 +277,11 @@ func TestNativeSteadyStateZeroAlloc(t *testing.T) {
 	vals := make([]int, l.Len())
 	for i := range vals {
 		vals[i] = i % 5
+	}
+	big := list.RandomList(rank.SweepMinPrefix, 6)
+	bigVals := make([]int, big.Len())
+	for i := range bigVals {
+		bigVals[i] = i%5 - 2
 	}
 	part, err := eng.Run(bg, Request{Op: OpPartition, List: l, Iters: 3})
 	if err != nil {
@@ -270,6 +298,9 @@ func TestNativeSteadyStateZeroAlloc(t *testing.T) {
 		{"rank", Request{Op: OpRank, List: l, Rank: RankContraction}},
 		{"prefix", Request{Op: OpPrefix, List: l, Values: vals}},
 		{"schedule", Request{Op: OpSchedule, List: l, Labels: part.Labels, K: part.Sets}},
+		{"mis-65536", Request{Op: OpMIS, List: big}},
+		{"rank-65536", Request{Op: OpRank, List: big}},
+		{"prefix-65536", Request{Op: OpPrefix, List: big, Values: bigVals}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var res Result

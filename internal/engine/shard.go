@@ -18,6 +18,7 @@ import (
 	"sync"
 	"time"
 
+	"parlist/internal/list"
 	"parlist/internal/plan"
 	"parlist/internal/pram"
 	"parlist/internal/rank"
@@ -155,7 +156,7 @@ func (p *EnginePool) ShardedDo(ctx context.Context, req Request, shards int) (*R
 	}()
 	// Steps trust the list; validate it once here, like serve does per
 	// whole request.
-	if err := req.List.ValidateInto(wsp.Ints(n)); err != nil {
+	if err := req.List.ValidateInto(wsp.Words(list.DegreeWords(n))); err != nil {
 		return nil, fmt.Errorf("engine pool: sharded request: %w", err)
 	}
 	st := rank.NewShardState(wsp, req.List, vals, k)

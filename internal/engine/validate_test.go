@@ -5,11 +5,11 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"slices"
 	"testing"
 
 	"parlist/internal/list"
 	"parlist/internal/pram"
+	"parlist/internal/rank"
 )
 
 // brokenList returns an n-node list that passes the degree pass but not
@@ -17,9 +17,13 @@ import (
 // node lies on the chain from the head, in a seeded random order.
 func brokenList(n int, cycle []int, seed int64) *list.List {
 	next := make([]int, n)
+	onCycle := make([]bool, n)
+	for _, v := range cycle {
+		onCycle[v] = true
+	}
 	var chain []int
 	for _, v := range rand.New(rand.NewSource(seed)).Perm(n) {
-		if !slices.Contains(cycle, v) {
+		if !onCycle[v] {
 			chain = append(chain, v)
 		}
 	}
@@ -36,21 +40,29 @@ func brokenList(n int, cycle []int, seed int64) *list.List {
 }
 
 // brokenLists covers the shapes the fused check must catch, on both
-// sides of the native walk's n = 64 serial cutoff: a 2-cycle, a cycle
-// through node 0 (a splitter at every party count), and a cycle holding
-// half the nodes (several splitters).
+// sides of the walker's sweep thresholds: a 2-cycle, a cycle through
+// node 0 (a ruler on the sweep), a cycle holding half the nodes (odd
+// addresses, so no ruler), and from 600 nodes a short cycle through
+// the rulers 256 and 512 beside one through no ruler.
 func brokenLists() map[string]*list.List {
 	out := map[string]*list.List{}
-	for _, n := range []int{8, 63, 64, 65, 1000} {
+	for _, n := range []int{8, 63, 64, 65, 1000,
+		rank.SweepMinRank - 1, rank.SweepMinRank, rank.SweepMinRank + 1,
+		rank.SweepMinPrefix - 1, rank.SweepMinPrefix, rank.SweepMinPrefix + 1} {
 		half := make([]int, n/2)
 		for i := range half {
 			half[i] = 2*i + 1
 		}
-		for name, cyc := range map[string][]int{
-			"2-cycle":        {n - 2, n - 1},
-			"splitter-cycle": {0, n / 2, n - 1},
-			"half-cycle":     half,
-		} {
+		shapes := map[string][]int{
+			"2-cycle":     {n - 2, n - 1},
+			"node0-cycle": {0, n / 2, n - 1},
+			"half-cycle":  half,
+		}
+		if n >= 600 {
+			shapes["ruler-cycle"] = []int{256, 1, 512, 3}
+			shapes["plain-cycle"] = []int{1, 2, 3}
+		}
+		for name, cyc := range shapes {
 			out[fmt.Sprintf("%s/n=%d", name, n)] = brokenList(n, cyc, int64(n))
 		}
 	}
@@ -58,8 +70,8 @@ func brokenLists() map[string]*list.List {
 }
 
 // validationEngines is every route a whole request can take to its
-// validation: the native walker serially (one worker) and as a team
-// (two workers, forced so the team path runs on any host), and the
+// validation: the native walker at one party and as a team (two
+// workers, forced so the team path runs on any host), and the
 // simulated executors, which keep the full validation pass.
 func validationEngines(t testing.TB) map[string]*Engine {
 	engines := map[string]*Engine{
@@ -93,8 +105,10 @@ func walkedRequests(l *list.List) map[string]Request {
 // TestNativeWalkCertifiesReachability: lists with nodes unreachable
 // from the head pass the degree pass, so on the native rank/prefix
 // path only the walk can reject them. Every route must fail with
-// list.Validate's exact message and the ErrInvalidList sentinel, the
-// pool included, and the engine must keep serving afterwards.
+// list.Validate's exact message, "list: k of n nodes reachable from
+// head", and the ErrInvalidList sentinel, the pool included, on the
+// serial walk and the ruler sweep alike, and the engine must keep
+// serving afterwards.
 func TestNativeWalkCertifiesReachability(t *testing.T) {
 	engines := validationEngines(t)
 	pool := NewPool(PoolConfig{Engines: 2, Engine: Config{Processors: 8, Exec: pram.Native}})

@@ -13,6 +13,7 @@ import (
 	"parlist/internal/list"
 	"parlist/internal/obs"
 	"parlist/internal/pram"
+	"parlist/internal/rank"
 )
 
 // runE17 profiles the serving layer with the observability collector:
@@ -262,5 +263,89 @@ func runE18(cfg Config) ([]*Table, error) {
 				res.Stats.Time, ratio, identical)
 		}
 	}
-	return []*Table{t}, nil
+	sizes, err := runE18Sizes(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return []*Table{t, sizes}, nil
+}
+
+// runE18Sizes is E18's size sweep for the native rank walker at one
+// party, the width of a pool engine on a small host: rank and prefix
+// requests on random lists from 2^12 to 2^20 nodes (2^14 in quick
+// mode), rotating over 8 lists so that no request finds its list warm
+// from the one before. The walk column names the path the walker takes
+// at that size — the serial walk below rank.SweepMinRank (prefix:
+// rank.SweepMinPrefix), the ruler sweep from it on — so the rows show
+// where the sweep starts to pay. Every request includes the degree pass.
+func runE18Sizes(cfg Config) (*Table, error) {
+	maxLog, requests := 20, 16
+	if cfg.Quick {
+		maxLog, requests = 14, 8
+	}
+	const lists = 8
+	t := &Table{
+		Title:  fmt.Sprintf("E18 — one-party native rank and prefix by list size, %d lists rotated, %d requests per cell", lists, requests),
+		Note:   "walk = the path the walker takes at this size; ns-per-node = request wall time / n, degree pass included",
+		Header: []string{"op", "n", "walk", "ns-per-req", "ns-per-node", "identical"},
+	}
+	ctx := context.Background()
+	eng := engine.New(engine.Config{Processors: 256, Exec: pram.Native, Workers: 1})
+	defer eng.Close()
+	for lg := 12; lg <= maxLog; lg += 2 {
+		n := 1 << lg
+		ls := make([]*list.List, lists)
+		for i := range ls {
+			ls[i] = list.RandomList(n, cfg.Seed+int64(i))
+		}
+		vals := make([]int, n)
+		for i := range vals {
+			vals[i] = i%7 - 3
+		}
+		for _, op := range []engine.Op{engine.OpRank, engine.OpPrefix} {
+			req := engine.Request{Op: op}
+			from := rank.SweepMinRank
+			if op == engine.OpPrefix {
+				req.Values, from = vals, rank.SweepMinPrefix
+			}
+			walk := "serial"
+			if n >= from {
+				walk = "sweep"
+			}
+			var res engine.Result
+			identical := true
+			for i := 0; i < lists; i++ { // warm up, and check every list
+				req.List = ls[i]
+				if err := eng.RunInto(ctx, req, &res); err != nil {
+					return nil, fmt.Errorf("E18 %v n=%d: %w", op, n, err)
+				}
+				identical = identical && reflect.DeepEqual(res.Ranks, walkReference(ls[i], req.Values))
+			}
+			start := time.Now()
+			for i := 0; i < requests; i++ {
+				req.List = ls[i%lists]
+				if err := eng.RunInto(ctx, req, &res); err != nil {
+					return nil, fmt.Errorf("E18 %v n=%d: %w", op, n, err)
+				}
+			}
+			nsPer := float64(time.Since(start).Nanoseconds()) / float64(requests)
+			t.Add(op.String(), n, walk, fmt.Sprintf("%.0f", nsPer), fmt.Sprintf("%.2f", nsPer/float64(n)), identical)
+		}
+	}
+	return t, nil
+}
+
+// walkReference ranks l (vals nil) or sums vals along it in list
+// order: the reference for E18's size sweep, where a simulated one
+// would dominate the run at 2^20 nodes.
+func walkReference(l *list.List, vals []int) []int {
+	out := l.Position()
+	if vals != nil {
+		acc := 0
+		for _, v := range l.Order() {
+			acc += vals[v]
+			out[v] = acc
+		}
+	}
+	return out
 }

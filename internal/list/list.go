@@ -117,7 +117,7 @@ func invalidf(format string, args ...any) error {
 
 // UnreachableError is the error for a list whose walk from Head reached
 // only reached of its n nodes. ValidateInto and any walk that stands in
-// for its reachability half (the native splitter walk) report the same
+// for its reachability half (the native rank walker) report the same
 // failure through it.
 func UnreachableError(reached, n int) error {
 	return invalidf("list: %d of %d nodes reachable from head", reached, n)
@@ -129,15 +129,20 @@ func UnreachableError(reached, n int) error {
 // returns wraps ErrInvalid.
 func (l *List) Validate() error { return l.ValidateInto(nil) }
 
+// DegreeWords is the length of the bitset ValidateDegrees and
+// ValidateInto take as scratch for an n-node list: one bit per node.
+func DegreeWords(n int) int { return (n + 63) / 64 }
+
 // ValidateInto is Validate with caller-provided scratch for the
-// in-degree table: indeg must be zeroed with len ≥ n, or nil to
-// allocate. The engine validates every request's list and passes arena
-// scratch here so validation stays off the steady-state alloc count.
+// degree pass: hasPred must be zeroed with len ≥ DegreeWords(n), or nil
+// to allocate. The engine validates every request's list and passes
+// arena scratch here so validation stays off the steady-state alloc
+// count.
 //
 // It runs two halves: ValidateDegrees, a streaming pass over Next, then
 // a pointer-chasing walk from Head that counts the reachable nodes.
-func (l *List) ValidateInto(indeg []int) error {
-	if err := l.ValidateDegrees(indeg); err != nil {
+func (l *List) ValidateInto(hasPred []uint64) error {
+	if err := l.ValidateDegrees(hasPred); err != nil {
 		return err
 	}
 	seen := 0
@@ -152,8 +157,10 @@ func (l *List) ValidateInto(indeg []int) error {
 
 // ValidateDegrees is ValidateInto's first half, the streaming degree
 // pass: Head and every Next in range, no self-loop, exactly one tail,
-// every in-degree at most one and Head's zero. indeg is as for
-// ValidateInto. Every error it returns wraps ErrInvalid.
+// every in-degree at most one and Head's zero. hasPred is as for
+// ValidateInto; the pass sets bit v of it when it meets v's
+// predecessor, so a second one is an in-degree above one. Every error
+// it returns wraps ErrInvalid.
 //
 // A list that passes may still hold nodes unreachable from Head — they
 // form cycles — but any walk from Head, or from a node chosen to stop
@@ -161,7 +168,7 @@ func (l *List) ValidateInto(indeg []int) error {
 // some node two predecessors, or Head one. A walk that counts the nodes
 // it reaches from Head therefore completes the check: reached == n
 // exactly when the list is valid.
-func (l *List) ValidateDegrees(indeg []int) error {
+func (l *List) ValidateDegrees(hasPred []uint64) error {
 	n := len(l.Next)
 	if n == 0 {
 		return invalidf("list: empty")
@@ -170,10 +177,10 @@ func (l *List) ValidateDegrees(indeg []int) error {
 		return invalidf("list: head %d out of range [0,%d)", l.Head, n)
 	}
 	tails := 0
-	if indeg == nil {
-		indeg = make([]int, n)
+	if hasPred == nil {
+		hasPred = make([]uint64, DegreeWords(n))
 	} else {
-		indeg = indeg[:n]
+		hasPred = hasPred[:DegreeWords(n)]
 	}
 	for u, v := range l.Next {
 		switch {
@@ -184,16 +191,17 @@ func (l *List) ValidateDegrees(indeg []int) error {
 		case v == u:
 			return invalidf("list: self-loop at %d", u)
 		default:
-			indeg[v]++
-			if indeg[v] > 1 {
+			word, bit := &hasPred[v>>6], uint64(1)<<(v&63)
+			if *word&bit != 0 {
 				return invalidf("list: node %d has in-degree > 1", v)
 			}
+			*word |= bit
 		}
 	}
 	if tails != 1 {
 		return invalidf("list: %d tails, want 1", tails)
 	}
-	if indeg[l.Head] != 0 {
+	if hasPred[l.Head>>6]&(1<<(l.Head&63)) != 0 {
 		return invalidf("list: head %d has a predecessor", l.Head)
 	}
 	return nil

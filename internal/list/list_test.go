@@ -106,27 +106,61 @@ func TestClone(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsBadStructures pins every malformed-list message
+// and which defect wins when a list has several. Validate and
+// ValidateInto with caller scratch agree, every error wraps ErrInvalid,
+// and a defect the degree pass finds comes from ValidateDegrees too.
+// The longer lists put the defect past the first bitset word.
 func TestValidateRejectsBadStructures(t *testing.T) {
+	edited := func(l *List, edit func(next []int)) *List {
+		edit(l.Next)
+		return l
+	}
 	cases := []struct {
-		name string
-		l    *List
+		name   string
+		l      *List
+		want   string
+		degree bool // the degree pass alone rejects it
 	}{
-		{"empty", New(nil, 0)},
-		{"bad head", New([]int{Nil}, 5)},
-		{"out of range", New([]int{7, Nil}, 0)},
-		{"self loop", New([]int{0, Nil}, 0)},
-		{"two tails", New([]int{Nil, Nil}, 0)},
-		{"indegree 2", New([]int{2, 2, Nil, Nil}, 0)},
-		{"head has pred", New([]int{1, 0}, 0)},
-		{"cycle", New([]int{1, 2, 0, Nil}, 0)},
-		{"unreachable", New([]int{1, Nil, 3, Nil}, 0)},
+		{"empty", New(nil, 0), "list: empty", true},
+		{"bad head", New([]int{Nil}, 5), "list: head 5 out of range [0,1)", true},
+		{"negative head", New([]int{Nil}, -1), "list: head -1 out of range [0,1)", true},
+		{"out of range", New([]int{7, Nil}, 0), "list: Next[0] = 7 out of range", true},
+		{"negative next", New([]int{-2, Nil}, 0), "list: Next[0] = -2 out of range", true},
+		{"self loop", New([]int{0, Nil}, 0), "list: self-loop at 0", true},
+		{"two tails", New([]int{Nil, Nil}, 0), "list: 2 tails, want 1", true},
+		{"no tail", New([]int{1, 0}, 0), "list: 0 tails, want 1", true},
+		{"indegree 2", New([]int{2, 2, Nil, Nil}, 0), "list: node 2 has in-degree > 1", true},
+		{"indegree 2 past a word", edited(SequentialList(130), func(next []int) { next[5] = 100 }), "list: node 100 has in-degree > 1", true},
+		{"head has pred", New([]int{1, Nil, 0}, 0), "list: head 0 has a predecessor", true},
+		{"head has pred past a word", edited(ReversedList(101), func(next []int) { next[0], next[69] = 100, Nil }), "list: head 100 has a predecessor", true},
+		{"cycle through head", New([]int{1, 2, 0, Nil}, 0), "list: head 0 has a predecessor", true},
+		{"unreachable", New([]int{1, 4, 3, 2, Nil}, 0), "list: 3 of 5 nodes reachable from head", false},
+		{"unreachable past a word", edited(SequentialList(130), func(next []int) { next[99], next[129] = Nil, 100 }), "list: 100 of 130 nodes reachable from head", false},
+		// Precedence: the first bad pointer in address order wins, then
+		// the tail count, then the head's predecessor.
+		{"indegree before range", New([]int{2, 2, Nil, 9}, 0), "list: node 2 has in-degree > 1", true},
+		{"range before tails", New([]int{Nil, 9, Nil}, 0), "list: Next[1] = 9 out of range", true},
+		{"tails before head pred", New([]int{1, 0, Nil, Nil}, 0), "list: 2 tails, want 1", true},
 	}
 	for _, c := range cases {
-		err := c.l.Validate()
-		if err == nil {
-			t.Errorf("%s: Validate accepted bad list", c.name)
-		} else if !errors.Is(err, ErrInvalid) {
-			t.Errorf("%s: %v does not wrap ErrInvalid", c.name, err)
+		var scratch []uint64
+		if n := c.l.Len(); n > 0 {
+			scratch = make([]uint64, DegreeWords(n))
+		}
+		for route, err := range map[string]error{
+			"Validate":     c.l.Validate(),
+			"ValidateInto": c.l.ValidateInto(scratch),
+		} {
+			if err == nil || err.Error() != c.want {
+				t.Errorf("%s: %s = %v, want %q", c.name, route, err, c.want)
+			} else if !errors.Is(err, ErrInvalid) {
+				t.Errorf("%s: %s: %v does not wrap ErrInvalid", c.name, route, err)
+			}
+		}
+		err := c.l.ValidateDegrees(nil)
+		if c.degree && (err == nil || err.Error() != c.want) || !c.degree && err != nil {
+			t.Errorf("%s: ValidateDegrees = %v", c.name, err)
 		}
 	}
 }

@@ -228,6 +228,12 @@ func (r *NativeRunner) Run(l *list.List, res *Result) error {
 	return nil
 }
 
+// Used reports, per node, whether the last Run's or Schedule's
+// matching covers it, as the tail or the head of a matched pointer.
+// For a node v outside res.In, used[v] says that v's predecessor is a
+// matched tail. It aliases the workspace, as res.In does.
+func (r *NativeRunner) Used() []bool { return r.used }
+
 // Schedule is ScheduleMatching on the team runtime: the same input
 // checks and errors, then stages 2–4 on the caller's labels. The
 // result matches ScheduleMatching's bit for bit; res.In aliases the
@@ -252,6 +258,7 @@ func (r *NativeRunner) Schedule(l *list.List, lab []int, K int, res *Result) err
 func (r *NativeRunner) empty(n int, algo string, res *Result) {
 	res.Algorithm = algo
 	res.In = ws.Bools(r.m.Workspace(), n)
+	r.used = ws.Bools(r.m.Workspace(), n)
 	res.Size, res.Sets, res.Rounds, res.TableSize = 0, 0, 0, 0
 	r.m.SnapshotInto(&res.Stats)
 }

@@ -20,9 +20,9 @@ package rank
 //     the reduced inter-shard list: segment s's successor is the
 //     segment owning s's exit node.
 //   - SolveReduced ranks the reduced list on ONE machine by literally
-//     reusing the Helman–JáJá-style NativeWalker (which degrades to a
-//     serial walk on machines without a worker pool) and scatters the
-//     solved offsets back onto the segment records.
+//     reusing the NativeWalker (a serial walk below its size
+//     thresholds, a ruler sweep above) and scatters the solved offsets
+//     back onto the segment records.
 //   - ExpandShard adds each node's segment offset to its local rank,
 //     shard-parallel and shard-local again.
 //
@@ -240,10 +240,10 @@ func Exchange(st *ShardState) {
 }
 
 // SolveReduced ranks the reduced list — one node per segment — on one
-// machine, reusing the Helman–JáJá-style NativeWalker (serial on
-// machines without a worker pool, team-parallel otherwise), and
-// scatters each segment's exclusive offset back onto its record. The
-// walker must be bound to m; its scratch comes from m's workspace.
+// machine, reusing the NativeWalker in prefix mode (a serial walk below
+// SweepMinPrefix segments, a ruler sweep from it on), and scatters each
+// segment's exclusive offset back onto its record. The walker must be
+// bound to m; its scratch comes from m's workspace.
 func SolveReduced(m *pram.Machine, w *NativeWalker, st *ShardState) {
 	s := st.Segments
 	m.Phase("reduced-solve")

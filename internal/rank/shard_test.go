@@ -39,9 +39,14 @@ func TestShardBounds(t *testing.T) {
 	}
 }
 
+// shardedSweepN is large enough that, at K ≥ 2, the reduced list of a
+// random or zigzag list holds at least SweepMinPrefix segments, so
+// SolveReduced takes the ruler sweep.
+const shardedSweepN = 2*SweepMinPrefix + 1
+
 func TestShardedRankMatchesPosition(t *testing.T) {
 	for _, gen := range list.Generators() {
-		for _, n := range []int{1, 2, 3, 7, 64, 257, 1000} {
+		for _, n := range []int{1, 2, 3, 7, 64, 257, 1000, shardedSweepN} {
 			l := gen.Make(n, 80)
 			want := l.Position()
 			for _, k := range []int{1, 2, 3, 4, 8} {
@@ -61,15 +66,20 @@ func TestShardedRankMatchesPosition(t *testing.T) {
 func TestShardedPrefixMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	for _, gen := range list.Generators() {
-		for _, n := range []int{1, 5, 63, 512} {
+		for _, n := range []int{1, 5, 63, 512, shardedSweepN} {
 			l := gen.Make(n, 81)
 			vals := make([]int, n)
 			for i := range vals {
 				vals[i] = rng.Intn(2001) - 1000
 			}
-			want, _, err := Prefix(pram.New(8), l, vals, nil)
-			if err != nil {
-				t.Fatal(err)
+			want := make([]int, n)
+			if n < shardedSweepN {
+				var err error
+				if want, _, err = Prefix(pram.New(8), l, vals, nil); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				serialWalk(l, vals, want)
 			}
 			for _, k := range []int{2, 3, 5, 8} {
 				if k > n {

@@ -105,10 +105,11 @@ func (b *buckets[T]) reset() {
 }
 
 // Workspace is one engine's scratch arena: bucketed free lists for the
-// int and bool slices the algorithms consume.
+// int, bool and bitset-word slices the algorithms consume.
 type Workspace struct {
 	ints  buckets[int]
 	bools buckets[bool]
+	words buckets[uint64]
 	stats Stats
 }
 
@@ -154,12 +155,24 @@ func (w *Workspace) BoolsNoZero(n int) []bool {
 	return get(&w.stats, &w.bools, n)
 }
 
+// Words returns a zeroed uint64 slice of length n, valid until Reset:
+// bitset scratch, one bit per node.
+func (w *Workspace) Words(n int) []uint64 {
+	if n <= 0 {
+		return nil
+	}
+	s := get(&w.stats, &w.words, n)
+	clear(s)
+	return s
+}
+
 // Reset starts a new epoch: every slice handed out since the previous
 // Reset returns to its free list and must no longer be used.
 func (w *Workspace) Reset() {
 	w.stats.Resets++
 	w.ints.reset()
 	w.bools.reset()
+	w.words.reset()
 }
 
 // Stats returns a snapshot of the arena counters.
