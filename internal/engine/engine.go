@@ -178,16 +178,13 @@ type Config struct {
 	// Watchdog arms the fused-round barrier watchdog on the pooled
 	// executor (0 = disabled).
 	Watchdog time.Duration
-	// Tracer, when non-nil, records round-level logs of every request
-	// served (entries accumulate across requests).
-	Tracer *pram.Tracer
-	// Observer, when non-nil, receives one wall-clock observation per
-	// served request (latency, outcome, arena churn). A value that also
-	// implements pram.Observer is additionally attached to the machine,
-	// so per-round wall time, barrier waits and phase spans flow to the
-	// same sink. Detached (nil) observation costs nothing on the
-	// request path.
-	Observer EngineObserver
+	// Observer, when non-nil, receives one KindRequest event per served
+	// request (latency, outcome, arena churn) and is attached to the
+	// engine's machine, so its rounds, barrier waits and phases flow to
+	// the same sink. A *pram.Tracer here logs every request's rounds
+	// (entries accumulate across requests). Detached (nil) observation
+	// costs nothing on the request path.
+	Observer obs.Observer
 }
 
 // Request describes one computation. The zero value of every field is a
@@ -249,9 +246,9 @@ type Request struct {
 	// Trace is the request's distributed-tracing context (zero value =
 	// untraced). It is observation-only: the computation, its Result
 	// and its simulated Stats are bit-identical with or without it, and
-	// the pool emits spans for a Submit only when Trace.Sampled and its
-	// observer implements SpanObserver (a SubmitBatch item is traced by
-	// its submitter). The serving daemon propagates it from the wire
+	// the pool emits span events for a Submit only when Trace.Sampled
+	// and it has an observer (a SubmitBatch item is traced by its
+	// submitter). The serving daemon propagates it from the wire
 	// (X-Parlist-Trace / the binary frame's trace block); in-process
 	// callers mint one from an obs.TraceSource.
 	Trace obs.TraceContext
@@ -472,8 +469,8 @@ func (e *Engine) serveOne(req Request, res *Result, at time.Time) error {
 	err := e.serve(req, res, at)
 
 	if o := e.cfg.Observer; o != nil {
-		o.RequestObserved(req.Op.String(), time.Since(t0), err != nil,
-			e.wsp.Stats().BytesAllocated-arena0)
+		o.Observe(obs.Event{Kind: obs.KindRequest, Name: req.Op.String(), Dur: time.Since(t0),
+			Failed: err != nil, Bytes: int64(e.wsp.Stats().BytesAllocated - arena0)})
 		if e.m != nil {
 			// Close the request's trailing phase span so idle time
 			// between requests is not charged to it.
@@ -609,11 +606,8 @@ func (e *Engine) rebuild(p int) {
 	if e.cfg.Watchdog > 0 {
 		opts = append(opts, pram.WithWatchdog(e.cfg.Watchdog))
 	}
-	if e.cfg.Tracer != nil {
-		opts = append(opts, pram.WithTracer(e.cfg.Tracer))
-	}
-	if o, ok := e.cfg.Observer.(pram.Observer); ok {
-		opts = append(opts, pram.WithObserver(o))
+	if e.cfg.Observer != nil {
+		opts = append(opts, pram.WithObserver(e.cfg.Observer))
 	}
 	e.m = pram.New(p, opts...)
 	e.runner = nil // bound to the old machine

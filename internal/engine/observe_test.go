@@ -2,13 +2,18 @@ package engine
 
 import (
 	"errors"
+	"flag"
+	"os"
 	"reflect"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"parlist/internal/list"
 	"parlist/internal/obs"
+	"parlist/internal/pram"
 )
 
 // TestEngineObserverCollectsRequests wires a real obs.Collector into a
@@ -156,5 +161,174 @@ func TestPoolObserverQueueMetrics(t *testing.T) {
 	// queue slot opened, so assert ≥ 1 rather than an exact count.
 	if strings.Contains(text, "parlist_queue_shed_total 0") {
 		t.Error("shed was not observed")
+	}
+}
+
+var updateFamilies = flag.Bool("update", false, "rewrite "+familiesPath)
+
+// familiesPath holds the metric families, with their label keys, that a
+// whole stack observed by one Collector exports.
+const familiesPath = "testdata/metric_families.golden"
+
+// TestCollectorFamilies drives one pool observed by one Collector
+// through every pool and engine event — admission and shed, sampled
+// spans, a transient fault with its retry, breaker trip and
+// quarantine, a deadline spent in the queue, a sharded request — and
+// compares the exported families and their label keys with the
+// committed list. Renaming a family or a label, or losing one a hook
+// feeds, fails here.
+func TestCollectorFamilies(t *testing.T) {
+	reg := obs.NewRegistry()
+	c := obs.NewCollector(reg)
+	rec := obs.NewSpanRecorder(obs.NewTraceSource(11), 1)
+	c.AttachSpans(rec)
+	pool := NewPool(PoolConfig{Engines: 2, QueueDepth: 1,
+		Engine:   pooledCfg(),
+		Retry:    RetryPolicy{Max: 2},
+		Breaker:  BreakerPolicy{Threshold: 1, Cooldown: time.Millisecond},
+		Observer: c,
+	})
+	defer pool.Close()
+
+	// Fill both queues until an admission is shed.
+	big := list.RandomList(1<<15, 3)
+	var futs []*Future
+	for shed := false; !shed; {
+		f, err := pool.Submit(bg, Request{Op: OpRank, List: big})
+		switch {
+		case err == nil:
+			futs = append(futs, f)
+		case errors.Is(err, ErrQueueFull):
+			shed = true
+		default:
+			t.Fatal(err)
+		}
+	}
+	for _, f := range futs {
+		if _, err := f.Wait(bg); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	l := list.RandomList(1024, 13)
+	if _, err := pool.Do(bg, Request{List: l, Faults: panicPlan(17), Trace: rec.Source().NewContext(true)}); err != nil {
+		t.Fatalf("retried request: %v", err)
+	}
+	if _, err := pool.Do(bg, Request{List: l, Deadline: time.Nanosecond}); !errors.Is(err, ErrDeadlineExceeded) {
+		t.Fatalf("deadline request: %v", err)
+	}
+	if _, err := pool.ShardedDo(bg, Request{Op: OpRank, List: l, Trace: rec.Source().NewContext(true)}, 2); err != nil {
+		t.Fatalf("sharded request: %v", err)
+	}
+	if rec.Stats().Spans == 0 {
+		t.Error("no spans recorded")
+	}
+
+	got := strings.Join(families(t, reg), "\n") + "\n"
+	if *updateFamilies {
+		if err := os.WriteFile(familiesPath, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(familiesPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("metric families changed:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// families lists reg's exported families as sorted "name{keys}" lines,
+// the keys sorted and a histogram's le left out.
+func families(t *testing.T, reg *obs.Registry) []string {
+	t.Helper()
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[string]string{}
+	keys := map[string]map[string]bool{}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			kinds[f[2]] = f[3]
+			keys[f[2]] = map[string]bool{}
+			continue
+		}
+		if line == "" || line[0] == '#' {
+			continue
+		}
+		name, labels, _ := strings.Cut(line[:strings.LastIndexByte(line, ' ')], "{")
+		for _, suf := range []string{"_bucket", "_sum", "_count"} {
+			if base := strings.TrimSuffix(name, suf); kinds[base] == "histogram" {
+				name = base
+			}
+		}
+		labels = strings.TrimSuffix(labels, "}")
+		for labels != "" {
+			k, rest, _ := strings.Cut(labels, `="`)
+			j := 0
+			for ; rest[j] != '"'; j++ {
+				if rest[j] == '\\' {
+					j++
+				}
+			}
+			if k != "le" {
+				keys[name][k] = true
+			}
+			labels = strings.TrimPrefix(rest[j+1:], ",")
+		}
+	}
+	var out []string
+	for name, ks := range keys {
+		var list []string
+		for k := range ks {
+			list = append(list, k)
+		}
+		sort.Strings(list)
+		out = append(out, name+"{"+strings.Join(list, ",")+"}")
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestTracerSharedAcrossPool attaches one Tracer to a two-engine pooled
+// pool served by concurrent callers: both machines record into it, and
+// barrier waits reach it from their workers, so under -race this pins
+// its locking. Every request is the same, so the log must hold exactly
+// one single-engine request's rounds per request served.
+func TestTracerSharedAcrossPool(t *testing.T) {
+	l := list.RandomList(512, 5)
+	req := Request{Op: OpMatching, List: l}
+	var one pram.Tracer
+	e := New(Config{Processors: 8, Observer: &one})
+	defer e.Close()
+	if _, err := e.Run(bg, req); err != nil {
+		t.Fatal(err)
+	}
+
+	var tr pram.Tracer
+	pool := NewPool(PoolConfig{Engines: 2, QueueDepth: 8, Engine: pooledCfg(), Observer: &tr})
+	defer pool.Close()
+	const callers, each = 4, 8
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if _, err := pool.Do(bg, req); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if len(one.Entries()) == 0 {
+		t.Fatal("single-engine tracer recorded nothing")
+	}
+	if got, want := len(tr.Entries()), callers*each*len(one.Entries()); got != want {
+		t.Errorf("shared tracer holds %d entries, want %d", got, want)
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"parlist/internal/list"
+	"parlist/internal/obs"
 	"parlist/internal/pram"
 )
 
@@ -45,8 +46,7 @@ type PoolConfig struct {
 	// immediately with ErrQueueFull.
 	QueueDepth int
 	// Engine configures every engine in the pool (default processor
-	// count, executor, worker cap, watchdog). Tracer is ignored:
-	// tracers are per-machine and would interleave across shards.
+	// count, executor, worker cap, watchdog, observer).
 	// Engine.Workers 0 gives each engine max(1, GOMAXPROCS/Engines)
 	// real workers, so the engines share the CPUs instead of each
 	// running a GOMAXPROCS-wide team; at one worker an engine runs its
@@ -59,16 +59,13 @@ type PoolConfig struct {
 	// Breaker enables the per-engine circuit breaker and quarantine
 	// state machine (zero value = disabled); see BreakerPolicy.
 	Breaker BreakerPolicy
-	// Observer, when non-nil, receives admission-path observations
-	// (queue wait/depth, sheds). If it also implements
-	// EngineObserver and Engine.Observer is unset, it is wired into
-	// every engine too, so one obs.Collector attached here instruments
-	// the whole stack: pool admission, engine requests, and (when it
-	// implements pram.Observer) simulator rounds and barriers. A value
-	// that additionally implements ResilienceObserver receives retry,
-	// breaker and deadline observations; one that implements
-	// SpanObserver receives trace spans for sampled requests.
-	Observer PoolObserver
+	// Observer, when non-nil, receives the pool's events: admission
+	// (enqueue, dequeue, shed), resilience (retry, deadline, breaker,
+	// quarantine), sharded plans, and spans of sampled requests. When
+	// Engine.Observer is unset it is every engine's observer too, so
+	// one obs.Collector attached here instruments the whole stack down
+	// to the machines' rounds and barriers.
+	Observer obs.Observer
 }
 
 // RequestMetrics records how one pooled request was served. Valid once
@@ -229,27 +226,17 @@ type EnginePool struct {
 
 	rejected atomic.Int64
 
-	// Resilience plumbing (resilience.go). robsv is the Observer's
-	// ResilienceObserver facet, if it has one; canary is the shared
-	// probe input for breaker readmission; stop wakes sleeping retry and
+	// Resilience plumbing (resilience.go). canary is the shared probe
+	// input for breaker readmission; stop wakes sleeping retry and
 	// quarantine goroutines at Close; resWG counts those goroutines so
 	// Close can wait them out before closing the shard queues.
-	robsv  ResilienceObserver
 	canary *list.List
 	stop   chan struct{}
 	resWG  sync.WaitGroup
 
-	// Sharded-execution plumbing (shard.go). shobsv is the Observer's
-	// ShardObserver facet, if it has one; plans caches compiled plans
-	// by fan-out so repeated sharded requests reuse one immutable Plan.
-	shobsv ShardObserver
-	plans  sync.Map
-
-	// spobsv is the Observer's SpanObserver facet, if it has one
-	// (tracing). Every emission site gates on spobsv != nil AND the
-	// request's TraceContext being sampled, so untraced and unsampled
-	// traffic pays nothing.
-	spobsv SpanObserver
+	// plans caches compiled sharded plans by fan-out (shard.go), so
+	// repeated sharded requests reuse one immutable Plan.
+	plans sync.Map
 
 	// mu guards closed against in-flight Submits: Submit holds the read
 	// side while it enqueues, Close takes the write side before closing
@@ -284,11 +271,8 @@ func NewPool(cfg PoolConfig) *EnginePool {
 	if cfg.Engine.Workers < 1 {
 		cfg.Engine.Workers = max(1, runtime.GOMAXPROCS(0)/cfg.Engines)
 	}
-	cfg.Engine.Tracer = nil // per-machine state; meaningless across shards
 	if cfg.Engine.Observer == nil {
-		if eo, ok := cfg.Observer.(EngineObserver); ok {
-			cfg.Engine.Observer = eo
-		}
+		cfg.Engine.Observer = cfg.Observer
 	}
 	if cfg.Retry.Max > 0 {
 		if cfg.Retry.BaseBackoff <= 0 {
@@ -313,9 +297,6 @@ func NewPool(cfg PoolConfig) *EnginePool {
 		}
 	}
 	p := &EnginePool{cfg: cfg, stop: make(chan struct{})}
-	p.robsv, _ = cfg.Observer.(ResilienceObserver)
-	p.shobsv, _ = cfg.Observer.(ShardObserver)
-	p.spobsv, _ = cfg.Observer.(SpanObserver)
 	if cfg.Breaker.Threshold > 0 {
 		p.canary = newCanary(cfg.Breaker.CanaryN)
 	}
@@ -336,6 +317,13 @@ func NewPool(cfg PoolConfig) *EnginePool {
 		p.affinity[c].Store(int32(c % cfg.Engines))
 	}
 	return p
+}
+
+// observe sends e to the pool's observer, if it has one.
+func (p *EnginePool) observe(e obs.Event) {
+	if o := p.cfg.Observer; o != nil {
+		o.Observe(e)
+	}
 }
 
 // Engines returns the number of engines in the pool.
@@ -379,16 +367,12 @@ func (p *EnginePool) admit(ctx context.Context, f *Future, items []*BatchItem) (
 	s.pending.Add(1)
 	select {
 	case s.queue <- f:
-		if o := p.cfg.Observer; o != nil {
-			o.EnqueueObserved(len(s.queue))
-		}
+		p.observe(obs.Event{Kind: obs.KindEnqueue, N: len(s.queue)})
 		return f, nil
 	default:
 		s.pending.Add(-1)
 		p.rejected.Add(1)
-		if o := p.cfg.Observer; o != nil {
-			o.ShedObserved()
-		}
+		p.observe(obs.Event{Kind: obs.KindShed})
 		return nil, fmt.Errorf("engine pool: engine %d: %w", s.id, ErrQueueFull)
 	}
 }
@@ -475,12 +459,10 @@ func (p *EnginePool) serve(s *shard, f *Future) {
 	start := time.Now()
 	wait := start.Sub(f.enq)
 	s.queueWaitNs.Add(int64(wait))
-	if o := p.cfg.Observer; o != nil {
-		o.DequeueObserved(wait, len(s.queue))
-	}
+	p.observe(obs.Event{Kind: obs.KindDequeue, Dur: wait, N: len(s.queue)})
 	f.m = RequestMetrics{Engine: s.id, QueueWait: wait}
 	tc := traceOf(f)
-	traced := p.spobsv != nil && tc.Sampled
+	traced := p.cfg.Observer != nil && tc.Sampled
 	if traced {
 		p.childSpan(tc, "queue", s.id, f.attempts, f.enq, wait, "")
 	}
@@ -498,9 +480,7 @@ func (p *EnginePool) serve(s *shard, f *Future) {
 	// deadline storm passes.
 	if !f.deadline.IsZero() && start.After(f.deadline) {
 		s.deadlined.Add(1)
-		if p.robsv != nil {
-			p.robsv.DeadlineExceededObserved()
-		}
+		p.observe(obs.Event{Kind: obs.KindDeadline})
 		s.pending.Add(-1)
 		if traced && f.step == nil {
 			p.rootSpan(tc, s.id, f.attempts, f.born, time.Since(f.born), "deadline")
@@ -579,9 +559,7 @@ func (p *EnginePool) tally(s *shard, err error) bool {
 	switch {
 	case errors.Is(err, ErrDeadlineExceeded):
 		s.deadlined.Add(1)
-		if p.robsv != nil {
-			p.robsv.DeadlineExceededObserved()
-		}
+		p.observe(obs.Event{Kind: obs.KindDeadline})
 	case pram.Transient(err):
 		return true
 	}

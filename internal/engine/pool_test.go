@@ -12,6 +12,7 @@ import (
 
 	"parlist/internal/list"
 	"parlist/internal/matching"
+	"parlist/internal/obs"
 	"parlist/internal/pram"
 	"parlist/internal/verify"
 )
@@ -425,9 +426,9 @@ func TestPoolSpreadsUnderLoad(t *testing.T) {
 	}
 }
 
-// parkObserver is a PoolObserver whose DequeueObserved holds the first
-// n dequeues until released, so a test can keep engines busy for as
-// long as it needs to.
+// parkObserver is a pool observer that holds the first n dequeue
+// events until released, so a test can keep engines busy for as long
+// as it needs to.
 type parkObserver struct {
 	mu      sync.Mutex
 	left    int
@@ -439,9 +440,10 @@ func newParkObserver(n int) *parkObserver {
 	return &parkObserver{left: n, parked: make(chan struct{}, n), release: make(chan struct{}, n)}
 }
 
-func (o *parkObserver) EnqueueObserved(int) {}
-func (o *parkObserver) ShedObserved()       {}
-func (o *parkObserver) DequeueObserved(time.Duration, int) {
+func (o *parkObserver) Observe(e obs.Event) {
+	if e.Kind != obs.KindDequeue {
+		return
+	}
 	o.mu.Lock()
 	park := o.left > 0
 	if park {

@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"parlist/internal/list"
+	"parlist/internal/obs"
 	"parlist/internal/pram"
 	"parlist/internal/verify"
 )
@@ -116,12 +117,10 @@ func (b *breaker) now() BreakerState { return BreakerState(b.state.Load()) }
 const canarySeed = 0x5eed
 
 // setBreaker publishes a state transition and mirrors it to the
-// resilience observer.
+// observer.
 func (p *EnginePool) setBreaker(s *shard, st BreakerState) {
 	s.brk.state.Store(int32(st))
-	if p.robsv != nil {
-		p.robsv.BreakerStateObserved(s.id, int(st))
-	}
+	p.observe(obs.Event{Kind: obs.KindBreaker, Index: s.id, N: int(st)})
 }
 
 // noteFault records one transient fault against s's breaker, tripping
@@ -141,9 +140,7 @@ func (p *EnginePool) noteFault(s *shard) {
 	}
 	s.brk.trips.Add(1)
 	s.brk.openedAt.Store(time.Now().UnixNano())
-	if p.robsv != nil {
-		p.robsv.BreakerStateObserved(s.id, int(BreakerOpen))
-	}
+	p.observe(obs.Event{Kind: obs.KindBreaker, Index: s.id, N: int(BreakerOpen)})
 	// If the pool is closing there is nothing to recover for: the
 	// breaker stays open and Close releases the engine regardless.
 	p.goGuarded(func() { p.quarantine(s) })
@@ -185,9 +182,7 @@ func (p *EnginePool) quarantine(s *shard) {
 		if pass {
 			s.brk.streak.Store(0)
 			p.setBreaker(s, BreakerClosed)
-			if p.robsv != nil {
-				p.robsv.QuarantineObserved(s.id, time.Since(opened))
-			}
+			p.observe(obs.Event{Kind: obs.KindQuarantine, Index: s.id, Dur: time.Since(opened)})
 			return
 		}
 		p.setBreaker(s, BreakerOpen)
@@ -305,9 +300,7 @@ func (p *EnginePool) scheduleRetry(from *shard, f *Future, cause error) bool {
 		f.items = faulted
 	}
 	from.retries.Add(1)
-	if p.robsv != nil {
-		p.robsv.RetryObserved(from.id)
-	}
+	p.observe(obs.Event{Kind: obs.KindRetry, Index: from.id})
 	return p.goGuarded(func() { p.retry(from, f, cause) })
 }
 
@@ -318,7 +311,7 @@ func (p *EnginePool) scheduleRetry(from *shard, f *Future, cause error) bool {
 // so callers see the real failure, not an artefact of Close).
 func (p *EnginePool) retry(from *shard, f *Future, cause error) {
 	tc := traceOf(f)
-	traced := p.spobsv != nil && tc.Sampled
+	traced := p.cfg.Observer != nil && tc.Sampled
 	t0 := time.Now()
 	// backedOff emits the backoff span, tagged with the attempt it was
 	// buying. It lands before the future is re-enqueued, so it precedes
@@ -352,9 +345,7 @@ func (p *EnginePool) retry(from *shard, f *Future, cause error) {
 		return
 	}
 	if !f.deadline.IsZero() && time.Now().After(f.deadline) {
-		if p.robsv != nil {
-			p.robsv.DeadlineExceededObserved()
-		}
+		p.observe(obs.Event{Kind: obs.KindDeadline})
 		from.deadlined.Add(1)
 		backedOff("deadline")
 		fail("deadline", fmt.Errorf("engine pool: deadline passed during retry backoff: %w", ErrDeadlineExceeded))
@@ -366,9 +357,7 @@ func (p *EnginePool) retry(from *shard, f *Future, cause error) {
 	f.enq = time.Now()
 	select {
 	case s.queue <- f:
-		if o := p.cfg.Observer; o != nil {
-			o.EnqueueObserved(len(s.queue))
-		}
+		p.observe(obs.Event{Kind: obs.KindEnqueue, N: len(s.queue)})
 	case <-f.ctx.Done():
 		s.pending.Add(-1)
 		fail(spanStatus(f.ctx.Err()), f.ctx.Err())

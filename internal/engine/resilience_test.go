@@ -17,10 +17,6 @@ import (
 	"parlist/internal/verify"
 )
 
-// The resilience layer promises one obs.Collector can observe the whole
-// stack; break the build, not a silent type assertion, if it drifts.
-var _ ResilienceObserver = (*obs.Collector)(nil)
-
 // panicPlan returns a fault plan that panics one worker mid-run —
 // the canonical transient failure.
 func panicPlan(seed int64) *pram.FaultPlan {
@@ -270,8 +266,8 @@ func TestEngineDeadlineMidService(t *testing.T) {
 	}
 }
 
-// recObserver records resilience observations for assertion. It also
-// satisfies PoolObserver so it can be attached as PoolConfig.Observer.
+// recObserver records resilience events for assertion, ignoring the
+// other kinds the pool and its engines send.
 type recObserver struct {
 	mu          sync.Mutex
 	states      map[int][]int // engine → state sequence
@@ -280,23 +276,22 @@ type recObserver struct {
 	quarantines int
 }
 
-func (r *recObserver) EnqueueObserved(int)                {}
-func (r *recObserver) DequeueObserved(time.Duration, int) {}
-func (r *recObserver) ShedObserved()                      {}
-func (r *recObserver) RetryObserved(int)                  { r.mu.Lock(); r.retries++; r.mu.Unlock() }
-func (r *recObserver) DeadlineExceededObserved()          { r.mu.Lock(); r.deadlines++; r.mu.Unlock() }
-func (r *recObserver) QuarantineObserved(int, time.Duration) {
+func (r *recObserver) Observe(e obs.Event) {
 	r.mu.Lock()
-	r.quarantines++
-	r.mu.Unlock()
-}
-func (r *recObserver) BreakerStateObserved(engine, state int) {
-	r.mu.Lock()
-	if r.states == nil {
-		r.states = make(map[int][]int)
+	defer r.mu.Unlock()
+	switch e.Kind {
+	case obs.KindRetry:
+		r.retries++
+	case obs.KindDeadline:
+		r.deadlines++
+	case obs.KindQuarantine:
+		r.quarantines++
+	case obs.KindBreaker:
+		if r.states == nil {
+			r.states = make(map[int][]int)
+		}
+		r.states[e.Index] = append(r.states[e.Index], e.N)
 	}
-	r.states[engine] = append(r.states[engine], state)
-	r.mu.Unlock()
 }
 
 // TestPoolBreakerLifecycle walks one engine through the full breaker

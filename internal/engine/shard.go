@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"parlist/internal/list"
+	"parlist/internal/obs"
 	"parlist/internal/plan"
 	"parlist/internal/pram"
 	"parlist/internal/rank"
@@ -142,7 +143,7 @@ func (p *EnginePool) ShardedDo(ctx context.Context, req Request, shards int) (*R
 	}
 
 	t0 := time.Now()
-	traced := p.spobsv != nil && req.Trace.Sampled
+	traced := p.cfg.Observer != nil && req.Trace.Sampled
 	var deadlineAt time.Time
 	if req.Deadline > 0 {
 		deadlineAt = t0.Add(req.Deadline)
@@ -246,10 +247,10 @@ stages:
 			}
 		}
 		agg.Time += stageTime
-		if p.shobsv != nil {
+		if o := p.cfg.Observer; o != nil {
 			for _, id := range stage {
-				p.shobsv.ShardStepObserved(stepLabel(specs[id].kind), specs[id].shard,
-					futs[id].m.Service, stageWall-futs[id].m.Service)
+				o.Observe(obs.Event{Kind: obs.KindShardStep, Name: stepLabel(specs[id].kind), Index: specs[id].shard,
+					Dur: futs[id].m.Service, Wait: stageWall - futs[id].m.Service})
 			}
 		}
 	}
@@ -270,9 +271,8 @@ stages:
 	if sum > 0 {
 		sh.Imbalance = float64(max) * float64(k) / float64(sum)
 	}
-	if p.shobsv != nil {
-		p.shobsv.ShardedRequestObserved(k, sh.Segments, sh.ExchangeBytes, int64(sh.Imbalance*1000))
-	}
+	p.observe(obs.Event{Kind: obs.KindShardedRequest, Index: k, N: sh.Segments,
+		Bytes: sh.ExchangeBytes, Permille: int64(sh.Imbalance * 1000)})
 
 	if traced {
 		p.rootSpan(req.Trace, -1, sh.StepRetries, t0, time.Since(t0), "")
@@ -329,9 +329,7 @@ func (p *EnginePool) trySubmitStep(ctx context.Context, idx int, spec *stepSpec)
 	s.pending.Add(1)
 	select {
 	case s.queue <- f:
-		if o := p.cfg.Observer; o != nil {
-			o.EnqueueObserved(len(s.queue))
-		}
+		p.observe(obs.Event{Kind: obs.KindEnqueue, N: len(s.queue)})
 		return f, nil
 	default:
 		s.pending.Add(-1)

@@ -356,10 +356,6 @@ func FuzzShardedRankEquivalence(f *testing.F) {
 	})
 }
 
-// The collector is the canonical ShardObserver; the pool type-asserts
-// its PoolObserver for the sharded hooks, so the assertion must hold.
-var _ ShardObserver = (*obs.Collector)(nil)
-
 // TestShardedMetrics wires a real collector through a sharded request
 // and checks the sharded series land: request/segment/exchange
 // counters, imbalance and step-wall histograms, barrier waits.

@@ -1,11 +1,11 @@
 package engine
 
-// Trace-span emission for the pool. Spans flow through the Observer's
-// SpanObserver facet (observe.go); every site gates on the facet being
-// present AND the request's TraceContext being sampled, so the
-// untraced request path is bit-for-bit the pre-tracing one — the
-// zero-alloc steady-state guarantee and Stats bit-identity are
-// preserved by construction, not by luck.
+// Trace-span emission for the pool. Spans flow to the pool's Observer
+// as KindSpan events; every site gates on an observer being attached
+// AND the request's TraceContext being sampled, so the untraced
+// request path is bit-for-bit the pre-tracing one — the zero-alloc
+// steady-state guarantee and Stats bit-identity are preserved by
+// construction, not by luck.
 //
 // Span topology is flat: one root "request" span per trace plus one
 // child per stage ("queue", "engine"/"step-*", "retry", "exchange"),
@@ -38,15 +38,18 @@ func traceOf(f *Future) obs.TraceContext {
 }
 
 // childSpan emits one child span of tc's root; the recorder mints the
-// span's own id. Callers must have checked p.spobsv != nil && tc.Sampled.
+// span's own id. Callers must have checked p.cfg.Observer != nil &&
+// tc.Sampled.
 func (p *EnginePool) childSpan(tc obs.TraceContext, name string, shard, attempt int, start time.Time, d time.Duration, status string) {
-	p.spobsv.SpanObserved(tc.TraceHi, tc.TraceLo, 0, tc.SpanID, name, shard, attempt, start, d, status)
+	p.cfg.Observer.Observe(obs.Event{Kind: obs.KindSpan, Span: obs.Span{TraceHi: tc.TraceHi, TraceLo: tc.TraceLo,
+		ParentID: tc.SpanID, Name: name, Shard: shard, Attempt: attempt, Start: start, Dur: d, Status: status}})
 }
 
 // rootSpan emits tc's root "request" span — the trace's final span.
 // attempt carries the total retry attempts the request consumed.
 func (p *EnginePool) rootSpan(tc obs.TraceContext, shard, attempt int, start time.Time, d time.Duration, status string) {
-	p.spobsv.SpanObserved(tc.TraceHi, tc.TraceLo, tc.SpanID, 0, "request", shard, attempt, start, d, status)
+	p.cfg.Observer.Observe(obs.Event{Kind: obs.KindSpan, Span: obs.Span{TraceHi: tc.TraceHi, TraceLo: tc.TraceLo,
+		SpanID: tc.SpanID, Name: "request", Shard: shard, Attempt: attempt, Start: start, Dur: d, Status: status}})
 }
 
 // spanStatus classifies an error as a span status tag ("" = success).

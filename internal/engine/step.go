@@ -91,8 +91,8 @@ func (e *Engine) runStep(ctx context.Context, spec *stepSpec) error {
 	err := e.serveStep(spec, at)
 
 	if o := e.cfg.Observer; o != nil {
-		o.RequestObserved(stepLabel(spec.kind), time.Since(t0), err != nil,
-			e.wsp.Stats().BytesAllocated-arena0)
+		o.Observe(obs.Event{Kind: obs.KindRequest, Name: stepLabel(spec.kind), Dur: time.Since(t0),
+			Failed: err != nil, Bytes: int64(e.wsp.Stats().BytesAllocated - arena0)})
 		if e.m != nil {
 			e.m.FlushSpans()
 		}

@@ -3,20 +3,18 @@ package matching_test
 import (
 	"reflect"
 	"testing"
-	"time"
 
 	"parlist/internal/list"
 	"parlist/internal/matching"
+	"parlist/internal/obs"
 	"parlist/internal/pram"
 )
 
-// nopObserver implements pram.Observer with empty bodies: the cheapest
-// possible observer, used to isolate the effect of merely attaching one.
+// nopObserver is an observer with an empty body: the cheapest possible
+// observer, used to isolate the effect of merely attaching one.
 type nopObserver struct{}
 
-func (nopObserver) RoundObserved(time.Duration, int)               {}
-func (nopObserver) BarrierWaitObserved(int, time.Duration)         {}
-func (nopObserver) PhaseObserved(string, time.Time, time.Duration) {}
+func (nopObserver) Observe(obs.Event) {}
 
 // runAll runs every matching algorithm on one machine and returns the
 // accumulated Stats plus the matchings (to confirm outputs, not just
@@ -77,7 +75,7 @@ func TestTracerPooledRoundAttribution(t *testing.T) {
 	l := list.RandomList(4096, 11)
 	run := func(ex pram.Exec) []pram.TraceEntry {
 		var tr pram.Tracer
-		m := pram.New(16, pram.WithExec(ex), pram.WithWorkers(4), pram.WithTracer(&tr))
+		m := pram.New(16, pram.WithExec(ex), pram.WithWorkers(4), pram.WithObserver(&tr))
 		defer m.Close()
 		if _, err := matching.Match4(m, l, nil, matching.Match4Config{I: 3}); err != nil {
 			t.Fatalf("%v: %v", ex, err)

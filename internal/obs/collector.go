@@ -13,15 +13,12 @@ import (
 // pool in this repository (worker counts track CPU cores).
 const MaxTrackedWorkers = 64
 
-// Collector receives the wall-clock observations the producing layers
-// emit and lands them in a Registry. It structurally satisfies
-// pram.Observer (round wall time, per-worker barrier waits, phase
-// spans), engine.EngineObserver (per-op request latency, arena churn),
-// engine.PoolObserver (queue wait/depth, shed) and
-// engine.SpanObserver (distributed-tracing spans, forwarded to an
-// attached SpanRecorder) — one Collector can be attached at all layers
-// at once, and every method is safe for concurrent use (the hot paths
-// are lock-free atomics).
+// Collector is the Observer that lands the event stream in a
+// Registry: each event kind feeds the metric families below, phase
+// events also reach an attached Trace, and span events an attached
+// SpanRecorder. One Collector can observe a whole pool — its engines
+// and their machines — at once, and it is safe for concurrent use (the
+// hot paths are lock-free atomics).
 //
 // Metric names (all durations in nanoseconds):
 //
@@ -73,15 +70,15 @@ type Collector struct {
 	queueDepth *Gauge
 	shed       *Counter
 
-	// Resilience layer (engine.ResilienceObserver). Per-engine series
-	// are lazily created like the per-worker barrier counters.
+	// Resilience layer. Per-engine series are lazily created like the
+	// per-worker barrier counters.
 	deadlineExceeded *Counter
 	quarantineNs     *Histogram
 	engRetries       [MaxTrackedWorkers]atomic.Pointer[Counter]
 	engBreakers      [MaxTrackedWorkers]atomic.Pointer[breakerSeries]
 
-	// Sharded-execution layer (engine.ShardObserver). Step-wall series
-	// are labelled by plan-step kind, lazily like phaseNs.
+	// Sharded-execution layer. Step-wall series are labelled by
+	// plan-step kind, lazily like phaseNs.
 	shardedReqs     *Counter
 	shardSegments   *Counter
 	exchangeBytes   *Counter
@@ -126,36 +123,81 @@ func (c *Collector) AttachTrace(t *Trace) { c.trace = t }
 
 // AttachSpans directs request-scoped distributed-tracing spans into r
 // (nil detaches). Like AttachTrace this is a side channel: with no
-// recorder attached SpanObserved is a nil-check no-op, so the
-// zero-allocation request path is untouched. Attach before serving
-// traffic — the field is not synchronized against in-flight requests.
+// recorder attached span events are dropped, so the zero-allocation
+// request path is untouched. Attach before serving traffic — the field
+// is not synchronized against in-flight requests.
 func (c *Collector) AttachSpans(r *SpanRecorder) { c.spans = r }
 
-// Spans returns the attached span recorder (nil when detached).
-func (c *Collector) Spans() *SpanRecorder { return c.spans }
-
-// SpanObserved implements the producers' span hook (engine.SpanObserver):
-// one completed span of a sampled trace. spanID 0 asks the recorder to
-// mint an id; parentID 0 marks the trace's root span and triggers its
-// tail-sampling keep/drop decision. With no recorder attached the call
-// is a no-op.
-func (c *Collector) SpanObserved(traceHi, traceLo, spanID, parentID uint64,
-	name string, shard, attempt int, start time.Time, d time.Duration, status string) {
-	r := c.spans
-	if r == nil {
-		return
+// Observe implements Observer: it lands each event kind in the metric
+// families that kind feeds. Charge events feed none.
+func (c *Collector) Observe(e Event) {
+	switch e.Kind {
+	case KindParFor, KindProc:
+		c.roundWall.Observe(e.Dur.Nanoseconds())
+		c.rounds.Inc()
+	case KindBarrierWait:
+		c.BarrierWaitObserved(e.Index, e.Dur)
+	case KindPhase:
+		v, ok := c.phaseNs.Load(e.Name)
+		if !ok {
+			v, _ = c.phaseNs.LoadOrStore(e.Name,
+				c.reg.Counter("parlist_phase_wall_ns_total", "cumulative wall time per algorithm phase", "phase", e.Name))
+		}
+		v.(*Counter).Add(e.Dur.Nanoseconds())
+		if t := c.trace; t != nil {
+			t.Span(e.Name, "phase", 1, e.Start, e.Dur)
+		}
+	case KindRequest:
+		c.RequestLatency(e.Name).Observe(e.Dur.Nanoseconds())
+		c.requests.Inc()
+		if e.Failed {
+			c.failures.Inc()
+		}
+		if e.Bytes > 0 {
+			c.arenaBytes.Add(e.Bytes)
+		}
+	case KindEnqueue:
+		c.queueDepth.Set(int64(e.N))
+	case KindDequeue:
+		c.queueWait.Observe(e.Dur.Nanoseconds())
+		c.queueDepth.Set(int64(e.N))
+	case KindShed:
+		c.shed.Inc()
+	case KindRetry:
+		if e.Index >= 0 && e.Index < MaxTrackedWorkers {
+			c.retries(e.Index).Inc()
+		}
+	case KindDeadline:
+		c.deadlineExceeded.Inc()
+	case KindBreaker:
+		if e.Index >= 0 && e.Index < MaxTrackedWorkers {
+			b := c.breaker(e.Index)
+			b.state.Set(int64(e.N))
+			if e.N == 1 { // entering open
+				b.trips.Inc()
+			}
+		}
+	case KindQuarantine:
+		c.quarantineNs.Observe(e.Dur.Nanoseconds())
+	case KindShardedRequest:
+		c.shardedReqs.Inc()
+		c.shardSegments.Add(int64(e.N))
+		c.exchangeBytes.Add(e.Bytes)
+		c.shardImbalance.Observe(e.Permille)
+	case KindShardStep:
+		v, ok := c.shardStepWall.Load(e.Name)
+		if !ok {
+			v, _ = c.shardStepWall.LoadOrStore(e.Name,
+				c.reg.Histogram("parlist_shard_step_wall_ns", "engine service time per sharded plan step", "kind", e.Name))
+		}
+		v.(*Histogram).Observe(e.Dur.Nanoseconds())
+		c.shardStepsTotal.Inc()
+		c.shardBarrier.Observe(e.Wait.Nanoseconds())
+	case KindSpan:
+		if r := c.spans; r != nil {
+			r.Record(e.Span)
+		}
 	}
-	r.Record(Span{
-		TraceHi: traceHi, TraceLo: traceLo, SpanID: spanID, ParentID: parentID,
-		Name: name, Shard: shard, Attempt: attempt, Start: start, Dur: d, Status: status,
-	})
-}
-
-// RoundObserved implements the simulator's round hook: one synchronous
-// primitive took wall time for items items.
-func (c *Collector) RoundObserved(wall time.Duration, items int) {
-	c.roundWall.Observe(wall.Nanoseconds())
-	c.rounds.Inc()
 }
 
 // workerCounters is one participant's barrier-wait counter pair. Both
@@ -184,8 +226,8 @@ func (c *Collector) worker(q int) *workerCounters {
 	return w
 }
 
-// BarrierWaitObserved implements the executor's barrier hook: one
-// participant (worker 0 = coordinator) waited wall at a barrier.
+// BarrierWaitObserved lands one KindBarrierWait event: participant
+// worker (0 = coordinator) waited wall at a barrier.
 func (c *Collector) BarrierWaitObserved(worker int, wall time.Duration) {
 	ns := wall.Nanoseconds()
 	c.barrierWait.Observe(ns)
@@ -196,22 +238,8 @@ func (c *Collector) BarrierWaitObserved(worker int, wall time.Duration) {
 	}
 }
 
-// PhaseObserved implements the simulator's phase hook: the named
-// accounting phase ran as one wall-clock span.
-func (c *Collector) PhaseObserved(name string, start time.Time, wall time.Duration) {
-	v, ok := c.phaseNs.Load(name)
-	if !ok {
-		v, _ = c.phaseNs.LoadOrStore(name,
-			c.reg.Counter("parlist_phase_wall_ns_total", "cumulative wall time per algorithm phase", "phase", name))
-	}
-	v.(*Counter).Add(wall.Nanoseconds())
-	if t := c.trace; t != nil {
-		t.Span(name, "phase", 1, start, wall)
-	}
-}
-
 // RequestLatency returns the request-latency histogram for one op,
-// creating it on first use — the same instance RequestObserved feeds.
+// creating it on first use — the same instance request events feed.
 func (c *Collector) RequestLatency(op string) *Histogram {
 	v, ok := c.reqLat.Load(op)
 	if !ok {
@@ -221,53 +249,16 @@ func (c *Collector) RequestLatency(op string) *Histogram {
 	return v.(*Histogram)
 }
 
-// RequestObserved implements the engine's request hook: one request of
-// the named op finished after wall, allocating arenaBytes fresh bytes
-// in the workspace arena.
-func (c *Collector) RequestObserved(op string, wall time.Duration, failed bool, arenaBytes uint64) {
-	c.RequestLatency(op).Observe(wall.Nanoseconds())
-	c.requests.Inc()
-	if failed {
-		c.failures.Inc()
-	}
-	if arenaBytes > 0 {
-		c.arenaBytes.Add(int64(arenaBytes))
-	}
-}
-
-// EnqueueObserved implements the pool's admission hook.
-func (c *Collector) EnqueueObserved(depth int) {
-	c.queueDepth.Set(int64(depth))
-}
-
-// DequeueObserved implements the pool's service-start hook: a request
-// waited wait in its shard queue, which now holds depth entries.
-func (c *Collector) DequeueObserved(wait time.Duration, depth int) {
-	c.queueWait.Observe(wait.Nanoseconds())
-	c.queueDepth.Set(int64(depth))
-}
-
-// ShedObserved implements the pool's overload hook.
-func (c *Collector) ShedObserved() { c.shed.Inc() }
-
-// RetryObserved implements the pool's resilience hook: one retry was
-// scheduled after a transient failure on the given engine.
-func (c *Collector) RetryObserved(engine int) {
-	if engine < 0 || engine >= MaxTrackedWorkers {
-		return
-	}
+// retries returns engine's lazily created retry counter.
+func (c *Collector) retries(engine int) *Counter {
 	ctr := c.engRetries[engine].Load()
 	if ctr == nil {
 		ctr = c.reg.Counter("parlist_retries_total",
 			"transient-failure retries scheduled, by failing engine", "engine", strconv.Itoa(engine))
 		c.engRetries[engine].Store(ctr)
 	}
-	ctr.Inc()
+	return ctr
 }
-
-// DeadlineExceededObserved implements the pool's resilience hook: one
-// request failed past its deadline budget.
-func (c *Collector) DeadlineExceededObserved() { c.deadlineExceeded.Inc() }
 
 // breakerSeries is one engine's breaker gauge and trips counter, built
 // together and published as one pointer like workerCounters.
@@ -276,13 +267,8 @@ type breakerSeries struct {
 	trips *Counter
 }
 
-// BreakerStateObserved implements the pool's resilience hook: the
-// engine's breaker entered the int-coded state (0 closed, 1 open, 2
-// half-open). Closed→open transitions also bump the trips counter.
-func (c *Collector) BreakerStateObserved(engine, state int) {
-	if engine < 0 || engine >= MaxTrackedWorkers {
-		return
-	}
+// breaker returns engine's lazily created breaker series.
+func (c *Collector) breaker(engine int) *breakerSeries {
 	b := c.engBreakers[engine].Load()
 	if b == nil {
 		label := strconv.Itoa(engine)
@@ -294,16 +280,7 @@ func (c *Collector) BreakerStateObserved(engine, state int) {
 		}
 		c.engBreakers[engine].Store(b)
 	}
-	b.state.Set(int64(state))
-	if state == 1 {
-		b.trips.Inc()
-	}
-}
-
-// QuarantineObserved implements the pool's resilience hook: the engine
-// was readmitted d after its breaker opened.
-func (c *Collector) QuarantineObserved(engine int, d time.Duration) {
-	c.quarantineNs.Observe(d.Nanoseconds())
+	return b
 }
 
 // QueueWait returns the pool queue-wait histogram.
@@ -314,31 +291,6 @@ func (c *Collector) BarrierWait() *Histogram { return c.barrierWait }
 
 // RoundWall returns the per-round wall-time histogram.
 func (c *Collector) RoundWall() *Histogram { return c.roundWall }
-
-// ShardedRequestObserved implements the pool's sharded-plan hook: one
-// ShardedDo request completed with the given fan-out, reduced-list
-// segment count, boundary-exchange volume and contract-stage imbalance
-// (slowest shard over mean shard wall, ×1000).
-func (c *Collector) ShardedRequestObserved(shards, segments int, exchangeBytes, imbalancePermille int64) {
-	c.shardedReqs.Inc()
-	c.shardSegments.Add(int64(segments))
-	c.exchangeBytes.Add(exchangeBytes)
-	c.shardImbalance.Observe(imbalancePermille)
-}
-
-// ShardStepObserved implements the pool's per-step hook: one plan step
-// of the given kind ran on an engine for wall of service time, then
-// waited barrierWait for the slowest step of its stage.
-func (c *Collector) ShardStepObserved(kind string, shard int, wall, barrierWait time.Duration) {
-	v, ok := c.shardStepWall.Load(kind)
-	if !ok {
-		v, _ = c.shardStepWall.LoadOrStore(kind,
-			c.reg.Histogram("parlist_shard_step_wall_ns", "engine service time per sharded plan step", "kind", kind))
-	}
-	v.(*Histogram).Observe(wall.Nanoseconds())
-	c.shardStepsTotal.Inc()
-	c.shardBarrier.Observe(barrierWait.Nanoseconds())
-}
 
 // ExchangeBytesTotal reports the cumulative boundary-exchange volume —
 // the raw material of E20's volume-versus-bound measurements.

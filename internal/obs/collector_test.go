@@ -16,16 +16,20 @@ func TestCollectorFeedsRegistry(t *testing.T) {
 	c.AttachTrace(tr)
 
 	start := time.Now()
-	c.RoundObserved(5*time.Microsecond, 100)
-	c.BarrierWaitObserved(0, time.Microsecond)
-	c.BarrierWaitObserved(3, 2*time.Microsecond)
-	c.PhaseObserved("partition", start, 10*time.Microsecond)
-	c.PhaseObserved("column-sort", start, 20*time.Microsecond)
-	c.RequestObserved("matching", time.Millisecond, false, 4096)
-	c.RequestObserved("rank", 2*time.Millisecond, true, 0)
-	c.EnqueueObserved(3)
-	c.DequeueObserved(50*time.Microsecond, 2)
-	c.ShedObserved()
+	for _, e := range []Event{
+		{Kind: KindParFor, Dur: 5 * time.Microsecond, N: 100},
+		{Kind: KindBarrierWait, Index: 0, Dur: time.Microsecond},
+		{Kind: KindBarrierWait, Index: 3, Dur: 2 * time.Microsecond},
+		{Kind: KindPhase, Name: "partition", Start: start, Dur: 10 * time.Microsecond},
+		{Kind: KindPhase, Name: "column-sort", Start: start, Dur: 20 * time.Microsecond},
+		{Kind: KindRequest, Name: "matching", Dur: time.Millisecond, Bytes: 4096},
+		{Kind: KindRequest, Name: "rank", Dur: 2 * time.Millisecond, Failed: true},
+		{Kind: KindEnqueue, N: 3},
+		{Kind: KindDequeue, Dur: 50 * time.Microsecond, N: 2},
+		{Kind: KindShed},
+	} {
+		c.Observe(e)
+	}
 
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {
@@ -60,10 +64,10 @@ func TestCollectorShardedMetrics(t *testing.T) {
 	reg := NewRegistry()
 	c := NewCollector(reg)
 
-	c.ShardStepObserved("step-contract", 0, 4*time.Microsecond, time.Microsecond)
-	c.ShardStepObserved("step-contract", 1, 5*time.Microsecond, 0)
-	c.ShardStepObserved("step-solve", 0, 2*time.Microsecond, 0)
-	c.ShardedRequestObserved(2, 3, 96, 1250)
+	c.Observe(Event{Kind: KindShardStep, Name: "step-contract", Index: 0, Dur: 4 * time.Microsecond, Wait: time.Microsecond})
+	c.Observe(Event{Kind: KindShardStep, Name: "step-contract", Index: 1, Dur: 5 * time.Microsecond})
+	c.Observe(Event{Kind: KindShardStep, Name: "step-solve", Index: 0, Dur: 2 * time.Microsecond})
+	c.Observe(Event{Kind: KindShardedRequest, Index: 2, N: 3, Bytes: 96, Permille: 1250})
 
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {
@@ -99,12 +103,12 @@ func TestCollectorConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				c.RoundObserved(time.Duration(i), i)
-				c.BarrierWaitObserved(w, time.Duration(i))
-				c.RequestObserved("matching", time.Duration(i), i%7 == 0, uint64(i))
-				c.DequeueObserved(time.Duration(i), i%4)
-				c.ShardStepObserved("step-contract", w, time.Duration(i), time.Duration(i))
-				c.ShardedRequestObserved(4, i, int64(32*i), 1000)
+				c.Observe(Event{Kind: KindParFor, Dur: time.Duration(i), N: i})
+				c.Observe(Event{Kind: KindBarrierWait, Index: w, Dur: time.Duration(i)})
+				c.Observe(Event{Kind: KindRequest, Name: "matching", Dur: time.Duration(i), Failed: i%7 == 0, Bytes: int64(i)})
+				c.Observe(Event{Kind: KindDequeue, Dur: time.Duration(i), N: i % 4})
+				c.Observe(Event{Kind: KindShardStep, Name: "step-contract", Index: w, Dur: time.Duration(i), Wait: time.Duration(i)})
+				c.Observe(Event{Kind: KindShardedRequest, Index: 4, N: i, Bytes: int64(32 * i), Permille: 1000})
 			}
 		}(w)
 	}
@@ -133,8 +137,8 @@ func TestCollectorFirstCallRace(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				<-start
-				c.BarrierWaitObserved(1, time.Microsecond)
-				c.BreakerStateObserved(1, 1)
+				c.Observe(Event{Kind: KindBarrierWait, Index: 1, Dur: time.Microsecond})
+				c.Observe(Event{Kind: KindBreaker, Index: 1, N: 1})
 			}()
 		}
 		close(start)

@@ -2,15 +2,16 @@
 // metrics core (atomic counters, gauges, and log-linear latency
 // histograms with a lock-free zero-allocation Observe hot path), a
 // Registry that renders everything in Prometheus text format, a Chrome
-// trace-event span log viewable in Perfetto, and a Collector that
-// receives the wall-clock observations the pram/engine layers emit.
+// trace-event span log viewable in Perfetto, and the event stream the
+// pram and engine layers emit (event.go) with the Collector that
+// consumes it.
 //
 // The package imports only the standard library and none of the other
-// parlist packages. The producing layers (pram.Machine, engine.Engine,
-// engine.EnginePool) each declare a small observer interface over basic
-// types; Collector satisfies all of them structurally, so observation
-// flows producer → Collector → Registry without an import cycle and
-// without the simulator depending on the metrics code.
+// parlist packages. The producers (pram.Machine, engine.Engine,
+// engine.EnginePool) import it for Observer and Event, and send every
+// observation as one Event; consumers (Collector, pram.Tracer) switch
+// on its Kind. So observation flows producer → Observer → Registry
+// without the metrics code depending on the simulator.
 //
 // Observation is a wall-clock side channel only: with no observer
 // attached every producer hook is a nil-check no-op, the simulated

@@ -55,8 +55,14 @@ func NewRegistry() *Registry {
 	return &Registry{fams: make(map[string]*family)}
 }
 
+// labelEscaper escapes a label value the way text format 0.0.4
+// defines: backslash, double quote and newline, and nothing else.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
 // labelKey renders alternating key/value pairs as a canonical
-// `k1="v1",k2="v2"` string (empty for no labels).
+// `k1="v1",k2="v2"` string (empty for no labels). Values may come from
+// clients (tenant names), so invalid UTF-8 becomes U+FFFD and only the
+// three defined escapes are written.
 func labelKey(labels []string) string {
 	if len(labels) == 0 {
 		return ""
@@ -69,7 +75,10 @@ func labelKey(labels []string) string {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, "%s=%q", labels[i], labels[i+1])
+		b.WriteString(labels[i])
+		b.WriteString(`="`)
+		labelEscaper.WriteString(&b, strings.ToValidUTF8(labels[i+1], "\uFFFD"))
+		b.WriteByte('"')
 	}
 	return b.String()
 }

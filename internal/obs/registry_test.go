@@ -4,6 +4,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 func TestRegistryIdempotentConstructors(t *testing.T) {
@@ -150,5 +151,41 @@ func TestFamiliesSorted(t *testing.T) {
 	fams := r.Families()
 	if len(fams) != 2 || fams[0] != "aaa" || fams[1] != "zzz" {
 		t.Errorf("families = %v", fams)
+	}
+}
+
+// TestLabelValueEscaping renders client-chosen label values — control
+// bytes, invalid UTF-8, a quote, a backslash and a newline — and checks
+// the exposition stays inside text format 0.0.4: every backslash starts
+// one of its three escapes (\\, \" or \n), and the page is valid UTF-8.
+// Plain values render as they always have.
+func TestLabelValueEscaping(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("shed_total", "", "tenant", "a\tb\x01\xff\"q\\s\nn", "cause", "over_limit").Inc()
+	r.Counter("shed_total", "", "tenant", "hog", "cause", "over_limit").Inc()
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	text := b.String()
+	if !utf8.ValidString(text) {
+		t.Errorf("exposition is not valid UTF-8:\n%q", text)
+	}
+	for i := 0; i < len(text); i++ {
+		if text[i] != '\\' {
+			continue
+		}
+		if i+1 == len(text) || !strings.ContainsRune(`\"n`, rune(text[i+1])) {
+			t.Fatalf("undefined escape at byte %d:\n%q", i, text)
+		}
+		i++
+	}
+	for _, want := range []string{
+		"shed_total{tenant=\"a\tb\x01\uFFFD\\\"q\\\\s\\nn\",cause=\"over_limit\"} 1\n",
+		`shed_total{tenant="hog",cause="over_limit"} 1` + "\n",
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("exposition missing %q:\n%q", want, text)
+		}
 	}
 }

@@ -10,7 +10,7 @@ import (
 // the per-phase accounting table after two named phases run.
 func ExampleTracer() {
 	var tr pram.Tracer
-	m := pram.New(4, pram.WithTracer(&tr))
+	m := pram.New(4, pram.WithObserver(&tr))
 	defer m.Close()
 
 	m.Phase("fill")

@@ -36,6 +36,7 @@ import (
 	"runtime"
 	"time"
 
+	"parlist/internal/obs"
 	"parlist/internal/ws"
 )
 
@@ -158,16 +159,15 @@ type Machine struct {
 	vproc int
 
 	checked []resetter
-	tracer  *Tracer
 	notes   []string
 
-	// obsv receives wall-clock observations (observe.go); phaseStart is
+	// obsv receives the machine's events (observe.go); phaseStart is
 	// the opening instant of the current phase span, zero while idle.
 	// Both are dead weight when no observer is attached: every hook site
 	// nil-checks obsv first, so the unobserved hot path costs one
 	// predictable branch and the simulated accounting is bit-identical
 	// either way.
-	obsv       Observer
+	obsv       obs.Observer
 	phaseStart time.Time
 
 	// deadline is the absolute abort instant armed by SetDeadline (zero
@@ -451,7 +451,9 @@ func (m *Machine) Charge(t, w int64) {
 		panic("pram: negative charge")
 	}
 	m.charge(t, w)
-	m.tracer.record(m, KindCharge, 0, t, w)
+	if m.obsv != nil {
+		m.obsv.Observe(obs.Event{Kind: obs.KindCharge, Name: m.phases[m.curPhase].Name, Time: t, Work: w})
+	}
 }
 
 // ceilDiv returns ⌈a/b⌉ for a ≥ 0, b ≥ 1.
@@ -466,37 +468,7 @@ func (m *Machine) ParFor(n int, body func(i int)) {
 	if n <= 0 {
 		return
 	}
-	if !m.deadline.IsZero() {
-		m.abortDeadline()
-	}
-	var t0 time.Time
-	if m.obsv != nil {
-		t0 = time.Now()
-	}
-	c := ceilDiv(int64(n), int64(m.p))
-	m.beginRound()
-	if !m.dispatch(n, body) {
-		if m.checked != nil {
-			// Drive virtual time so CheckedArray sees the true PRAM
-			// schedule: item i runs on processor i/c at local step i mod c.
-			for i := 0; i < n; i++ {
-				m.vtime = m.round + int64(i)%c
-				m.vproc = int(int64(i) / c)
-				body(i)
-			}
-		} else {
-			for i := 0; i < n; i++ {
-				body(i)
-			}
-		}
-	}
-	m.round += c
-	m.vtime = m.round
-	m.charge(c, int64(n))
-	m.tracer.record(m, KindParFor, n, c, int64(n))
-	if m.obsv != nil {
-		m.obsv.RoundObserved(time.Since(t0), n)
-	}
+	m.runRound(obs.KindParFor, n, ceilDiv(int64(n), int64(m.p)), 1, body)
 }
 
 // ParForCost is ParFor for bodies that each perform up to `cost` unit
@@ -510,68 +482,13 @@ func (m *Machine) ParForCost(n int, cost int64, body func(i int)) {
 	if cost < 1 {
 		panic("pram: ParForCost with cost < 1")
 	}
-	if !m.deadline.IsZero() {
-		m.abortDeadline()
-	}
-	var t0 time.Time
-	if m.obsv != nil {
-		t0 = time.Now()
-	}
-	c := ceilDiv(int64(n), int64(m.p))
-	m.beginRound()
-	if !m.dispatch(n, body) {
-		if m.checked != nil {
-			for i := 0; i < n; i++ {
-				m.vtime = m.round + (int64(i)%c)*cost
-				m.vproc = int(int64(i) / c)
-				body(i)
-			}
-		} else {
-			for i := 0; i < n; i++ {
-				body(i)
-			}
-		}
-	}
-	m.round += c * cost
-	m.vtime = m.round
-	m.charge(c*cost, int64(n)*cost)
-	m.tracer.record(m, KindParFor, n, c*cost, int64(n)*cost)
-	if m.obsv != nil {
-		m.obsv.RoundObserved(time.Since(t0), n)
-	}
+	m.runRound(obs.KindParFor, n, ceilDiv(int64(n), int64(m.p)), cost, body)
 }
 
 // ProcFor runs one unit-cost operation on each of the p processors:
 // 1 time step, p work. body receives the processor index.
 func (m *Machine) ProcFor(body func(q int)) {
-	if !m.deadline.IsZero() {
-		m.abortDeadline()
-	}
-	var t0 time.Time
-	if m.obsv != nil {
-		t0 = time.Now()
-	}
-	m.beginRound()
-	if !m.dispatch(m.p, body) {
-		if m.checked != nil {
-			m.vtime = m.round
-			for q := 0; q < m.p; q++ {
-				m.vproc = q
-				body(q)
-			}
-		} else {
-			for q := 0; q < m.p; q++ {
-				body(q)
-			}
-		}
-	}
-	m.round++
-	m.vtime = m.round
-	m.charge(1, int64(m.p))
-	m.tracer.record(m, KindProc, m.p, 1, int64(m.p))
-	if m.obsv != nil {
-		m.obsv.RoundObserved(time.Since(t0), m.p)
-	}
+	m.runRound(obs.KindProc, m.p, 1, 1, body)
 }
 
 // ProcRun runs a local procedure of `steps` sequential unit operations
@@ -582,6 +499,13 @@ func (m *Machine) ProcRun(steps int64, body func(q int)) {
 	if steps < 0 {
 		panic("pram: ProcRun with negative steps")
 	}
+	m.runRound(obs.KindProc, m.p, 1, steps, body)
+}
+
+// runRound is the one body of the four synchronous primitives: n items
+// in chunks of c, item i running on processor i/c at local step
+// (i mod c)·cost, charged c·cost time and n·cost work.
+func (m *Machine) runRound(kind obs.Kind, n int, c, cost int64, body func(i int)) {
 	if !m.deadline.IsZero() {
 		m.abortDeadline()
 	}
@@ -590,25 +514,28 @@ func (m *Machine) ProcRun(steps int64, body func(q int)) {
 		t0 = time.Now()
 	}
 	m.beginRound()
-	if !m.dispatch(m.p, body) {
+	if !m.dispatch(n, body) {
 		if m.checked != nil {
-			m.vtime = m.round
-			for q := 0; q < m.p; q++ {
-				m.vproc = q
-				body(q)
+			// Drive virtual time so CheckedArray sees the true PRAM
+			// schedule.
+			for i := 0; i < n; i++ {
+				m.vtime = m.round + int64(i)%c*cost
+				m.vproc = int(int64(i) / c)
+				body(i)
 			}
 		} else {
-			for q := 0; q < m.p; q++ {
-				body(q)
+			for i := 0; i < n; i++ {
+				body(i)
 			}
 		}
 	}
-	m.round += steps
+	t, w := c*cost, int64(n)*cost
+	m.round += t
 	m.vtime = m.round
-	m.charge(steps, int64(m.p)*steps)
-	m.tracer.record(m, KindProc, m.p, steps, int64(m.p)*steps)
+	m.charge(t, w)
 	if m.obsv != nil {
-		m.obsv.RoundObserved(time.Since(t0), m.p)
+		m.obsv.Observe(obs.Event{Kind: kind, Name: m.phases[m.curPhase].Name,
+			N: n, Time: t, Work: w, Dur: time.Since(t0)})
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"runtime/debug"
 	"time"
+
+	"parlist/internal/obs"
 )
 
 // This file is the Native executor's runtime: RunTeam, an SPMD ("single
@@ -155,7 +157,7 @@ func (p *pool) runTeam(body func(*TeamCtx)) error {
 	}
 	<-p.done
 	if p.obsv != nil {
-		p.obsv.BarrierWaitObserved(0, time.Since(t0))
+		p.obsv.Observe(obs.Event{Kind: obs.KindBarrierWait, Dur: time.Since(t0)})
 	}
 	p.rounds++
 	p.spmd = nil

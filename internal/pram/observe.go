@@ -1,41 +1,23 @@
 package pram
 
-import "time"
+import (
+	"time"
 
-// Observer receives wall-clock observations from a Machine — the side
-// channel that makes the simulator's real-time behaviour (dispatch
-// overhead, barrier-wait imbalance, phase durations) measurable without
-// touching the simulated accounting. The interface deliberately uses
-// only basic types so implementations (internal/obs.Collector) need not
-// import pram.
-//
-// Contract: observation must never change observable machine behaviour.
-// With no observer attached every hook site is a nil-check no-op; with
-// one attached, the machine only reads clocks and calls these methods —
-// Stats (Time, Work, Phases, Notes) are bit-identical either way, which
-// the equivalence tests assert on every executor.
-//
-// BarrierWaitObserved is called concurrently from pool workers; the
-// other methods are called from the coordinating goroutine only.
-// Implementations must be safe for that mix.
-type Observer interface {
-	// RoundObserved reports the wall-clock duration of one synchronous
-	// primitive (ParFor, ParForCost, ProcFor, ProcRun) over items items.
-	RoundObserved(wall time.Duration, items int)
-	// BarrierWaitObserved reports one participant's wait at an executor
-	// synchronization point: worker 0 is the coordinator, worker q ≥ 1 a
-	// background pool worker. Fused batches report both the release and
-	// the completion barrier; single pooled rounds report the
-	// coordinator's wait for the slowest worker.
-	BarrierWaitObserved(worker int, wall time.Duration)
-	// PhaseObserved reports a completed accounting phase as a wall-clock
-	// span: the machine entered phase name at start and left it wall
-	// later (at the next Phase, Reset, or FlushSpans).
-	PhaseObserved(name string, start time.Time, wall time.Duration)
-}
+	"parlist/internal/obs"
+)
 
-// WithObserver attaches a wall-clock observer to the machine.
-func WithObserver(o Observer) Option {
+// WithObserver attaches an observer to the machine and its worker
+// pool: every round, charge, barrier wait and phase reaches it as one
+// obs.Event. A *Tracer is an observer, as is obs.Collector.
+//
+// Contract: observation must never change observable machine
+// behaviour. With no observer attached every hook site is a nil-check
+// no-op; with one attached, the machine only reads clocks and sends
+// events — Stats (Time, Work, Phases, Notes) are bit-identical either
+// way, which the equivalence tests assert on every executor. Barrier
+// waits are observed concurrently from pool workers; every other kind
+// comes from the coordinating goroutine.
+func WithObserver(o obs.Observer) Option {
 	return func(m *Machine) { m.obsv = o }
 }
 
@@ -43,7 +25,8 @@ func WithObserver(o Observer) Option {
 // next one. Only called with an observer attached.
 func (m *Machine) spanCut(now time.Time) {
 	if !m.phaseStart.IsZero() {
-		m.obsv.PhaseObserved(m.phases[m.curPhase].Name, m.phaseStart, now.Sub(m.phaseStart))
+		m.obsv.Observe(obs.Event{Kind: obs.KindPhase, Name: m.phases[m.curPhase].Name,
+			Start: m.phaseStart, Dur: now.Sub(m.phaseStart)})
 	}
 	m.phaseStart = now
 }

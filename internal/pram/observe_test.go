@@ -4,13 +4,12 @@ import (
 	"reflect"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"parlist/internal/obs"
 	"parlist/internal/pram"
 )
 
-// countObserver is a minimal pram.Observer that only counts callbacks,
+// countObserver is a minimal observer that only counts events by kind,
 // so equivalence tests can prove hooks fire without the weight of a
 // full collector.
 type countObserver struct {
@@ -19,9 +18,16 @@ type countObserver struct {
 	phases   atomic.Int64
 }
 
-func (o *countObserver) RoundObserved(wall time.Duration, items int)    { o.rounds.Add(1) }
-func (o *countObserver) BarrierWaitObserved(w int, d time.Duration)     { o.barriers.Add(1) }
-func (o *countObserver) PhaseObserved(string, time.Time, time.Duration) { o.phases.Add(1) }
+func (o *countObserver) Observe(e obs.Event) {
+	switch e.Kind {
+	case obs.KindParFor, obs.KindProc:
+		o.rounds.Add(1)
+	case obs.KindBarrierWait:
+		o.barriers.Add(1)
+	case obs.KindPhase:
+		o.phases.Add(1)
+	}
+}
 
 // workload drives every primitive the observer hooks: phased ParFor,
 // ParForCost, ProcFor, ProcRun, and a fused batch.

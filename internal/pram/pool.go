@@ -5,6 +5,8 @@ import (
 	"runtime/debug"
 	"sync/atomic"
 	"time"
+
+	"parlist/internal/obs"
 )
 
 // pool is the persistent executor behind Exec == Pooled: for a machine
@@ -76,7 +78,7 @@ type pool struct {
 	// obsv receives per-participant barrier-wait observations (worker 0
 	// = coordinator); nil means no measurement, so the unobserved spin
 	// paths never read a clock.
-	obsv Observer
+	obsv obs.Observer
 
 	// spmd is the team body published by RunTeam (native.go); teamCtxs
 	// are the pre-allocated per-party contexts (index 0 = coordinator),
@@ -278,7 +280,7 @@ func (p *pool) run(n int, body func(i int)) error {
 		}
 		<-p.done
 		if p.obsv != nil {
-			p.obsv.BarrierWaitObserved(0, time.Since(t0))
+			p.obsv.Observe(obs.Event{Kind: obs.KindBarrierWait, Dur: time.Since(t0)})
 		}
 	}
 	p.op.body = nil // do not retain the caller's closure between rounds
@@ -351,7 +353,7 @@ func (p *pool) workerBarrier(q int) bool {
 		p.arrived.Store(0)
 		p.gen.Add(1)
 		if p.obsv != nil {
-			p.obsv.BarrierWaitObserved(q+1, time.Since(t0))
+			p.obsv.Observe(obs.Event{Kind: obs.KindBarrierWait, Index: q + 1, Dur: time.Since(t0)})
 		}
 		return true
 	}
@@ -369,7 +371,7 @@ func (p *pool) workerBarrier(q int) bool {
 		}
 	}
 	if p.obsv != nil {
-		p.obsv.BarrierWaitObserved(q+1, time.Since(t0))
+		p.obsv.Observe(obs.Event{Kind: obs.KindBarrierWait, Index: q + 1, Dur: time.Since(t0)})
 	}
 	return true
 }
@@ -387,7 +389,7 @@ func (p *pool) coordBarrier() *BarrierStall {
 		p.arrived.Store(0)
 		p.gen.Add(1)
 		if p.obsv != nil {
-			p.obsv.BarrierWaitObserved(0, time.Since(t0))
+			p.obsv.Observe(obs.Event{Kind: obs.KindBarrierWait, Dur: time.Since(t0)})
 		}
 		return nil
 	}
@@ -422,7 +424,7 @@ func (p *pool) coordBarrier() *BarrierStall {
 		}
 	}
 	if p.obsv != nil {
-		p.obsv.BarrierWaitObserved(0, time.Since(t0))
+		p.obsv.Observe(obs.Event{Kind: obs.KindBarrierWait, Dur: time.Since(t0)})
 	}
 	return nil
 }

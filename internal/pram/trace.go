@@ -3,6 +3,9 @@ package pram
 import (
 	"fmt"
 	"strings"
+	"sync"
+
+	"parlist/internal/obs"
 )
 
 // RoundKind labels the synchronous primitive a trace entry records.
@@ -39,32 +42,40 @@ type TraceEntry struct {
 	Work  int64 // work charged
 }
 
-// Tracer collects a round-level log of a machine's execution. Attach
-// with WithTracer before running an algorithm; render with Summary or
-// Gantt.
+// Tracer collects a round-level log of a machine's execution from its
+// round and charge events. Attach it with WithObserver before running
+// an algorithm (or as an engine's or pool's Observer); render with
+// Summary or Gantt. It is safe for several machines at once, though
+// their rounds then interleave in the log.
 type Tracer struct {
+	mu      sync.Mutex
 	entries []TraceEntry
 }
 
-// WithTracer attaches a tracer to the machine.
-func WithTracer(t *Tracer) Option {
-	return func(m *Machine) { m.tracer = t }
+// Observe implements obs.Observer: it records round and charge events
+// and returns at once on every other kind.
+func (t *Tracer) Observe(e obs.Event) {
+	var k RoundKind
+	switch e.Kind {
+	case obs.KindParFor:
+		k = KindParFor
+	case obs.KindProc:
+		k = KindProc
+	case obs.KindCharge:
+		k = KindCharge
+	default:
+		return
+	}
+	t.mu.Lock()
+	t.entries = append(t.entries, TraceEntry{Phase: e.Name, Kind: k, Items: e.N, Time: e.Time, Work: e.Work})
+	t.mu.Unlock()
 }
 
 // Entries returns the recorded rounds.
-func (t *Tracer) Entries() []TraceEntry { return t.entries }
-
-func (t *Tracer) record(m *Machine, kind RoundKind, items int, time, work int64) {
-	if t == nil {
-		return
-	}
-	t.entries = append(t.entries, TraceEntry{
-		Phase: m.phases[m.curPhase].Name,
-		Kind:  kind,
-		Items: items,
-		Time:  time,
-		Work:  work,
-	})
+func (t *Tracer) Entries() []TraceEntry {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.entries
 }
 
 // Summary renders a per-phase table: rounds, time, work, and the share
@@ -78,7 +89,8 @@ func (t *Tracer) Summary() string {
 	order := []string{}
 	phases := map[string]*agg{}
 	var total int64
-	for _, e := range t.entries {
+	entries := t.Entries()
+	for _, e := range entries {
 		a := phases[e.Phase]
 		if a == nil {
 			a = &agg{}
@@ -100,7 +112,7 @@ func (t *Tracer) Summary() string {
 		}
 		fmt.Fprintf(&b, "%-16s %8d %12d %14d %6.1f%%\n", name, a.rounds, a.time, a.work, share)
 	}
-	fmt.Fprintf(&b, "%-16s %8d %12d\n", "total", len(t.entries), total)
+	fmt.Fprintf(&b, "%-16s %8d %12d\n", "total", len(entries), total)
 	return b.String()
 }
 
@@ -115,7 +127,7 @@ func (t *Tracer) Gantt(width int) string {
 	}
 	var segs []seg
 	var total int64
-	for _, e := range t.entries {
+	for _, e := range t.Entries() {
 		if len(segs) > 0 && segs[len(segs)-1].name == e.Phase {
 			segs[len(segs)-1].time += e.Time
 		} else {

@@ -7,7 +7,7 @@ import (
 
 func TestTracerRecordsRounds(t *testing.T) {
 	tr := &Tracer{}
-	m := New(4, WithTracer(tr))
+	m := New(4, WithObserver(tr))
 	m.Phase("alpha")
 	m.ParFor(10, func(i int) {})
 	m.ParForCost(4, 3, func(i int) {})
@@ -41,7 +41,7 @@ func TestTracerRecordsRounds(t *testing.T) {
 
 func TestTracerSummary(t *testing.T) {
 	tr := &Tracer{}
-	m := New(2, WithTracer(tr))
+	m := New(2, WithObserver(tr))
 	m.Phase("work")
 	m.ParFor(8, func(i int) {})
 	s := tr.Summary()
@@ -55,7 +55,7 @@ func TestTracerSummary(t *testing.T) {
 
 func TestTracerGantt(t *testing.T) {
 	tr := &Tracer{}
-	m := New(2, WithTracer(tr))
+	m := New(2, WithObserver(tr))
 	m.Phase("a")
 	m.ParFor(16, func(i int) {}) // 8 steps
 	m.Phase("b")

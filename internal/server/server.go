@@ -23,6 +23,11 @@ const TenantHeader = "X-Parlist-Tenant"
 // DefaultTenant is the bucket requests without a tenant land in.
 const DefaultTenant = "anonymous"
 
+// MaxTenantLen caps a tenant name's length in bytes. A longer name is
+// refused as invalid on both framings: names key the rate limiter's
+// buckets and the per-tenant shed series.
+const MaxTenantLen = 256
+
 // TraceHeader is the HTTP header carrying a request's trace context,
 // in obs.TraceContext.Header form (<32 hex trace>-<16 hex span>-<2 hex
 // flags>). The server parses it on the way in (garbage is ignored, not
@@ -269,6 +274,9 @@ func (s *Server) do(ctx context.Context, it *item, proto, tenant string) (obs.Tr
 	}
 	if n := req.List.Len(); n > s.cfg.MaxNodes {
 		return fail(StatusInvalid, fmt.Errorf("server: %d nodes exceeds limit %d", n, s.cfg.MaxNodes))
+	}
+	if len(tenant) > MaxTenantLen {
+		return fail(StatusInvalid, fmt.Errorf("server: %d-byte tenant name exceeds limit %d", len(tenant), MaxTenantLen))
 	}
 
 	it.ctx = ctx

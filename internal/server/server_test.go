@@ -20,6 +20,7 @@ import (
 	"parlist/internal/engine"
 	"parlist/internal/list"
 	"parlist/internal/matching"
+	"parlist/internal/obs"
 	"parlist/internal/pram"
 )
 
@@ -66,8 +67,8 @@ func newTestServer(t *testing.T, cfg Config) (*Server, string) {
 	return s, ln.Addr().String()
 }
 
-// parkObserver is a pool observer whose DequeueObserved parks the
-// first n dequeues until released. A parked request keeps its engine
+// parkObserver is a pool observer that parks the first n dequeue
+// events until released. A parked request keeps its engine
 // busy, which is how the tests make the batcher hold groups: it holds
 // one only while every engine is busy.
 type parkObserver struct {
@@ -82,9 +83,10 @@ type parkObserver struct {
 	free chan struct{}
 }
 
-func (o *parkObserver) EnqueueObserved(int) {}
-func (o *parkObserver) ShedObserved()       {}
-func (o *parkObserver) DequeueObserved(time.Duration, int) {
+func (o *parkObserver) Observe(e obs.Event) {
+	if e.Kind != obs.KindDequeue {
+		return
+	}
 	o.mu.Lock()
 	park := o.left > 0
 	if park {
@@ -445,6 +447,49 @@ func TestHTTPErrors(t *testing.T) {
 	s.Registry().WritePrometheus(&sb)
 	if !strings.Contains(sb.String(), `parlistd_tenant_shed_total{tenant="hog",cause="over_limit"} 1`) {
 		t.Errorf("shed counter missing:\n%s", sb.String())
+	}
+}
+
+// TestTenantNameCap: a tenant name one byte over MaxTenantLen is
+// invalid on both framings (HTTP 400), and a name at the cap is served.
+func TestTenantNameCap(t *testing.T) {
+	s, addr := newTestServer(t, Config{BatchSize: 1, MaxWait: time.Millisecond})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	l := &list.List{Next: []int{1, -1}}
+	for _, tc := range []struct {
+		n    int
+		http int
+		code byte
+	}{
+		{MaxTenantLen, http.StatusOK, StatusOK},
+		{MaxTenantLen + 1, http.StatusBadRequest, StatusInvalid},
+	} {
+		tenant := strings.Repeat("t", tc.n)
+		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/rank", strings.NewReader(`{"next": [1,-1]}`))
+		req.Header.Set(TenantHeader, tenant)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.http {
+			t.Errorf("HTTP, %d-byte tenant: status %d, want %d", tc.n, resp.StatusCode, tc.http)
+		}
+
+		c, err := Dial(addr, tenant)
+		if err != nil {
+			t.Fatalf("Dial: %v", err)
+		}
+		_, err = c.Do(context.Background(), engine.Request{Op: engine.OpRank, List: l})
+		c.Close()
+		var se *StatusError
+		switch {
+		case tc.code == StatusOK && err != nil:
+			t.Errorf("binary, %d-byte tenant: %v", tc.n, err)
+		case tc.code != StatusOK && (!errors.As(err, &se) || se.Code != tc.code):
+			t.Errorf("binary, %d-byte tenant: err = %v, want status invalid", tc.n, err)
+		}
 	}
 }
 

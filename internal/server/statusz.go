@@ -2,7 +2,7 @@ package server
 
 // /statusz is the human-facing live-introspection page: one request
 // shows the pool's per-engine load and breaker states, the coalescing
-// batcher's occupancy, every tenant's rate-limit fill, the recent
+// batcher's occupancy, each partly spent tenant bucket, the recent
 // sampled slow traces, and the latency exemplars that bridge /metrics
 // to /debug/traces. It renders plain text by default ("curl :8080/statusz"
 // reads naturally in a terminal) and minimal HTML with ?format=html.

@@ -130,7 +130,8 @@ type Options struct {
 	Seed int64
 	// Tracer, when non-nil, records a round-level execution log
 	// renderable with Tracer.Summary and Tracer.Gantt. Traced runs get
-	// a dedicated machine (traces never interleave across callers).
+	// a private engine with the Tracer as its Observer, so traces never
+	// interleave across callers.
 	Tracer *Tracer
 	// Rank selects the list-ranking scheme (default RankContraction).
 	Rank RankScheme
@@ -164,7 +165,7 @@ var (
 // per-executor default.
 func (o Options) engineFor() (*Engine, func()) {
 	if o.Tracer != nil {
-		e := NewEngine(EngineConfig{Exec: o.Exec, Tracer: o.Tracer})
+		e := NewEngine(EngineConfig{Exec: o.Exec, Observer: o.Tracer})
 		return e, func() { e.Close() }
 	}
 	defaultMu.Lock()
@@ -282,14 +283,17 @@ func Verify(l *List, in []bool) error { return matching.Verify(l, in) }
 //	}
 //
 // The per-call Options select algorithm, processor count and parameters
-// as usual; the executor and tracer are fixed by the EngineConfig at
-// construction and the corresponding Options fields are ignored.
+// as usual; the executor and observer are fixed by the EngineConfig at
+// construction and the corresponding Options fields (Exec, Tracer) are
+// ignored.
 type Engine struct {
 	e *engine.Engine
 }
 
 // EngineConfig shapes a dedicated engine (default processor count,
-// executor, real worker cap, watchdog, tracer).
+// executor, real worker cap, watchdog, observer). Its Observer receives
+// the engine's event stream; a *Tracer is one, so
+// EngineConfig{Observer: tr} logs every request's rounds into tr.
 type EngineConfig = engine.Config
 
 // EngineStats are an engine's cumulative counters: requests served,
