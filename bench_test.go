@@ -410,9 +410,9 @@ func BenchmarkFusedRounds(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if fused {
-					m.Batch(func(bt *pram.Batch) {
+					m.Batch(func() {
 						for r := 0; r < group; r++ {
-							bt.ParFor(n, func(int) {})
+							m.ParFor(n, func(int) {})
 						}
 					})
 				} else {

@@ -114,6 +114,9 @@ func run(args []string, out *os.File) error {
 	if *enginesN < 1 || *queueDepth < 1 || *p < 1 || *batch < 1 {
 		return usagef("-engines, -queue, -p and -batch must be >= 1")
 	}
+	if *p > engine.MaxProcessors {
+		return usagef("-p must be <= %d: the engines refuse more", engine.MaxProcessors)
+	}
 	exec, err := pram.ParseExec(*execFlag)
 	if err != nil {
 		return usageError{err}

@@ -107,6 +107,14 @@ func (o Op) String() string {
 // hours.
 const MaxIterations = 64
 
+// MaxProcessors caps the simulated processor count a request may ask
+// for. The simulated fallback sizes scratch by p — Match2's p×K count
+// matrix, scan's and LoadBalancedSuffix's per-processor arrays — so
+// without the cap one request could ask for hundreds of GiB and end the
+// process. 2^20 is above every p the experiments sweep (E3–E5 reach
+// 2^18, one processor per node).
+const MaxProcessors = 1 << 20
+
 // Typed request-validation errors. Callers test with errors.Is; the
 // returned errors carry request detail around these sentinels.
 var (
@@ -119,8 +127,10 @@ var (
 	// predecessors, or nodes unreachable from the head. It is
 	// list.ErrInvalid, which every structural validation error wraps.
 	ErrInvalidList = list.ErrInvalid
-	// ErrBadProcessors reports a negative simulated processor count.
-	ErrBadProcessors = errors.New("processors must be ≥ 1")
+	// ErrBadProcessors reports a simulated processor count outside
+	// [1, MaxProcessors]. It is checked before any machine work, on
+	// every executor.
+	ErrBadProcessors = fmt.Errorf("processors must be in [1, %d]", MaxProcessors)
 	// ErrUnknownAlgorithm reports an Algorithm outside the known set.
 	ErrUnknownAlgorithm = errors.New("unknown algorithm")
 	// ErrUnknownRankScheme reports a RankScheme outside the known set.
@@ -491,6 +501,18 @@ func (e *Engine) serveOne(req Request, res *Result, at time.Time) error {
 	return err
 }
 
+// procs resolves a request's processor count (0 = the engine's
+// default) and refuses one outside [1, MaxProcessors].
+func (e *Engine) procs(p int) (int, error) {
+	if p == 0 {
+		p = e.cfg.Processors
+	}
+	if p < 1 || p > MaxProcessors {
+		return 0, fmt.Errorf("engine: %d %w", p, ErrBadProcessors)
+	}
+	return p, nil
+}
+
 // serve runs one request under the semaphore. at is the absolute
 // deadline (zero = none).
 func (e *Engine) serve(req Request, res *Result, at time.Time) error {
@@ -500,12 +522,9 @@ func (e *Engine) serve(req Request, res *Result, at time.Time) error {
 	if req.List == nil {
 		return fmt.Errorf("engine: %w", ErrNilList)
 	}
-	p := req.Processors
-	if p == 0 {
-		p = e.cfg.Processors
-	}
-	if p < 1 {
-		return fmt.Errorf("engine: %d %w", p, ErrBadProcessors)
+	p, err := e.procs(req.Processors)
+	if err != nil {
+		return err
 	}
 	if e.cfg.Exec == pram.Native && req.Faults != nil {
 		return fmt.Errorf("engine: fault plans: %w", ErrNativeUnsupported)
@@ -536,7 +555,6 @@ func (e *Engine) serve(req Request, res *Result, at time.Time) error {
 	// When the native rank walker serves the request it certifies
 	// reachability itself (walk), so only the degree pass runs here.
 	hasPred := e.wsp.Words(list.DegreeWords(req.List.Len()))
-	var err error
 	if e.nativeWalks(&req) {
 		err = req.List.ValidateDegrees(hasPred)
 	} else {
@@ -777,9 +795,10 @@ func (e *Engine) dispatch(req Request, res *Result) (err error) {
 }
 
 // runMatching serves OpMatching. The default configuration (Match4,
-// iterated partition, MSB variant) takes the reusable Runner fast path;
-// every other selection falls back to the one-shot implementations on
-// the same machine.
+// iterated partition, MSB variant) runs on the engine's cached Runner —
+// the code matching.Match4 runs, with its round bodies bound once — or
+// on a native engine the NativeRunner kernel; every other selection
+// runs the one-shot implementations on the same machine.
 func (e *Engine) runMatching(req Request, res *Result) error {
 	m, l := e.m, req.List
 	n := l.Len()

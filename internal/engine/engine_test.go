@@ -377,6 +377,38 @@ func TestEngineValidation(t *testing.T) {
 	}
 }
 
+// TestProcessorCap: a processor count one over MaxProcessors is refused
+// with ErrBadProcessors before any machine work — Rebuilds unchanged —
+// on every executor, Match2 (whose scratch grows with p) included, and
+// the cap itself is served.
+func TestProcessorCap(t *testing.T) {
+	l := list.RandomList(64, 3)
+	for _, ex := range []pram.Exec{pram.Sequential, pram.Pooled, pram.Native} {
+		eng := New(Config{Exec: ex})
+		if _, err := eng.Run(bg, Request{List: l}); err != nil {
+			t.Fatalf("%v: warm-up: %v", ex, err)
+		}
+		before := eng.Stats().Rebuilds
+		for _, algo := range []Algorithm{"", AlgoMatch2} {
+			_, err := eng.Run(bg, Request{List: l, Algorithm: algo, Processors: MaxProcessors + 1})
+			if !errors.Is(err, ErrBadProcessors) {
+				t.Errorf("%v %q at cap+1: err = %v, want ErrBadProcessors", ex, algo, err)
+			}
+		}
+		if got := eng.Stats().Rebuilds; got != before {
+			t.Errorf("%v: Rebuilds %d → %d on refused requests", ex, before, got)
+		}
+		res, err := eng.Run(bg, Request{List: l, Processors: MaxProcessors})
+		if err != nil {
+			t.Fatalf("%v at the cap: %v", ex, err)
+		}
+		if err := matching.Verify(l, res.In); err != nil {
+			t.Errorf("%v at the cap: %v", ex, err)
+		}
+		eng.Close()
+	}
+}
+
 // TestEngineContextAndClose covers cancellation and shutdown.
 func TestEngineContextAndClose(t *testing.T) {
 	eng := New(Config{})

@@ -104,7 +104,7 @@ func (p *EnginePool) ShardedDo(ctx context.Context, req Request, shards int) (*R
 	if req.List == nil {
 		return nil, fmt.Errorf("engine pool: sharded request: %w", ErrNilList)
 	}
-	if req.Processors < 0 {
+	if req.Processors < 0 || req.Processors > MaxProcessors {
 		return nil, fmt.Errorf("engine pool: %d %w", req.Processors, ErrBadProcessors)
 	}
 	n := req.List.Len()

@@ -109,6 +109,10 @@ func TestShardedDoValidation(t *testing.T) {
 			_, err := pool.ShardedDo(bg, Request{Op: OpRank, List: l, Processors: -1}, 2)
 			return err
 		}, ErrBadProcessors},
+		{"processors over the cap", func() error {
+			_, err := pool.ShardedDo(bg, Request{Op: OpRank, List: l, Processors: MaxProcessors + 1}, 2)
+			return err
+		}, ErrBadProcessors},
 		{"unshardable op", func() error {
 			_, err := pool.ShardedDo(bg, Request{Op: OpMatching, List: l}, 2)
 			return err

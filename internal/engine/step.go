@@ -118,12 +118,9 @@ func (e *Engine) serveStep(spec *stepSpec, at time.Time) error {
 	if e.closed {
 		return fmt.Errorf("engine: %w", ErrClosed)
 	}
-	p := spec.procs
-	if p == 0 {
-		p = e.cfg.Processors
-	}
-	if p < 1 {
-		return fmt.Errorf("engine: %d %w", p, ErrBadProcessors)
+	p, err := e.procs(spec.procs)
+	if err != nil {
+		return err
 	}
 	if !at.IsZero() {
 		if now := time.Now(); now.After(at) {

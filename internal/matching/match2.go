@@ -105,13 +105,13 @@ func admitBySets(m *pram.Machine, l *list.List, keys, perm []int, K int) []bool 
 	// One fused group for the whole per-set admission sweep: up to K
 	// consecutive rounds with one pool wake (the set loop is Match2's
 	// round-count hot spot after the sort).
-	m.Batch(func(b *pram.Batch) {
+	m.Batch(func() {
 		for k := 0; k <= K-1; k++ {
 			lo, hi := start[k], end[k]
 			if lo >= hi {
 				continue
 			}
-			b.ParFor(hi-lo, func(i int) {
+			m.ParFor(hi-lo, func(i int) {
 				a := perm[lo+i]
 				s := l.Next[a]
 				if s == list.Nil {

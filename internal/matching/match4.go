@@ -7,8 +7,6 @@ import (
 	"parlist/internal/list"
 	"parlist/internal/partition"
 	"parlist/internal/pram"
-	"parlist/internal/sortint"
-	"parlist/internal/ws"
 )
 
 // Match4Config tunes the optimized algorithm of §3.
@@ -56,7 +54,8 @@ type Match4Config struct {
 //
 // Total time O(n·log i/p + log^(i) n + log i) with the table route
 // (Theorem 2), and O(n/p + log^(i) n) for constant i — optimal using up
-// to p = O(n / log^(i) n) processors (Theorem 1).
+// to p = O(n / log^(i) n) processors (Theorem 1). Each call builds a
+// Runner, Match4's one implementation; the engine keeps a warm one.
 func Match4(m *pram.Machine, l *list.List, e *partition.Evaluator, cfg Match4Config) (*Result, error) {
 	n := l.Len()
 	if cfg.I < 1 {
@@ -71,16 +70,17 @@ func Match4(m *pram.Machine, l *list.List, e *partition.Evaluator, cfg Match4Con
 	chargeEvaluatorReplication(m, e)
 
 	// Step 1: the partition (Lemma 5 table route or Lemma 3 iteration).
+	r, res := newRunner(m, cfg), new(Result)
 	if cfg.UseTable {
 		lab, rng, t, jr, err := PartitionTable(m, l, e, cfg.I, Match3Config{MaxTableSize: cfg.MaxTableSize, CRCWBuild: cfg.CRCWBuild})
 		if err != nil {
 			return nil, fmt.Errorf("match4: %w", err)
 		}
-		return match4Finish(m, l, lab, rng, jr, t.Size(), cfg)
+		r.finish(l, lab, rng, jr, t.Size(), res)
+		return res, nil
 	}
-	m.Phase("partition")
-	lab, K := PartitionIterated(m, l, e, cfg.I)
-	return match4Finish(m, l, lab, K, cfg.I, 0, cfg)
+	r.iterate(l, e, res)
+	return res, nil
 }
 
 // ScheduleMatching is §4's takeaway as a standalone primitive: "The
@@ -110,12 +110,10 @@ func ScheduleMatching(m *pram.Machine, l *list.List, lab []int, K int) (*Result,
 		lab = append([]int(nil), lab...)
 		lab[tail] = 0
 	}
-	r, err := match4Finish(m, l, lab, K, 0, 0, Match4Config{})
-	if err != nil {
-		return nil, err
-	}
-	r.Algorithm = "schedule"
-	return r, nil
+	res := new(Result)
+	newRunner(m, Match4Config{}).finish(l, lab, K, 0, 0, res)
+	res.Algorithm = "schedule"
+	return res, nil
 }
 
 // ErrBadSchedule is the sentinel every ScheduleMatching input error
@@ -170,196 +168,4 @@ func checkSchedule(l *list.List, lab []int, K int) error {
 		return badSchedule("matching: ScheduleMatching input is not a matching partition: %v", err)
 	}
 	return nil
-}
-
-// match4Finish runs steps 2–5 on a computed partition with label range K.
-func match4Finish(m *pram.Machine, l *list.List, lab []int, K, rounds, tableSize int, cfg Match4Config) (*Result, error) {
-	viaColoring := cfg.ViaColoring
-	n := l.Len()
-	// x rows = the label range (set numbers must lie in [0, x) for the
-	// WalkDown2 automaton); short final/only columns are handled by
-	// colLen, so x may exceed n for tiny lists.
-	x := K
-	if x < 2 {
-		x = 2
-	}
-	y := (n + x - 1) / x
-	// cell maps (column, row-within-column) to a storage index, and
-	// colLen gives the column height; together they partition the cells
-	// [0, n) exactly. The default column-major layout keeps each column
-	// contiguous; the row-major ablation strides it — identical step
-	// counts (the PRAM model is uniform), different cache behaviour.
-	cell := func(c, j int) int { return c*x + j }
-	colLen := func(c int) int {
-		lo := c * x
-		hi := lo + x
-		if hi > n {
-			hi = n
-		}
-		return hi - lo
-	}
-	if cfg.RowMajor {
-		cell = func(c, j int) int { return j*y + c }
-		colLen = func(c int) int {
-			full := n / y
-			if c < n%y {
-				full++
-			}
-			return full
-		}
-	}
-
-	// Step 2: per-column counting sorts. Before sorting, the node at a
-	// cell is the cell's own index; sorting permutes the column's
-	// pointers by set number. cellNode[idx] = node whose pointer occupies
-	// cell idx afterwards; rowOf[v] = the row of node v's cell;
-	// colKeys[c] = the column's sorted set numbers (the A array driving
-	// WalkDown2). Each column costs O(x); with p processors the round is
-	// ⌈y/p⌉·O(x) = O(n/p + x) time.
-	m.Phase("column-sort")
-	wk := m.Workspace()
-	cellNode := ws.IntsNoZero(wk, n) // the sort round writes every cell
-	rowOf := ws.IntsNoZero(wk, n)
-	colKeys := make([][]int, y)
-	// Flat per-column scratch, sliced by column index: columns touch
-	// disjoint ranges, so the parallel executors stay race-free, and the
-	// round performs O(1) allocations instead of O(y) per-column ones
-	// (the in-body counting sort still allocates its counters).
-	keyBuf := ws.IntsNoZero(wk, y*x)
-	nodeBuf := ws.IntsNoZero(wk, y*x)
-	permBuf := ws.IntsNoZero(wk, y*x)
-	countBuf := ws.IntsNoZero(wk, y*(x+1)) // SequentialByKeyInto zeroes its window
-	sortedBuf := ws.IntsNoZero(wk, n)
-	sortedOff := ws.IntsNoZero(wk, y+1)
-	sortedOff[0] = 0
-	for c := 0; c < y; c++ {
-		sortedOff[c+1] = sortedOff[c] + colLen(c)
-	}
-	sortCost := int64(4*x + 4)
-	m.ParForCost(y, sortCost, func(c int) {
-		ln := colLen(c)
-		keys := keyBuf[c*x : c*x+ln]
-		nodes := nodeBuf[c*x : c*x+ln]
-		for j := 0; j < ln; j++ {
-			v := cell(c, j)
-			nodes[j] = v
-			keys[j] = lab[v]
-		}
-		perm := sortint.SequentialByKeyInto(keys, x, permBuf[c*x:(c+1)*x], countBuf[c*(x+1):(c+1)*(x+1)])
-		sorted := sortedBuf[sortedOff[c]:sortedOff[c+1]]
-		for j := 0; j < ln; j++ {
-			v := nodes[perm[j]]
-			cellNode[cell(c, j)] = v
-			rowOf[v] = j
-			sorted[j] = keys[perm[j]]
-		}
-		colKeys[c] = sorted
-	})
-
-	pred := predPar(m, l)
-
-	isPtr := func(v int) bool { return l.Next[v] != list.Nil }
-	intraRow := func(v int) bool { return rowOf[v] == rowOf[l.Next[v]] }
-
-	// process(v) handles pointer ⟨v, suc(v)⟩ when its WalkDown step
-	// arrives. The schedule guarantees adjacent pointers are never
-	// processed in the same step, so both modes may read/update their
-	// neighbours' state without conflicts.
-	var process func(v int)
-	var color []int
-	var in []bool
-	if viaColoring {
-		// Paper-literal: greedy 3-colouring, converted by Match1 steps
-		// 3–4 afterwards.
-		color = ws.IntsNoZero(wk, n) // init round writes every cell
-		m.ParFor(n, func(v int) { color[v] = -1 })
-		process = func(v int) {
-			used := [3]bool{}
-			if p := pred[v]; p != list.Nil && color[p] >= 0 {
-				used[color[p]] = true
-			}
-			if s := l.Next[v]; isPtr(s) && color[s] >= 0 {
-				used[color[s]] = true
-			}
-			for c := 0; c < 3; c++ {
-				if !used[c] {
-					color[v] = c
-					return
-				}
-			}
-			panic("match4: no free colour (greedy invariant violated)")
-		}
-	} else {
-		// Direct admission: a pointer joins the matching iff neither
-		// endpoint is taken; every pointer is processed exactly once, so
-		// the result is maximal by the usual greedy argument.
-		in = ws.Bools(wk, n)
-		used := ws.Bools(wk, n)
-		process = func(v int) {
-			s := l.Next[v]
-			if !used[v] && !used[s] {
-				used[v] = true
-				used[s] = true
-				in[v] = true
-			}
-		}
-	}
-
-	// Step 3: WalkDown1 over inter-row pointers, row by row (Lemma 6).
-	// The x row sweeps are consecutive rounds over the same column range
-	// — one fused pool dispatch for the whole walk.
-	m.Phase("walkdown1")
-	m.Batch(func(b *pram.Batch) {
-		for r := 0; r < x; r++ {
-			b.ParFor(y, func(c int) {
-				if r >= colLen(c) {
-					return
-				}
-				v := cellNode[cell(c, r)]
-				if !isPtr(v) || intraRow(v) {
-					return
-				}
-				process(v)
-			})
-		}
-	})
-
-	// Step 4: WalkDown2 over intra-row pointers, 2x-1 pipelined steps
-	// (Lemma 7; Corollary 1 guarantees every cell is reached), likewise
-	// fused into a single dispatch group.
-	m.Phase("walkdown2")
-	states := make([]walkState, y)
-	m.Batch(func(b *pram.Batch) {
-		for step := 0; step <= 2*x-2; step++ {
-			b.ParFor(y, func(c int) {
-				r := states[c].advance(colKeys[c], colLen(c))
-				if r < 0 {
-					return
-				}
-				v := cellNode[cell(c, r)]
-				if !isPtr(v) || !intraRow(v) {
-					return
-				}
-				process(v)
-			})
-		}
-	})
-
-	// Step 5: in colouring mode, convert the proper 3-colouring into a
-	// maximal matching with Match1 steps 3–4; in direct mode the
-	// admission is already maximal.
-	if viaColoring {
-		m.Phase("cut+walk")
-		in = CutAndWalk(m, l, color, 3, pred)
-	}
-
-	return &Result{
-		Algorithm: "match4",
-		In:        in,
-		Size:      Count(in),
-		Sets:      K,
-		Rounds:    rounds,
-		TableSize: tableSize,
-		Stats:     m.Snapshot(),
-	}, nil
 }

@@ -294,17 +294,6 @@ func Step(m *pram.Machine, l *list.List, e *Evaluator, lab, aux, out []int) []in
 // identical values — tests assert this, and the discipline ablation
 // bench measures the 2× round cost EREW pays for exclusive reads.
 func StepWith(m *pram.Machine, l *list.List, e *Evaluator, d Discipline, lab, aux, out []int) []int {
-	return stepOn(m, l, e, d, lab, aux, out)
-}
-
-// parFor abstracts the dispatcher a step runs on: a *pram.Machine for
-// standalone steps, or a *pram.Batch so Iterate can fuse all k
-// applications into one worker-pool dispatch group.
-type parFor interface {
-	ParFor(n int, body func(i int))
-}
-
-func stepOn(px parFor, l *list.List, e *Evaluator, d Discipline, lab, aux, out []int) []int {
 	n := l.Len()
 	if len(lab) != n {
 		panic("partition: Step label length mismatch")
@@ -314,7 +303,7 @@ func stepOn(px parFor, l *list.List, e *Evaluator, d Discipline, lab, aux, out [
 	}
 	head := l.Head
 	if d == DisciplineCREW {
-		px.ParFor(n, func(v int) {
+		m.ParFor(n, func(v int) {
 			s := l.Next[v]
 			if s == list.Nil {
 				s = head
@@ -326,8 +315,8 @@ func stepOn(px parFor, l *list.List, e *Evaluator, d Discipline, lab, aux, out [
 	if aux == nil {
 		aux = make([]int, n)
 	}
-	px.ParFor(n, func(v int) { aux[v] = lab[v] })
-	px.ParFor(n, func(v int) {
+	m.ParFor(n, func(v int) { aux[v] = lab[v] })
+	m.ParFor(n, func(v int) {
 		s := l.Next[v]
 		if s == list.Nil {
 			s = head
@@ -361,9 +350,9 @@ func IterateWith(m *pram.Machine, l *list.List, e *Evaluator, k int, d Disciplin
 		aux = ws.IntsNoZero(w, n)
 	}
 	out := ws.IntsNoZero(w, n)
-	m.Batch(func(b *pram.Batch) {
+	m.Batch(func() {
 		for i := 0; i < k; i++ {
-			out = stepOn(b, l, e, d, lab, aux, out)
+			out = StepWith(m, l, e, d, lab, aux, out)
 			lab, out = out, lab
 		}
 	})

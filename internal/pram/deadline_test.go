@@ -66,11 +66,11 @@ func TestDeadlineAbortInsideBatchKeepsPoolHealthy(t *testing.T) {
 	before := runtime.NumGoroutine()
 	m := New(8, WithExec(Pooled), WithWorkers(4))
 	de := expectDeadlinePanic(t, func() {
-		m.Batch(func(b *Batch) {
-			b.ParFor(256, func(int) {})
-			b.ParFor(256, func(int) {})
+		m.Batch(func() {
+			m.ParFor(256, func(int) {})
+			m.ParFor(256, func(int) {})
 			m.SetDeadline(time.Now().Add(-time.Microsecond))
-			b.ParFor(256, func(int) {}) // aborts here, between fused rounds
+			m.ParFor(256, func(int) {}) // aborts here, between fused rounds
 		})
 	})
 	if de.Round == 0 {
@@ -86,8 +86,8 @@ func TestDeadlineAbortInsideBatchKeepsPoolHealthy(t *testing.T) {
 	m.SetDeadline(time.Time{})
 	m.Reset()
 	sum := make([]int64, 256)
-	m.Batch(func(b *Batch) {
-		b.ParFor(256, func(i int) { sum[i]++ })
+	m.Batch(func() {
+		m.ParFor(256, func(i int) { sum[i]++ })
 	})
 	for i, v := range sum {
 		if v != 1 {

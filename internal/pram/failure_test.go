@@ -38,8 +38,8 @@ func checkUsableInline(t *testing.T, m *Machine) {
 	t0, w0 := m.Time(), m.Work()
 	var total int32
 	m.ParFor(10, func(i int) { atomic.AddInt32(&total, 1) })
-	m.Batch(func(b *Batch) {
-		b.ParFor(10, func(i int) { atomic.AddInt32(&total, 1) })
+	m.Batch(func() {
+		m.ParFor(10, func(i int) { atomic.AddInt32(&total, 1) })
 	})
 	if total != 20 {
 		t.Fatalf("degraded machine visited %d of 20", total)
@@ -61,8 +61,8 @@ func TestFusedPanicRecovery(t *testing.T) {
 	var recovered any
 	func() {
 		defer func() { recovered = recover() }()
-		m.Batch(func(b *Batch) {
-			b.ParFor(n, func(i int) {
+		m.Batch(func() {
+			m.ParFor(n, func(i int) {
 				if i == 5000 {
 					panic("boom")
 				}
@@ -179,8 +179,8 @@ func TestBarrierWatchdogReportsStalledWorker(t *testing.T) {
 	var recovered any
 	func() {
 		defer func() { recovered = recover() }()
-		m.Batch(func(b *Batch) {
-			b.ParFor(4, func(i int) {
+		m.Batch(func() {
+			m.ParFor(4, func(i int) {
 				if i == 1 { // chunk 1 → background worker 1
 					time.Sleep(400 * time.Millisecond)
 				}
@@ -218,9 +218,9 @@ func TestWatchdogToleratesSlowHostCode(t *testing.T) {
 	m := New(16, WithExec(Pooled), WithWorkers(4), WithWatchdog(15*time.Millisecond))
 	defer m.Close()
 	var total int32
-	m.Batch(func(b *Batch) {
+	m.Batch(func() {
 		for r := 0; r < 3; r++ {
-			b.ParFor(400, func(i int) { atomic.AddInt32(&total, 1) })
+			m.ParFor(400, func(i int) { atomic.AddInt32(&total, 1) })
 			time.Sleep(60 * time.Millisecond) // host section ≫ watchdog
 		}
 	})
@@ -236,8 +236,8 @@ func TestResetInsideBatchPanics(t *testing.T) {
 	m := New(8, WithExec(Pooled), WithWorkers(4))
 	defer m.Close()
 	var recovered any
-	m.Batch(func(b *Batch) {
-		b.ParFor(100, func(i int) {})
+	m.Batch(func() {
+		m.ParFor(100, func(i int) {})
 		func() {
 			defer func() { recovered = recover() }()
 			m.Reset()

@@ -104,7 +104,7 @@ func TestPermutedScheduleCoversAllIndices(t *testing.T) {
 		}
 		rounds := 3
 		if fused {
-			m.Batch(func(b *Batch) {
+			m.Batch(func() {
 				for r := 0; r < rounds; r++ {
 					runRound()
 				}
@@ -131,9 +131,9 @@ func TestFaultPlanPreservesStats(t *testing.T) {
 		defer m.Close()
 		m.Phase("work")
 		data := make([]int64, 5000)
-		m.Batch(func(b *Batch) {
+		m.Batch(func() {
 			for r := 0; r < 4; r++ {
-				b.ParFor(len(data), func(i int) { atomic.AddInt64(&data[i], 1) })
+				m.ParFor(len(data), func(i int) { atomic.AddInt64(&data[i], 1) })
 			}
 		})
 		m.ParForCost(1000, 3, func(i int) {})

@@ -190,11 +190,8 @@ type Machine struct {
 
 	// workspace is the optional scratch arena (nil outside an engine):
 	// algorithms draw per-run buffers from it via ws.Ints/ws.Bools, and
-	// the owning engine resets it between requests. batch is the reused
-	// Batch handle Machine.Batch hands to fused groups, so opening a
-	// batch performs no allocation on the steady-state request path.
+	// the owning engine resets it between requests.
 	workspace *ws.Workspace
-	batch     Batch
 
 	// inlineTeam is the reused single-party context RunTeam hands to
 	// native kernels when no worker pool is available (native.go).
@@ -551,7 +548,7 @@ func (m *Machine) beginRound() {
 }
 
 // dispatch shards one round of n bodies across real workers and reports
-// whether it did: the fused batch path when a Batch has the pool checked
+// whether it did: the fused batch path when Batch has the pool checked
 // out, or the persistent pool for single Pooled rounds. Returns false
 // when the round must run inline (Sequential executor, a single worker,
 // trivial n, or a Pooled machine after Close or a recovered failure).

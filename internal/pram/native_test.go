@@ -210,7 +210,7 @@ func TestRunTeamInsideBatchPanics(t *testing.T) {
 			t.Fatal("RunTeam inside Batch did not panic")
 		}
 	}()
-	m.Batch(func(b *Batch) {
+	m.Batch(func() {
 		m.RunTeam(func(ctx *TeamCtx) {})
 	})
 }

@@ -41,9 +41,9 @@ func workload(m *pram.Machine) {
 	m.ProcFor(func(q int) { _ = q })
 	m.ProcRun(4, func(q int) { _ = q })
 	m.Phase("batch")
-	m.Batch(func(b *pram.Batch) {
+	m.Batch(func() {
 		for r := 0; r < 4; r++ {
-			b.ParFor(n, func(i int) { buf[i]++ })
+			m.ParFor(n, func(i int) { buf[i]++ })
 		}
 	})
 }

@@ -62,9 +62,9 @@ func TestBatchFusedDependentRounds(t *testing.T) {
 	a := make([]int64, n)
 	m.ParFor(n, func(i int) { a[i] = int64(i) })
 	b := make([]int64, n)
-	m.Batch(func(bt *Batch) {
+	m.Batch(func() {
 		for r := 0; r < 20; r++ {
-			bt.ParFor(n, func(i int) { b[i] = a[(i+n/2)%n] + a[i] })
+			m.ParFor(n, func(i int) { b[i] = a[(i+n/2)%n] + a[i] })
 			a, b = b, a
 		}
 	})
@@ -82,18 +82,18 @@ func TestBatchAccountingIdentical(t *testing.T) {
 		defer m.Close()
 		n := 500
 		a := make([]int64, n)
-		ops := func(b *Batch) {
+		ops := func() {
 			m.Phase("jump")
-			b.ParFor(n, func(i int) { a[i] = int64(i) })
-			b.ParForCost(33, 4, func(i int) { a[i]++ })
+			m.ParFor(n, func(i int) { a[i] = int64(i) })
+			m.ParForCost(33, 4, func(i int) { a[i]++ })
 			m.Phase("local")
-			b.ProcFor(func(q int) {})
-			b.ProcRun(9, func(q int) {})
+			m.ProcFor(func(q int) {})
+			m.ProcRun(9, func(q int) {})
 		}
 		if fused {
 			m.Batch(ops)
 		} else {
-			ops(&Batch{m: m})
+			ops()
 		}
 		return m.Snapshot()
 	}
@@ -113,10 +113,10 @@ func TestBatchNested(t *testing.T) {
 	defer m.Close()
 	n := 1000
 	counts := make([]int32, n)
-	m.Batch(func(b *Batch) {
-		b.ParFor(n, func(i int) { atomic.AddInt32(&counts[i], 1) })
-		m.Batch(func(inner *Batch) {
-			inner.ParFor(n, func(i int) { atomic.AddInt32(&counts[i], 1) })
+	m.Batch(func() {
+		m.ParFor(n, func(i int) { atomic.AddInt32(&counts[i], 1) })
+		m.Batch(func() {
+			m.ParFor(n, func(i int) { atomic.AddInt32(&counts[i], 1) })
 		})
 		// Direct machine primitives inside a batch fuse into the group.
 		m.ParFor(n, func(i int) { atomic.AddInt32(&counts[i], 1) })
@@ -136,8 +136,8 @@ func TestCloseIdempotentAndFallback(t *testing.T) {
 	// charging identically.
 	var total int32
 	m.ParFor(10, func(i int) { atomic.AddInt32(&total, 1) })
-	m.Batch(func(b *Batch) {
-		b.ParFor(10, func(i int) { atomic.AddInt32(&total, 1) })
+	m.Batch(func() {
+		m.ParFor(10, func(i int) { atomic.AddInt32(&total, 1) })
 	})
 	if total != 20 {
 		t.Errorf("visited %d of 20 after Close", total)
@@ -154,8 +154,8 @@ func TestPooledSingleWorkerRunsInline(t *testing.T) {
 		t.Fatal("single-worker pooled machine should not start a pool")
 	}
 	var total int32
-	m.Batch(func(b *Batch) {
-		b.ParFor(10, func(i int) { total++ }) // no atomics needed: inline
+	m.Batch(func() {
+		m.ParFor(10, func(i int) { total++ }) // no atomics needed: inline
 	})
 	if total != 10 {
 		t.Errorf("visited %d of 10", total)
@@ -164,16 +164,16 @@ func TestPooledSingleWorkerRunsInline(t *testing.T) {
 
 // TestBatchHostCodeBetweenRounds checks that host computation between
 // fused rounds observes all effects of the preceding round (the
-// coordinator rejoins the barrier before Batch.ParFor returns).
+// coordinator rejoins the barrier before ParFor returns inside a batch).
 func TestBatchHostCodeBetweenRounds(t *testing.T) {
 	m := New(16, WithExec(Pooled), WithWorkers(4))
 	defer m.Close()
 	n := 4096
 	a := make([]int64, n)
 	var sums []int64
-	m.Batch(func(b *Batch) {
+	m.Batch(func() {
 		for r := 0; r < 5; r++ {
-			b.ParFor(n, func(i int) { a[i]++ })
+			m.ParFor(n, func(i int) { a[i]++ })
 			var s int64
 			for _, v := range a {
 				s += v

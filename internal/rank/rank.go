@@ -41,15 +41,15 @@ func Wyllie(m *pram.Machine, l *list.List, vals []int) ([]int, int) {
 	// The whole jump loop is one fused group: Θ(log n) consecutive
 	// rounds over the same index range, dispatched to the pool with a
 	// single worker wake instead of one spawn per round.
-	m.Batch(func(b *pram.Batch) {
-		b.ParFor(n, func(v int) {
+	m.Batch(func() {
+		m.ParFor(n, func(v int) {
 			s[v] = vals[v]
 			nxt[v] = l.Next[v]
 		})
 		for r := 1; r < n; r *= 2 {
 			rounds++
-			b.ParFor(n, func(v int) { auxS[v] = s[v]; auxN[v] = nxt[v] })
-			b.ParFor(n, func(v int) {
+			m.ParFor(n, func(v int) { auxS[v] = s[v]; auxN[v] = nxt[v] })
+			m.ParFor(n, func(v int) {
 				if w := auxN[v]; w != list.Nil {
 					s[v] += auxS[w]
 					nxt[v] = auxN[w]
@@ -256,10 +256,10 @@ func ContractFold(m *pram.Machine, l *list.List, vals []int, op scan.Op, cfg *Co
 
 	// Expansion: reverse the rounds, fused into one dispatch group.
 	m.Phase("expand")
-	m.Batch(func(b *pram.Batch) {
+	m.Batch(func() {
 		for r := len(rounds) - 1; r >= 0; r-- {
 			recs := rounds[r]
-			b.ParFor(len(recs), func(i int) {
+			m.ParFor(len(recs), func(i int) {
 				rec := recs[i]
 				if rec.next == list.Nil {
 					suffix[rec.node] = rec.val

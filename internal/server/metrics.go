@@ -1,6 +1,8 @@
 package server
 
 import (
+	"sync"
+
 	"parlist/internal/engine"
 	"parlist/internal/obs"
 )
@@ -30,7 +32,21 @@ type serverMetrics struct {
 	// protos, indexed by op, so admitting a request does no registry
 	// lookup.
 	reqs map[string][]*obs.Counter
+	// shedTenants holds the tenants with a parlistd_tenant_shed_total
+	// series of their own, at most maxShedTenants; shedMu guards it.
+	shedMu      sync.Mutex
+	shedTenants map[string]bool
 }
+
+// maxShedTenants caps the tenant label values of
+// parlistd_tenant_shed_total. Tenant names come from clients, so the
+// first maxShedTenants distinct tenants shed get their own series and
+// every later one is counted under shedOtherTenant.
+const maxShedTenants = 64
+
+// shedOtherTenant is the folded tenant label value. Admission turns an
+// empty name into DefaultTenant, so no admitted tenant carries it.
+const shedOtherTenant = ""
 
 // protos lists the framings that admit requests.
 var protos = []string{"http", "binary"}
@@ -55,7 +71,8 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 			"Per-item machine service time in nanoseconds."),
 		respondNs: reg.Histogram("parlistd_respond_ns",
 			"Per-request enqueue-to-respond latency in nanoseconds."),
-		flushes: make(map[string]*obs.Counter, len(flushCauses)),
+		flushes:     make(map[string]*obs.Counter, len(flushCauses)),
+		shedTenants: make(map[string]bool, maxShedTenants),
 	}
 	for _, c := range flushCauses {
 		m.flushes[c] = reg.Counter("parlistd_batch_flush_total",
@@ -91,9 +108,19 @@ func (m *serverMetrics) failures(code string) *obs.Counter {
 		"code", code)
 }
 
-// sheds counts requests refused before running, by tenant and cause
-// (over_limit, queue_full, inbox_full, draining).
+// sheds counts requests refused before running, by tenant (folded
+// past maxShedTenants) and cause (over_limit, queue_full, inbox_full,
+// draining).
 func (m *serverMetrics) sheds(tenant, cause string) *obs.Counter {
+	m.shedMu.Lock()
+	if !m.shedTenants[tenant] {
+		if len(m.shedTenants) < maxShedTenants {
+			m.shedTenants[tenant] = true
+		} else {
+			tenant = shedOtherTenant
+		}
+	}
+	m.shedMu.Unlock()
 	return m.reg.Counter("parlistd_tenant_shed_total",
 		"Requests shed before running, by tenant and cause.",
 		"tenant", tenant, "cause", cause)

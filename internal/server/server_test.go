@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -493,6 +494,98 @@ func TestTenantNameCap(t *testing.T) {
 	}
 }
 
+// TestStatuszTenantQuoted: a binary frame's tenant may hold any bytes,
+// so /statusz prints tenant names quoted. A tenant whose name carries a
+// newline and a fake bucket line spends its burst, and no line of the
+// page starts with the forged tenant.
+func TestStatuszTenantQuoted(t *testing.T) {
+	s, addr := newTestServer(t, Config{BatchSize: 1, MaxWait: time.Millisecond, RatePerSec: 0.001, Burst: 5})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	const tenant = "x\n  forged-tenant  0.0 / 5 tokens"
+	c, err := Dial(addr, tenant)
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer c.Close()
+	l := &list.List{Next: []int{1, -1}}
+	for i := 0; i < 5; i++ {
+		if _, err := c.Do(context.Background(), engine.Request{Op: engine.OpRank, List: l}); err != nil {
+			t.Fatalf("burst request %d: %v", i, err)
+		}
+	}
+	r, err := http.Get(ts.URL + "/statusz")
+	if err != nil {
+		t.Fatalf("/statusz: %v", err)
+	}
+	page, _ := io.ReadAll(r.Body)
+	r.Body.Close()
+	for _, line := range strings.Split(string(page), "\n") {
+		if strings.HasPrefix(line, "  forged-tenant") {
+			t.Errorf("/statusz shows a forged line %q:\n%s", line, page)
+		}
+	}
+	if !strings.Contains(string(page), fmt.Sprintf("%q", tenant)) {
+		t.Errorf("/statusz lacks the quoted tenant:\n%s", page)
+	}
+}
+
+// TestShedTenantFold: 1,000 invented tenants, each shed once from one
+// of eight goroutines, leave at most maxShedTenants+1 tenant values on
+// parlistd_tenant_shed_total — the first maxShedTenants tenants and the
+// folded one — and their counts sum to 1,000. A tenant that got its own
+// series keeps it after the fold starts.
+func TestShedTenantFold(t *testing.T) {
+	reg := obs.NewRegistry()
+	m := newServerMetrics(reg)
+	const n, shedders = 1000, 8
+	m.sheds("invented-0", "over_limit").Inc() // before the fold
+	var wg sync.WaitGroup
+	for g := 0; g < shedders; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 1 + g; i < n; i += shedders {
+				cause := "over_limit"
+				if i%2 == 1 {
+					cause = "inbox_full"
+				}
+				m.sheds(fmt.Sprintf("invented-%d", i), cause).Inc()
+			}
+		}()
+	}
+	wg.Wait()
+	scrape := func() string {
+		var sb strings.Builder
+		reg.WritePrometheus(&sb)
+		return sb.String()
+	}
+	page := scrape()
+	tenants := map[string]bool{}
+	var total int64
+	for _, line := range strings.Split(page, "\n") {
+		rest, ok := strings.CutPrefix(line, `parlistd_tenant_shed_total{tenant="`)
+		if !ok {
+			continue
+		}
+		tenant, _, _ := strings.Cut(rest, `"`)
+		tenants[tenant] = true
+		var v int64
+		fmt.Sscan(line[strings.LastIndexByte(line, ' ')+1:], &v)
+		total += v
+	}
+	if len(tenants) > maxShedTenants+1 {
+		t.Errorf("%d tenant label values, want at most %d", len(tenants), maxShedTenants+1)
+	}
+	if total != n {
+		t.Errorf("shed series sum to %d, want %d", total, n)
+	}
+	m.sheds("invented-0", "over_limit").Inc()
+	if page := scrape(); !strings.Contains(page, `parlistd_tenant_shed_total{tenant="invented-0",cause="over_limit"} 2`) {
+		t.Errorf("an early tenant lost its own series:\n%s", page)
+	}
+}
+
 // TestMalformedListIsInvalid: a well-framed request whose list is
 // malformed — nodes unreachable from the head, a self-loop, a pointer
 // out of range, two tails — is the client's fault. Both framings must
@@ -546,13 +639,14 @@ func TestMalformedListIsInvalid(t *testing.T) {
 
 // TestUnservableInputIsInvalid: a one-node partition (f(a, a) is
 // undefined), a one-node Match3, a schedule whose K exceeds max(n, 6)
-// or whose labels fall outside [0, K), and a partition iters or a
-// matching or MIS i above engine.MaxIterations are the client's fault.
-// Both framings answer 400 invalid on the simulated and native
+// or whose labels fall outside [0, K), a partition iters or a
+// matching or MIS i above engine.MaxIterations, and a Match2 asking
+// for 2^31-1 processors (above engine.MaxProcessors) are the client's
+// fault. Both framings answer 400 invalid on the simulated and native
 // executors, the native engines at four parties included, no machine
 // is rebuilt, and the server goes on serving the same connection; at
-// the cap the iteration counts are served. The one-node partition and
-// the schedule with K = 2^30 used to end the process.
+// the cap the iteration counts are served. The one-node partition, the
+// schedule with K = 2^30 and the Match2 used to end the process.
 func TestUnservableInputIsInvalid(t *testing.T) {
 	for _, exec := range []pram.Exec{pram.Sequential, pram.Native} {
 		pool := engine.NewPool(engine.PoolConfig{Engines: 2, QueueDepth: 64,
@@ -587,6 +681,8 @@ func TestUnservableInputIsInvalid(t *testing.T) {
 				engine.Request{Op: engine.OpMatching, List: four, I: over}},
 			{"/v1/mis", fmt.Sprintf(`{"next":[1,2,3,-1],"i":%d}`, over),
 				engine.Request{Op: engine.OpMIS, List: four, I: over}},
+			{"/v1/matching", `{"next":[1,2,3,-1],"algorithm":"match2","processors":2147483647}`,
+				engine.Request{Op: engine.OpMatching, List: four, Algorithm: engine.AlgoMatch2, Processors: math.MaxInt32}},
 		} {
 			resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
 			if err != nil {

@@ -53,8 +53,10 @@ func (s *Server) statusz(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(&buf, "  unlimited\n")
 	} else {
 		fmt.Fprintf(&buf, "  rate %.1f/s  burst %.0f\n", rate, burst)
+		// Tenant names are the client's bytes: quoted, a newline in
+		// one cannot forge a line of its own.
 		for _, f := range fills {
-			fmt.Fprintf(&buf, "  %-24s %6.1f / %.0f tokens\n", f.tenant, f.tokens, burst)
+			fmt.Fprintf(&buf, "  %-24q %6.1f / %.0f tokens\n", f.tenant, f.tokens, burst)
 		}
 	}
 

@@ -102,7 +102,8 @@ const (
 var (
 	// ErrNilList reports a nil input list.
 	ErrNilList = engine.ErrNilList
-	// ErrBadProcessors reports a negative Options.Processors.
+	// ErrBadProcessors reports an Options.Processors that is negative
+	// or above 2^20.
 	ErrBadProcessors = engine.ErrBadProcessors
 	// ErrUnknownAlgorithm reports an Options.Algorithm outside the set.
 	ErrUnknownAlgorithm = engine.ErrUnknownAlgorithm
@@ -115,7 +116,8 @@ type Options struct {
 	// Algorithm defaults to Match4.
 	Algorithm Algorithm
 	// Processors is the simulated PRAM processor count (default 1;
-	// negative values are rejected with ErrBadProcessors).
+	// negative values and values above 2^20 are rejected with
+	// ErrBadProcessors).
 	Processors int
 	// I is Match4's adjustable parameter (default 3).
 	I int
