@@ -9,55 +9,44 @@ import (
 
 	"parlist/internal/engine"
 	"parlist/internal/list"
-	"parlist/internal/obs"
 	"parlist/internal/ws"
 )
 
-// item is one admitted request riding through the batcher. The handler
-// that admitted it blocks on done; finish publishes the outcome and
-// wakes it. Everything before done closes is written by the batcher
-// side only; everything after is read by the handler side only. Items
-// are recycled through the server's itemPool (see reuse.go).
+// item is one request on its way through the server. It has one owner
+// at a time: the framing that decoded it, then the batcher and the
+// pool, then Server.finish, then the receiver of its out queue (a
+// binary connection's writer or the HTTP handler), which writes the
+// response and hands the item to Server.release. Items are recycled
+// through the server's itemPool (see reuse.go).
 type item struct {
-	// ctx is the caller's context; an item whose ctx dies while it sits
-	// in a pending group is dropped at flush time without running.
-	ctx    context.Context
+	// id is the binary request id, echoed on the response.
+	id     uint64
 	tenant string
-	proto  string
-	// trace is the request's (possibly server-minted) trace context;
-	// the batcher's life-cycle spans parent onto its root span.
-	trace obs.TraceContext
 	// bi carries the request in and the result/service timestamps out.
+	// bi.Ctx, when set, is the caller's context: an item whose context
+	// dies while it sits in a pending group is dropped at flush time
+	// without running.
 	bi engine.BatchItem
 	// enq and flush are the admission and group-flush timestamps; with
-	// bi.Start/End and the handler's respond stamp they make up the
+	// bi.Start/End and the writer's respond stamp they make up the
 	// enqueue → flush → service → respond life cycle.
 	enq, flush time.Time
 	// batched is the fused batch size this item rode in.
 	batched int
 	status  byte
 	err     error
-	done    chan struct{}
+	// out receives the item from finish once its outcome is settled.
+	out chan<- *item
+	// admitted is set once the batcher has taken the item: it then
+	// counts towards the server's in-flight requests until release.
+	admitted bool
 
-	// The fields below belong to the handler side throughout. wsp holds
-	// the decoded request arrays and list their header; the batcher and
-	// the engine read both through bi.Req until done closes. frame holds
-	// the encoded response.
+	// wsp holds the decoded request arrays and list their header; the
+	// batcher and the engine read both through bi.Req. frame holds the
+	// encoded response.
 	wsp   *ws.Workspace
 	list  list.List
 	frame []byte
-	// admitted is set once the batcher has taken the item, abandoned
-	// when its caller stopped waiting first: the batcher still owns an
-	// abandoned item, so it is never recycled.
-	admitted, abandoned bool
-}
-
-// finish publishes the item's outcome exactly once and wakes its
-// handler.
-func (it *item) finish(st byte, err error) {
-	it.status = st
-	it.err = err
-	close(it.done)
 }
 
 // batchKey groups coalescable requests: same op, same size class —
@@ -164,6 +153,9 @@ func (b *batcher) run() {
 				b.groups.Store(0)
 				return
 			}
+			it.admitted = true
+			b.srv.inflight.Add(1)
+			b.srv.met.inflight.Add(1)
 			n := 0
 			if it.bi.Req.List != nil {
 				n = it.bi.Req.List.Len()
@@ -232,11 +224,10 @@ func (b *batcher) flush(items []*item, cause string) {
 	bis := make([]*engine.BatchItem, 0, len(items))
 	for _, it := range items {
 		it.flush = now
-		if err := it.ctx.Err(); err != nil {
-			it.finish(statusOf(err), err)
+		if ctx := it.bi.Ctx; ctx != nil && ctx.Err() != nil {
+			srv.finish(it, statusOf(ctx.Err()), ctx.Err())
 			continue
 		}
-		it.bi.Ctx = it.ctx
 		live = append(live, it)
 		bis = append(bis, &it.bi)
 	}
@@ -249,11 +240,11 @@ func (b *batcher) flush(items []*item, cause string) {
 	var link uint64
 	if srv.rec != nil {
 		for _, it := range live {
-			if it.trace.Sampled {
+			if tc := it.bi.Req.Trace; tc.Sampled {
 				if link == 0 {
 					link = srv.rec.Source().SpanID()
 				}
-				srv.childSpan(it.trace, link, "inbox", -1, it.enq, now.Sub(it.enq), "")
+				srv.childSpan(tc, link, "inbox", -1, it.enq, now.Sub(it.enq), "")
 			}
 		}
 	}
@@ -273,7 +264,7 @@ func (b *batcher) flush(items []*item, cause string) {
 		}
 		for _, it := range live {
 			m.sheds(it.tenant, cause).Inc()
-			it.finish(st, err)
+			srv.finish(it, st, err)
 		}
 		return
 	}
@@ -293,10 +284,10 @@ func (b *batcher) flush(items []*item, cause string) {
 		}
 		eng := f.Metrics().Engine
 		for _, it := range live {
-			// Spans land before finish wakes the handler, so a caller
+			// Spans land before finish hands the item on, so a caller
 			// that reads /debug/traces right after its response sees
 			// the complete tree.
-			if it.trace.Sampled {
+			if tc := it.bi.Req.Trace; tc.Sampled {
 				status := ""
 				if it.bi.Err != nil {
 					status = statusName(statusOf(it.bi.Err))
@@ -305,13 +296,13 @@ func (b *batcher) flush(items []*item, cause string) {
 					// Never reached a machine (dead ctx, engine-side
 					// failure before service): the queue span carries
 					// the failure.
-					srv.childSpan(it.trace, link, "queue", eng, it.flush, time.Since(it.flush), status)
+					srv.childSpan(tc, link, "queue", eng, it.flush, time.Since(it.flush), status)
 				} else {
-					srv.childSpan(it.trace, link, "queue", eng, it.flush, it.bi.Start.Sub(it.flush), "")
-					srv.childSpan(it.trace, link, "engine", eng, it.bi.Start, it.bi.End.Sub(it.bi.Start), status)
+					srv.childSpan(tc, link, "queue", eng, it.flush, it.bi.Start.Sub(it.flush), "")
+					srv.childSpan(tc, link, "engine", eng, it.bi.Start, it.bi.End.Sub(it.bi.Start), status)
 				}
 			}
-			it.finish(statusOf(it.bi.Err), it.bi.Err)
+			srv.finish(it, statusOf(it.bi.Err), it.bi.Err)
 		}
 	}()
 }

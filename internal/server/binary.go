@@ -6,13 +6,11 @@ package server
 // tagged with the request's id, in completion order.
 //
 // Every frame is a uint32 little-endian length followed by that many
-// payload bytes. Version-2 request payloads start with a 96-byte fixed
-// header (version 1, which this server still decodes, is the same
-// header without the trace block — 64 bytes):
+// payload bytes. Request payloads start with a 96-byte fixed header:
 //
 //	off size field
 //	  0    1 magic 0x70 ('p')
-//	  1    1 version (2; 1 accepted without the trace block)
+//	  1    1 version (2; any other is refused)
 //	  2    1 op (0 matching, 1 partition, 2 threecolor, 3 mis,
 //	           4 rank, 5 prefix, 6 schedule)
 //	  3    1 flags: bit0 values present, bit1 labels present,
@@ -42,8 +40,7 @@ package server
 // values, n int64 labels, and a uint16-length-prefixed tenant string.
 // The payload length must land exactly on the end of the last field.
 //
-// Version-2 response payloads start with a 72-byte fixed header
-// (version 1: the same without the trace block — 48 bytes):
+// Response payloads start with a 72-byte fixed header:
 //
 //	off size field
 //	  0    1 magic 0x50 ('P')
@@ -69,14 +66,12 @@ package server
 
 import (
 	"bufio"
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"slices"
-	"sync"
 	"time"
 
 	"parlist/internal/engine"
@@ -87,15 +82,11 @@ import (
 )
 
 const (
-	reqMagic  byte = 0x70 // 'p'
-	respMagic byte = 0x50 // 'P'
-	wireV1    byte = 1
-	wireV2    byte = 2
-	// v1 header lengths; v2 appends the trace block to each.
-	reqHdrLen    = 64
-	respHdrLen   = 48
-	reqHdrLenV2  = reqHdrLen + 32
-	respHdrLenV2 = respHdrLen + 24
+	reqMagic    byte = 0x70 // 'p'
+	respMagic   byte = 0x50 // 'P'
+	wireVersion byte = 2
+	reqHdrLen        = 96
+	respHdrLen       = 72
 
 	flagValues byte = 1 << 0
 	flagLabels byte = 1 << 1
@@ -162,7 +153,7 @@ func appendRequestFrame(dst []byte, id uint64, tenant string, req *engine.Reques
 	}
 	n := len(req.List.Next)
 	var flags byte
-	size := reqHdrLenV2 + 8*n
+	size := reqHdrLen + 8*n
 	if req.Values != nil {
 		if len(req.Values) != n {
 			return dst, engine.ErrBadValues
@@ -187,9 +178,9 @@ func appendRequestFrame(dst []byte, id uint64, tenant string, req *engine.Reques
 
 	dst = slices.Grow(dst, 4+size)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(size))
-	var hdr [reqHdrLenV2]byte
+	var hdr [reqHdrLen]byte
 	hdr[0] = reqMagic
-	hdr[1] = wireV2
+	hdr[1] = wireVersion
 	hdr[2] = byte(req.Op)
 	hdr[3] = flags
 	hdr[4] = ac
@@ -234,45 +225,38 @@ func appendRequestFrame(dst []byte, id uint64, tenant string, req *engine.Reques
 }
 
 // decodeRequest parses a request payload (length prefix already
-// stripped) into it: the request into it.bi.Req, its list header into
-// it.list and its arrays into it.wsp (fresh allocations when it.wsp is
-// nil). Every length is validated against the payload size before any
-// allocation, so a hostile frame cannot force a huge allocation.
-func decodeRequest(buf []byte, it *item) (id uint64, tenant string, err error) {
+// stripped) into it: the id and tenant into it.id and it.tenant, the
+// request into it.bi.Req, its list header into it.list and its arrays
+// into it.wsp (fresh allocations when it.wsp is nil). Every length is
+// validated against the payload size before any allocation, so a
+// hostile frame cannot force a huge allocation.
+func decodeRequest(buf []byte, it *item) error {
 	req := &it.bi.Req
-	if len(buf) < reqHdrLen {
-		return 0, "", errTruncated
-	}
-	if buf[0] != reqMagic {
-		return 0, "", errBadMagic
-	}
-	hdrLen := 0
-	switch buf[1] {
-	case wireV1:
-		hdrLen = reqHdrLen
-	case wireV2:
-		hdrLen = reqHdrLenV2
-	default:
-		return 0, "", errBadVersion
-	}
-	if len(buf) < hdrLen {
-		return 0, "", errTruncated
+	switch {
+	case len(buf) < 2:
+		return errTruncated
+	case buf[0] != reqMagic:
+		return errBadMagic
+	case buf[1] != wireVersion:
+		return errBadVersion
+	case len(buf) < reqHdrLen:
+		return errTruncated
 	}
 	op := engine.Op(buf[2])
 	flags := buf[3]
 	if flags&^(flagValues|flagLabels|flagTenant) != 0 {
-		return 0, "", fmt.Errorf("server: unknown flags 0x%x", flags)
+		return fmt.Errorf("server: unknown flags 0x%x", flags)
 	}
 	if int(buf[4]) >= len(algoByCode) {
-		return 0, "", fmt.Errorf("server: unknown algorithm code %d", buf[4])
+		return fmt.Errorf("server: unknown algorithm code %d", buf[4])
 	}
 	if int(buf[5]) >= len(rankByCode) {
-		return 0, "", fmt.Errorf("server: unknown rank code %d", buf[5])
+		return fmt.Errorf("server: unknown rank code %d", buf[5])
 	}
 	if buf[6] > 1 {
-		return 0, "", fmt.Errorf("server: unknown variant code %d", buf[6])
+		return fmt.Errorf("server: unknown variant code %d", buf[6])
 	}
-	id = binary.LittleEndian.Uint64(buf[8:])
+	it.id = binary.LittleEndian.Uint64(buf[8:])
 	*req = engine.Request{
 		Op:         op,
 		Algorithm:  algoByCode[buf[4]],
@@ -289,21 +273,18 @@ func decodeRequest(buf []byte, it *item) (id uint64, tenant string, err error) {
 	}
 	n64 := binary.LittleEndian.Uint64(buf[48:])
 	head := int64(binary.LittleEndian.Uint64(buf[56:]))
-	if hdrLen == reqHdrLenV2 {
-		// An all-zero trace block (the v1-upgrade encoding) decodes as
-		// "no context"; reserved bytes are ignored for forward
-		// compatibility.
-		req.Trace = obs.TraceContext{
-			TraceHi: binary.LittleEndian.Uint64(buf[64:]),
-			TraceLo: binary.LittleEndian.Uint64(buf[72:]),
-			SpanID:  binary.LittleEndian.Uint64(buf[80:]),
-			Sampled: buf[88]&traceFlagSampled != 0,
-		}
-		if !req.Trace.Valid() {
-			req.Trace = obs.TraceContext{}
-		}
+	// An all-zero trace block decodes as "no context"; reserved bytes
+	// are ignored for forward compatibility.
+	req.Trace = obs.TraceContext{
+		TraceHi: binary.LittleEndian.Uint64(buf[64:]),
+		TraceLo: binary.LittleEndian.Uint64(buf[72:]),
+		SpanID:  binary.LittleEndian.Uint64(buf[80:]),
+		Sampled: buf[88]&traceFlagSampled != 0,
 	}
-	rest := len(buf) - hdrLen
+	if !req.Trace.Valid() {
+		req.Trace = obs.TraceContext{}
+	}
+	rest := len(buf) - reqHdrLen
 	arrays := 1 // next
 	if flags&flagValues != 0 {
 		arrays++
@@ -312,10 +293,10 @@ func decodeRequest(buf []byte, it *item) (id uint64, tenant string, err error) {
 		arrays++
 	}
 	if n64 > uint64(rest)/uint64(8*arrays) {
-		return 0, "", errTruncated
+		return errTruncated
 	}
 	n := int(n64)
-	off := hdrLen
+	off := reqHdrLen
 	readInts := func() []int {
 		out := ws.IntsNoZero(it.wsp, n)
 		for i := range out {
@@ -334,53 +315,49 @@ func decodeRequest(buf []byte, it *item) (id uint64, tenant string, err error) {
 	}
 	if flags&flagTenant != 0 {
 		if len(buf)-off < 2 {
-			return 0, "", errTruncated
+			return errTruncated
 		}
 		tl := int(binary.LittleEndian.Uint16(buf[off:]))
 		off += 2
 		if len(buf)-off < tl {
-			return 0, "", errTruncated
+			return errTruncated
 		}
-		tenant = string(buf[off : off+tl])
+		it.tenant = string(buf[off : off+tl])
 		off += tl
 	}
 	if off != len(buf) {
-		return 0, "", errTrailing
+		return errTrailing
 	}
-	return id, tenant, nil
+	return nil
 }
 
-// appendResponseFrame encodes one response (length prefix included),
-// growing dst once to the frame's size up front. A nil item is an
-// admission-time failure: no timestamps beyond the ones the caller
-// provides. tc echoes the request's (possibly server-minted) trace
-// context so the client learns its trace id.
-func appendResponseFrame(dst []byte, id uint64, st byte, op engine.Op, it *item, tc obs.TraceContext, errMsg string) []byte {
-	var hdr [respHdrLenV2]byte
+// appendResponseFrame encodes the item's response (length prefix included),
+// growing dst once to the frame's size up front. The stamps a request
+// never reached are zero, and the trace block echoes the request's
+// (possibly server-minted) context so the client learns its trace id.
+func appendResponseFrame(dst []byte, it *item) []byte {
+	var hdr [respHdrLen]byte
 	hdr[0] = respMagic
-	hdr[1] = wireV2
-	hdr[2] = st
-	hdr[3] = byte(op)
-	var res *engine.Result
-	if it != nil {
-		binary.LittleEndian.PutUint32(hdr[4:], uint32(it.batched))
-		binary.LittleEndian.PutUint64(hdr[16:], uint64(it.enq.UnixNano()))
-		if !it.flush.IsZero() {
-			binary.LittleEndian.PutUint64(hdr[24:], uint64(it.flush.UnixNano()))
+	hdr[1] = wireVersion
+	hdr[2] = it.status
+	hdr[3] = byte(it.bi.Req.Op)
+	binary.LittleEndian.PutUint32(hdr[4:], uint32(it.batched))
+	binary.LittleEndian.PutUint64(hdr[8:], it.id)
+	for i, t := range [...]time.Time{it.enq, it.flush, it.bi.Start, time.Now()} {
+		if !t.IsZero() {
+			binary.LittleEndian.PutUint64(hdr[16+8*i:], uint64(t.UnixNano()))
 		}
-		if !it.bi.Start.IsZero() {
-			binary.LittleEndian.PutUint64(hdr[32:], uint64(it.bi.Start.UnixNano()))
-		}
-		res = &it.bi.Res
 	}
-	binary.LittleEndian.PutUint64(hdr[8:], id)
-	binary.LittleEndian.PutUint64(hdr[40:], uint64(time.Now().UnixNano()))
+	tc := it.bi.Req.Trace
 	binary.LittleEndian.PutUint64(hdr[48:], tc.TraceHi)
 	binary.LittleEndian.PutUint64(hdr[56:], tc.TraceLo)
 	binary.LittleEndian.PutUint64(hdr[64:], tc.SpanID)
 
-	size := respHdrLenV2
-	if st != StatusOK {
+	res := &it.bi.Res
+	var errMsg string
+	size := respHdrLen
+	if it.status != StatusOK {
+		errMsg = it.err.Error()
 		size += 4 + len(errMsg)
 	} else {
 		size += 6*8 + 4 + len(res.Algorithm) + 8 + len(res.In) + 8 + 8*len(res.Labels) + 8 + 8*len(res.Ranks)
@@ -388,7 +365,7 @@ func appendResponseFrame(dst []byte, id uint64, st byte, op engine.Op, it *item,
 	dst = slices.Grow(dst, 4+size)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(size))
 	dst = append(dst, hdr[:]...)
-	if st != StatusOK {
+	if it.status != StatusOK {
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(errMsg)))
 		return append(dst, errMsg...)
 	}
@@ -419,22 +396,14 @@ func appendResponseFrame(dst []byte, id uint64, st byte, op engine.Op, it *item,
 
 // decodeResponseFrame parses a response payload into a client Response.
 func decodeResponseFrame(buf []byte) (*Response, error) {
-	if len(buf) < respHdrLen {
+	switch {
+	case len(buf) < 2:
 		return nil, errTruncated
-	}
-	if buf[0] != respMagic {
+	case buf[0] != respMagic:
 		return nil, errBadMagic
-	}
-	hdrLen := 0
-	switch buf[1] {
-	case wireV1:
-		hdrLen = respHdrLen
-	case wireV2:
-		hdrLen = respHdrLenV2
-	default:
+	case buf[1] != wireVersion:
 		return nil, errBadVersion
-	}
-	if len(buf) < hdrLen {
+	case len(buf) < respHdrLen:
 		return nil, errTruncated
 	}
 	r := &Response{
@@ -449,17 +418,15 @@ func decodeResponseFrame(buf []byte) (*Response, error) {
 			Respond: unixNano(buf[40:]),
 		},
 	}
-	if hdrLen == respHdrLenV2 {
-		r.Trace = obs.TraceContext{
-			TraceHi: binary.LittleEndian.Uint64(buf[48:]),
-			TraceLo: binary.LittleEndian.Uint64(buf[56:]),
-			SpanID:  binary.LittleEndian.Uint64(buf[64:]),
-		}
-		if !r.Trace.Valid() {
-			r.Trace = obs.TraceContext{}
-		}
+	r.Trace = obs.TraceContext{
+		TraceHi: binary.LittleEndian.Uint64(buf[48:]),
+		TraceLo: binary.LittleEndian.Uint64(buf[56:]),
+		SpanID:  binary.LittleEndian.Uint64(buf[64:]),
 	}
-	off := hdrLen
+	if !r.Trace.Valid() {
+		r.Trace = obs.TraceContext{}
+	}
+	off := respHdrLen
 	if r.Status != StatusOK {
 		if len(buf)-off < 4 {
 			return nil, errTruncated
@@ -565,86 +532,100 @@ func (s *Server) ServeBinary(ln net.Listener) error {
 // (the length prefix) within binaryIdleTimeout — parlistd's HTTP idle
 // timeout — and finish the frame's body within binaryFrameTimeout of
 // the prefix, so a client that goes silent or stalls mid-frame cannot
-// hold a connection and its goroutine indefinitely. Variables only so
+// hold a connection and its goroutines indefinitely. Variables only so
 // a test can shorten them.
 var (
 	binaryIdleTimeout  = 2 * time.Minute
 	binaryFrameTimeout = 10 * time.Second
 )
 
-// serveConn is one connection's read loop. Frames are handled
-// concurrently (pipelining): each decoded request runs in its own
-// goroutine and writes its response under the connection's write lock.
-// A frame the decoder rejects gets an error response and the
-// connection is closed — after a framing error the stream offset can't
-// be trusted. A read that outlives its deadline ends the loop the way
-// a client close does: in-flight responses are still written, then
-// the connection closes.
+// maxConnInflight caps the frames one binary connection holds between
+// read and response write: twice the largest batch E21 fuses, and a
+// quarter of the batcher's default inbox. At the cap the read loop
+// stops reading until a response is written, so a pipelining client
+// gets backpressure instead of the whole inbox. The bound is also why
+// finish's send on the connection's out queue, which has this many
+// slots, never blocks.
+const maxConnInflight = 64
+
+// serveConn serves one binary connection with two goroutines: readConn
+// decodes and submits frames, and this one, the writer, takes each
+// settled item from out in completion order, encodes and writes its
+// response, and releases it. After a failed write it closes the
+// connection, since a partial frame leaves the stream unreadable, and
+// goes on releasing items unwritten. It returns once readConn has
+// closed out.
 func (s *Server) serveConn(c net.Conn) {
 	defer s.connWG.Done()
 	s.trackConn(c)
 	defer s.untrackConn(c)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	var wmu sync.Mutex
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	write := func(frame []byte) {
-		wmu.Lock()
-		defer wmu.Unlock()
-		c.SetWriteDeadline(time.Now().Add(30 * time.Second))
-		c.Write(frame)
+	out := make(chan *item, maxConnInflight)
+	slots := make(chan struct{}, maxConnInflight)
+	go s.readConn(c, out, slots)
+	failed := false
+	for it := range out {
+		if !failed {
+			it.frame = appendResponseFrame(it.frame[:0], it)
+			c.SetWriteDeadline(time.Now().Add(30 * time.Second))
+			if _, err := c.Write(it.frame); err != nil {
+				failed = true
+				c.Close()
+			}
+		}
+		s.release(it)
+		<-slots
 	}
+}
 
+// readConn is a binary connection's read loop. Each frame takes a slot
+// of slots, which the writer frees once the frame's response is
+// written. A frame the decoder rejects never becomes a request: it
+// goes to the writer with an error response and the loop ends, since
+// after a framing error the stream offset can't be trusted. A read
+// that outlives its deadline ends the loop the way a client close
+// does. Either way the responses in flight are still written: the loop
+// closes out only once every slot is back.
+func (s *Server) readConn(c net.Conn, out chan<- *item, slots chan struct{}) {
+	// take returns an item for the next frame, waiting while the
+	// connection holds maxConnInflight.
+	take := func() *item {
+		slots <- struct{}{}
+		it := s.items.get()
+		it.out = out
+		return it
+	}
 	br := bufio.NewReaderSize(c, 1<<16)
 	var lenBuf [4]byte
 	var rbuf []byte // the connection's reused read buffer (frameBuf)
 	for {
 		c.SetReadDeadline(time.Now().Add(binaryIdleTimeout))
 		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
-			return // client closed or idle (or half a prefix: nothing to answer)
+			break // client closed or idle (or half a prefix: nothing to answer)
 		}
 		size := int(binary.LittleEndian.Uint32(lenBuf[:]))
 		if size > s.maxFrame {
-			write(appendResponseFrame(nil, 0, StatusInvalid, 0, nil, obs.TraceContext{},
-				fmt.Sprintf("frame of %d bytes exceeds limit %d", size, s.maxFrame)))
-			return
+			it := take()
+			it.status, it.err = StatusInvalid, fmt.Errorf("frame of %d bytes exceeds limit %d", size, s.maxFrame)
+			out <- it
+			break
 		}
 		c.SetReadDeadline(time.Now().Add(binaryFrameTimeout))
 		buf := frameBuf(&rbuf, size)
 		if _, err := io.ReadFull(br, buf); err != nil {
-			return
+			break
 		}
 		// The decode copies everything it keeps out of buf, so the next
 		// frame may overwrite it while this request is served.
-		it := s.items.get()
-		id, tenant, err := decodeRequest(buf, it)
-		if err != nil {
-			write(appendResponseFrame(nil, id, StatusInvalid, 0, nil, it.bi.Req.Trace, err.Error()))
-			s.release(it)
-			return
+		it := take()
+		if err := decodeRequest(buf, it); err != nil {
+			it.status, it.err = StatusInvalid, err
+			out <- it
+			break
 		}
-		op := it.bi.Req.Op
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			tc, st, err := s.do(ctx, it, "binary", tenant)
-			msg := ""
-			if err != nil {
-				msg = err.Error()
-			}
-			// A non-OK item whose ctx died may still be owned by the
-			// batcher; encode from it only once its outcome settled.
-			enc := it
-			if st != StatusOK {
-				enc = nil
-			}
-			// The frame is encoded outside the write lock, so pipelined
-			// responses encode in parallel and serialize only the write.
-			it.frame = appendResponseFrame(it.frame[:0], id, st, op, enc, tc, msg)
-			write(it.frame)
-			s.release(it)
-		}()
+		s.submit(it, "binary")
 	}
+	for range maxConnInflight {
+		slots <- struct{}{}
+	}
+	close(out)
 }

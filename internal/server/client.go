@@ -65,17 +65,22 @@ func (e *StatusError) Error() string {
 
 // Client speaks the binary framing over one connection, pipelined: any
 // number of requests may be in flight; responses are demultiplexed by
-// id. A Client is safe for concurrent use.
+// id. A Client is safe for concurrent use. A write never holds the
+// lock the read loop takes, so responses keep arriving while a write
+// waits on a server that has stopped reading at its per-connection
+// cap.
 type Client struct {
 	conn   net.Conn
 	tenant string
 
-	mu      sync.Mutex // guards writes, nextID and pending
+	mu      sync.Mutex // guards nextID, pending, closed and readErr
 	pending map[uint64]chan *Response
 	nextID  uint64
 	closed  bool
 	readErr error
-	wbuf    []byte
+
+	wmu  sync.Mutex // serializes frame writes and guards wbuf
+	wbuf []byte
 }
 
 // Dial connects a binary-framing client to addr. tenant names the
@@ -99,28 +104,40 @@ func (c *Client) Close() error {
 }
 
 // Submit writes one request and returns a 1-slot channel its response
-// will arrive on, without waiting — the pipelining primitive.
+// will arrive on, without waiting for the response — the pipelining
+// primitive. The write itself may wait while the server holds its
+// per-connection cap of unanswered requests. A failed write closes the
+// connection: a partial frame leaves the stream unreadable.
 func (c *Client) Submit(req engine.Request) (<-chan *Response, error) {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
 	ch := make(chan *Response, 1)
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.closed {
+		c.mu.Unlock()
 		return nil, errors.New("server: client closed")
 	}
-	if c.readErr != nil {
-		return nil, c.readErr
+	if err := c.readErr; err != nil {
+		c.mu.Unlock()
+		return nil, err
 	}
 	c.nextID++
 	id := c.nextID
-	var err error
-	c.wbuf, err = appendRequestFrame(c.wbuf[:0], id, c.tenant, &req)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := c.conn.Write(c.wbuf); err != nil {
-		return nil, err
-	}
 	c.pending[id] = ch
+	c.mu.Unlock()
+
+	var err error
+	if c.wbuf, err = appendRequestFrame(c.wbuf[:0], id, c.tenant, &req); err == nil {
+		if _, err = c.conn.Write(c.wbuf); err != nil {
+			c.conn.Close()
+		}
+	}
+	if err != nil {
+		c.mu.Lock()
+		delete(c.pending, id)
+		c.mu.Unlock()
+		return nil, err
+	}
 	return ch, nil
 }
 

@@ -34,10 +34,9 @@ func FuzzBinaryFrameRoundTrip(f *testing.F) {
 		}
 		f.Add(frame[4:]) // payload only; the length prefix is the transport's
 	}
-	resp := appendResponseFrame(nil, 9, StatusOK, engine.OpRank,
-		&item{batched: 3, bi: engine.BatchItem{Res: engine.Result{
-			Op: engine.OpRank, Algorithm: "contraction", Ranks: []int{0, 1, 2}}}},
-		obs.TraceContext{TraceHi: 0xfeed, TraceLo: 0xbeef, SpanID: 7}, "")
+	resp := appendResponseFrame(nil, &item{id: 9, batched: 3, bi: engine.BatchItem{
+		Req: engine.Request{Op: engine.OpRank, Trace: obs.TraceContext{TraceHi: 0xfeed, TraceLo: 0xbeef, SpanID: 7}},
+		Res: engine.Result{Op: engine.OpRank, Algorithm: "contraction", Ranks: []int{0, 1, 2}}}})
 	f.Add(resp[4:])
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -8,13 +8,13 @@ package server
 //   - each request rides an item from the server's itemPool: its
 //     arrays decode into the item's workspace, the engine writes the
 //     result into the item's Result (reusing its slice capacity), and
-//     the response is encoded into the item's frame buffer.
+//     the connection's writer encodes the response into the item's
+//     frame buffer.
 //
-// An item goes back to the pool only after its response has been
-// written, and never while the batcher still owns it (a caller that
-// stopped waiting abandons its item to the collector instead).
-// retainCap bounds what survives a request, so one maxFrame-sized frame
-// cannot pin its memory for good.
+// An item has one owner at a time and goes back to the pool only from
+// the last one, once its response has been written. retainCap bounds
+// what survives a request, so one maxFrame-sized frame cannot pin its
+// memory for good.
 
 import (
 	"sync"
@@ -65,10 +65,9 @@ func (p *itemPool) get() *item {
 	return &item{wsp: ws.New()}
 }
 
-// put recycles an item its handler owns again — never admitted, or
-// settled with its response written — unless keeping it would take the
-// pool past retainCap; an item that grew past retainCap alone is always
-// dropped.
+// put recycles an item whose response has been written, unless
+// keeping it would take the pool past retainCap; an item that grew
+// past retainCap alone is always dropped.
 func (p *itemPool) put(it *item) {
 	kept := it.retained()
 	it.reset()

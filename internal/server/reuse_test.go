@@ -42,6 +42,12 @@ func (c *rawConn) roundTrip(t *testing.T, frame []byte) []byte {
 	if _, err := c.Write(frame); err != nil {
 		t.Fatalf("write: %v", err)
 	}
+	return c.next(t)
+}
+
+// next reads one response payload, valid until the next call.
+func (c *rawConn) next(t *testing.T) []byte {
+	t.Helper()
 	if _, err := io.ReadFull(c, c.lenBuf[:]); err != nil {
 		t.Fatalf("read length: %v", err)
 	}
@@ -77,8 +83,8 @@ func (c *rawConn) roundTrips(t *testing.T, frame []byte, k int) {
 // decodeRequestFrame decodes a request payload into fresh arrays.
 func decodeRequestFrame(buf []byte) (uint64, string, engine.Request, error) {
 	it := new(item)
-	id, tenant, err := decodeRequest(buf, it)
-	return id, tenant, it.bi.Req, err
+	err := decodeRequest(buf, it)
+	return it.id, it.tenant, it.bi.Req, err
 }
 
 // encodeRequest pre-encodes one request frame.
@@ -107,9 +113,9 @@ func idleItems(s *Server) (items []*item, retained, counted int) {
 // the responses are read into one reused buffer, so every allocation
 // the process counts is the server's. Nothing may grow with n — the
 // read buffer, the decoded arrays, the result and the response frame
-// are all recycled — and the fixed per-request allocations (request
-// goroutine, done channel, pool future, batch bookkeeping) stay under a
-// budget.
+// are all recycled — and the fixed per-request allocations (the
+// batcher's group, the flush's bookkeeping and waiter, the pool's
+// future) stay under a budget.
 func TestWireServerAllocs(t *testing.T) {
 	const (
 		// warm lets the item pool reach the connection's peak
@@ -117,8 +123,8 @@ func TestWireServerAllocs(t *testing.T) {
 		warm   = 100
 		rounds = 500
 		// allocBudget bounds the fixed allocations of one round trip
-		// (about 10 measured, with or without -race).
-		allocBudget = 14
+		// (7 measured, with or without -race).
+		allocBudget = 10
 	)
 	pool := engine.NewPool(engine.PoolConfig{
 		Engines: 2, QueueDepth: 64,
@@ -154,13 +160,14 @@ func TestWireServerAllocs(t *testing.T) {
 }
 
 // TestConnCloseWhileBatched closes a connection while parked engines
-// hold its requests in pending groups, and abandons one more request
-// by cancelling its context. No item may return to the pool while the
-// batcher owns it: a fresh connection's requests, queued into the same
-// groups, would otherwise decode into arrays the batcher still holds.
-// Once the engines are released, the fresh connection must see results
+// hold its requests in pending groups, and cancels one more request's
+// context. No item may return to the pool while the batcher owns it: a
+// fresh connection's requests, queued into the same groups, would
+// otherwise decode into arrays the batcher still holds. Once the
+// engines are released, the cancelled request is answered with its
+// context's error, and the fresh connection must see results
 // bit-identical to per-request Do, twice over (the second round runs
-// on recycled items), and the abandoned item must never be recycled.
+// on recycled items), with no item pooled twice.
 func TestConnCloseWhileBatched(t *testing.T) {
 	pool, park := newParkedPool(2)
 	s, addr := newTestServer(t, Config{Pool: pool, BatchSize: 64, MaxWait: time.Hour})
@@ -183,19 +190,13 @@ func TestConnCloseWhileBatched(t *testing.T) {
 	waitFor(t, "the closed connection's requests to queue", queued(len(reqs)))
 
 	ctx, cancel := context.WithCancel(context.Background())
-	ab := s.items.get()
-	ab.bi.Req = engine.Request{Op: engine.OpRank, List: l}
-	abandoned := make(chan error, 1)
+	cancelled := make(chan error, 1)
 	go func() {
-		_, _, err := s.do(ctx, ab, "test", "abandoned")
-		s.release(ab)
-		abandoned <- err
+		_, err := doRequest(ctx, s, "cancelled", engine.Request{Op: engine.OpRank, List: l})
+		cancelled <- err
 	}()
-	waitFor(t, "the abandoned request to queue", queued(len(reqs)+1))
+	waitFor(t, "the cancelled request to queue", queued(len(reqs)+1))
 	cancel()
-	if err := <-abandoned; !errors.Is(err, context.Canceled) {
-		t.Fatalf("abandoned request: err = %v, want context.Canceled", err)
-	}
 	closed.Close()
 
 	control := engine.NewPool(engine.PoolConfig{
@@ -220,6 +221,9 @@ func TestConnCloseWhileBatched(t *testing.T) {
 			}
 			park.unpark(2)
 			awaitParkers(t, parkers, 2)
+			if err := <-cancelled; !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled request: err = %v, want context.Canceled", err)
+			}
 		}
 		for i, ch := range chans {
 			select {
@@ -245,9 +249,6 @@ func TestConnCloseWhileBatched(t *testing.T) {
 	items, _, _ := idleItems(s)
 	seen := make(map[*item]bool, len(items))
 	for _, it := range items {
-		if it == ab {
-			t.Errorf("the abandoned item was recycled")
-		}
 		if seen[it] {
 			t.Errorf("item %p pooled twice", it)
 		}

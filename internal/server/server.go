@@ -112,7 +112,7 @@ type Server struct {
 	conns     map[net.Conn]struct{}
 
 	// inflight tracks admitted requests up to their response write;
-	// connWG tracks binary connection read loops.
+	// connWG tracks binary connections up to their writer's exit.
 	inflight sync.WaitGroup
 	connWG   sync.WaitGroup
 
@@ -242,109 +242,98 @@ func (s *Server) childSpan(tc obs.TraceContext, link uint64, name string, shard 
 	})
 }
 
-// do admits the request in it.bi.Req (it comes from s.items), rides it
-// through the batcher, and waits for its outcome (or the caller's
-// ctx). On success the item carries the result and every life-cycle
-// timestamp; on failure the status classifies it and err carries
-// detail, and the item must not be read unless its outcome settled
-// with status OK. The returned TraceContext is the request's identity
-// — wire-propagated or freshly minted — on every path, so responses
-// can echo it. The caller MUST hand the item to release exactly once,
-// after writing its response, so Shutdown's drain covers the write.
-func (s *Server) do(ctx context.Context, it *item, proto, tenant string) (obs.TraceContext, byte, error) {
-	if tenant == "" {
-		tenant = DefaultTenant
-	}
+// submit admits it without blocking. The framing has drawn it from
+// s.items and set its request, tenant and out queue. Every outcome
+// reaches finish exactly once: a refusal here, or the batcher's drop
+// or batch result later.
+func (s *Server) submit(it *item, proto string) {
 	req := &it.bi.Req
 	s.met.requests(proto, req.Op).Inc()
-	t0 := time.Now()
-
+	it.enq = time.Now()
+	if it.tenant == "" {
+		it.tenant = DefaultTenant
+	}
 	if s.rec != nil && !req.Trace.Valid() {
 		req.Trace = s.rec.Source().NewContext(s.sampleHead())
 	}
-	tc := req.Trace
-
-	fail := func(st byte, err error) (obs.TraceContext, byte, error) {
-		s.met.failures(statusName(st)).Inc()
-		s.rootSpan(tc, t0, st)
-		return tc, st, err
+	if err := s.refusal(it); err != nil {
+		s.finish(it, StatusInvalid, err)
+		return
 	}
-	if req.List == nil {
-		return fail(StatusInvalid, engine.ErrNilList)
-	}
-	if n := req.List.Len(); n > s.cfg.MaxNodes {
-		return fail(StatusInvalid, fmt.Errorf("server: %d nodes exceeds limit %d", n, s.cfg.MaxNodes))
-	}
-	if len(tenant) > MaxTenantLen {
-		return fail(StatusInvalid, fmt.Errorf("server: %d-byte tenant name exceeds limit %d", len(tenant), MaxTenantLen))
-	}
-
-	it.ctx = ctx
-	it.tenant = tenant
-	it.proto = proto
-	it.trace = tc
-	it.enq = t0
-	it.done = make(chan struct{})
 
 	s.mu.RLock()
 	if s.draining {
 		s.mu.RUnlock()
-		return fail(StatusDraining, errors.New("server: draining"))
+		s.finish(it, StatusDraining, errors.New("server: draining"))
+		return
 	}
-	if !s.lim.allow(tenant) {
+	if !s.lim.allow(it.tenant) {
 		s.mu.RUnlock()
-		s.met.sheds(tenant, "over_limit").Inc()
-		return fail(StatusOverLimit, fmt.Errorf("server: tenant %q over rate limit", tenant))
+		s.met.sheds(it.tenant, "over_limit").Inc()
+		s.finish(it, StatusOverLimit, fmt.Errorf("server: tenant %q over rate limit", it.tenant))
+		return
 	}
 	select {
 	case s.bat.in <- it:
+		s.mu.RUnlock()
 	default:
 		s.mu.RUnlock()
-		s.met.sheds(tenant, "inbox_full").Inc()
-		return fail(StatusShed, errors.New("server: batcher inbox full"))
+		s.met.sheds(it.tenant, "inbox_full").Inc()
+		s.finish(it, StatusShed, errors.New("server: batcher inbox full"))
 	}
-	it.admitted = true
-	s.inflight.Add(1)
-	s.met.inflight.Add(1)
-	s.mu.RUnlock()
-
-	select {
-	case <-it.done:
-	case <-ctx.Done():
-		// The batcher still owns the item and will resolve it; this
-		// caller has stopped listening. The item is NOT safe to read,
-		// and is never recycled.
-		it.abandoned = true
-		st := statusOf(ctx.Err())
-		s.met.failures(statusName(st)).Inc()
-		s.rootSpan(tc, t0, st)
-		return tc, st, ctx.Err()
-	}
-	if it.status != StatusOK {
-		s.met.failures(statusName(it.status)).Inc()
-		s.rootSpan(tc, t0, it.status)
-		return tc, it.status, it.err
-	}
-	s.met.serviceNs.Observe(it.bi.End.Sub(it.bi.Start).Nanoseconds())
-	if tc.Sampled {
-		// Sampled requests stamp their trace id onto the latency
-		// histogram as an exemplar — the metrics→traces bridge.
-		s.met.respondNs.ObserveExemplar(time.Since(it.enq).Nanoseconds(), tc.TraceHi, tc.TraceLo)
-	} else {
-		s.met.respondNs.Observe(time.Since(it.enq).Nanoseconds())
-	}
-	s.rootSpan(tc, t0, StatusOK)
-	return tc, StatusOK, nil
 }
 
-// release retires a handled item once its response has been written:
-// it returns to the item pool unless the batcher still owns it, and an
-// admitted item then leaves Shutdown's drain count.
+// refusal returns why the server will not queue it, or nil: a missing
+// or oversized list, more processors than the list has nodes (the
+// simulated fallback's scratch and time grow with p, not n), or an
+// oversized tenant name.
+func (s *Server) refusal(it *item) error {
+	req := &it.bi.Req
+	if req.List == nil {
+		return engine.ErrNilList
+	}
+	n := req.List.Len()
+	switch {
+	case n > s.cfg.MaxNodes:
+		return fmt.Errorf("server: %d nodes exceeds limit %d", n, s.cfg.MaxNodes)
+	case req.Processors > n:
+		return fmt.Errorf("server: %d processors exceeds the list's %d nodes", req.Processors, n)
+	case len(it.tenant) > MaxTenantLen:
+		return fmt.Errorf("server: %d-byte tenant name exceeds limit %d", len(it.tenant), MaxTenantLen)
+	}
+	return nil
+}
+
+// finish settles a submitted item with status st: it records the
+// outcome on the metrics and the trace's root span, then hands the
+// item to its out queue. The send never blocks: an HTTP handler's
+// queue has a slot for its one item, and a binary connection's has
+// maxConnInflight slots, as many as the items it may hold.
+func (s *Server) finish(it *item, st byte, err error) {
+	it.status, it.err = st, err
+	tc := it.bi.Req.Trace
+	if st == StatusOK {
+		s.met.serviceNs.Observe(it.bi.End.Sub(it.bi.Start).Nanoseconds())
+		if d := time.Since(it.enq).Nanoseconds(); tc.Sampled {
+			// Sampled requests stamp their trace id onto the latency
+			// histogram as an exemplar — the metrics→traces bridge.
+			s.met.respondNs.ObserveExemplar(d, tc.TraceHi, tc.TraceLo)
+		} else {
+			s.met.respondNs.Observe(d)
+		}
+	} else {
+		s.met.failures(statusName(st)).Inc()
+	}
+	s.rootSpan(tc, it.enq, st)
+	it.out <- it
+}
+
+// release retires an item once its response has been written: it
+// returns to the item pool, and an admitted item leaves Shutdown's
+// drain count.
 func (s *Server) release(it *item) {
 	admitted := it.admitted
-	if !it.abandoned {
-		s.items.put(it)
-	}
+	s.items.put(it)
 	if admitted {
 		s.met.inflight.Add(-1)
 		s.inflight.Done()
@@ -395,14 +384,20 @@ func (s *Server) httpOp(op engine.Op) http.HandlerFunc {
 		// as absent (the server mints a fresh context instead).
 		req.Trace, _ = obs.ParseTraceHeader(r.Header.Get(TraceHeader))
 		it := s.items.get()
-		it.bi.Req = req
 		defer s.release(it)
-		tc, st, err := s.do(r.Context(), it, "http", r.Header.Get(TenantHeader))
+		it.bi.Req = req
+		it.bi.Ctx = r.Context()
+		it.tenant = r.Header.Get(TenantHeader)
+		done := make(chan *item, 1)
+		it.out = done
+		s.submit(it, "http")
+		<-done
+		tc := it.bi.Req.Trace
 		if tc.Valid() {
 			w.Header().Set(TraceHeader, tc.Header())
 		}
-		if st != StatusOK {
-			writeJSONError(w, st, tc, err)
+		if it.status != StatusOK {
+			writeJSONError(w, it.status, tc, it.err)
 			return
 		}
 		res := &it.bi.Res
@@ -470,7 +465,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		done := make(chan struct{})
 		go func() {
 			s.bat.wg.Wait()   // every fused batch resolved
-			s.inflight.Wait() // every handler observed its outcome
+			s.inflight.Wait() // every response written
 			close(done)
 		}()
 		select {

@@ -146,12 +146,18 @@ func parkEngines(t *testing.T, s *Server, o *parkObserver) <-chan error {
 	return done
 }
 
-// doRequest runs req through s.do on a pooled item and releases the
-// item afterwards, as a handler does.
+// doRequest submits req on a pooled item, waits for its outcome and
+// releases the item afterwards, as the HTTP handler does.
 func doRequest(ctx context.Context, s *Server, tenant string, req engine.Request) (byte, error) {
 	it := s.items.get()
 	it.bi.Req = req
-	_, st, err := s.do(ctx, it, "test", tenant)
+	it.bi.Ctx = ctx
+	it.tenant = tenant
+	out := make(chan *item, 1)
+	it.out = out
+	s.submit(it, "test")
+	<-out
+	st, err := it.status, it.err
 	s.release(it)
 	return st, err
 }
@@ -637,6 +643,36 @@ func TestMalformedListIsInvalid(t *testing.T) {
 	}
 }
 
+// TestFailureResponseStamps: a failure response carries the stamps of
+// the stages its request reached. A list the engine refuses as
+// malformed reached service, so all four are set and ordered; a list
+// over MaxNodes was refused at admission, so only Enqueue and Respond
+// are.
+func TestFailureResponseStamps(t *testing.T) {
+	_, addr := newTestServer(t, Config{BatchSize: 4, MaxWait: time.Millisecond, MaxNodes: 8})
+	c, err := Dial(addr, "")
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer c.Close()
+	var se *StatusError
+	_, err = c.Do(context.Background(), engine.Request{Op: engine.OpRank, List: &list.List{Next: []int{1, -1, 3, 2}}})
+	if !errors.As(err, &se) || se.Code != StatusInvalid {
+		t.Fatalf("malformed list: err = %v, want status invalid", err)
+	}
+	if tm := se.Timing; tm.Enqueue.IsZero() || tm.Flush.Before(tm.Enqueue) ||
+		tm.Service.Before(tm.Flush) || tm.Respond.Before(tm.Service) {
+		t.Errorf("malformed list: stamps missing or out of order: %+v", tm)
+	}
+	_, err = c.Do(context.Background(), engine.Request{Op: engine.OpRank, List: list.RandomList(9, 1)})
+	if !errors.As(err, &se) || se.Code != StatusInvalid {
+		t.Fatalf("list over MaxNodes: err = %v, want status invalid", err)
+	}
+	if tm := se.Timing; tm.Enqueue.IsZero() || !tm.Flush.IsZero() || !tm.Service.IsZero() || tm.Respond.Before(tm.Enqueue) {
+		t.Errorf("list over MaxNodes: stamps %+v, want Enqueue ≤ Respond only", tm)
+	}
+}
+
 // TestUnservableInputIsInvalid: a one-node partition (f(a, a) is
 // undefined), a one-node Match3, a schedule whose K exceeds max(n, 6)
 // or whose labels fall outside [0, K), a partition iters or a
@@ -645,8 +681,11 @@ func TestMalformedListIsInvalid(t *testing.T) {
 // fault. Both framings answer 400 invalid on the simulated and native
 // executors, the native engines at four parties included, no machine
 // is rebuilt, and the server goes on serving the same connection; at
-// the cap the iteration counts are served. The one-node partition, the
-// schedule with K = 2^30 and the Match2 used to end the process.
+// the cap the iteration counts are served. So is a request asking for
+// more processors than its list has nodes, refused at admission since
+// the simulated fallback's cost grows with p; at p = n it is served.
+// The one-node partition, the schedule with K = 2^30 and the Match2
+// used to end the process.
 func TestUnservableInputIsInvalid(t *testing.T) {
 	for _, exec := range []pram.Exec{pram.Sequential, pram.Native} {
 		pool := engine.NewPool(engine.PoolConfig{Engines: 2, QueueDepth: 64,
@@ -683,6 +722,10 @@ func TestUnservableInputIsInvalid(t *testing.T) {
 				engine.Request{Op: engine.OpMIS, List: four, I: over}},
 			{"/v1/matching", `{"next":[1,2,3,-1],"algorithm":"match2","processors":2147483647}`,
 				engine.Request{Op: engine.OpMatching, List: four, Algorithm: engine.AlgoMatch2, Processors: math.MaxInt32}},
+			{"/v1/matching", `{"next":[1,2,3,-1],"algorithm":"match2","processors":5}`,
+				engine.Request{Op: engine.OpMatching, List: four, Algorithm: engine.AlgoMatch2, Processors: 5}},
+			{"/v1/rank", `{"next":[1,2,3,-1],"rank":"loadbalanced","processors":5}`,
+				engine.Request{Op: engine.OpRank, List: four, Rank: engine.RankLoadBalanced, Processors: 5}},
 		} {
 			resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
 			if err != nil {
@@ -706,8 +749,8 @@ func TestUnservableInputIsInvalid(t *testing.T) {
 			t.Errorf("%s: the refusals rebuilt %d machines", exec, got)
 		}
 
-		// At the cap every iteration parameter is served, on both wire
-		// forms.
+		// At the cap every iteration parameter is served, and so is
+		// p = n, on both wire forms.
 		at := engine.MaxIterations
 		for _, tc := range []struct {
 			path string
@@ -720,6 +763,10 @@ func TestUnservableInputIsInvalid(t *testing.T) {
 				engine.Request{Op: engine.OpMatching, List: four, I: at}},
 			{"/v1/mis", fmt.Sprintf(`{"next":[1,2,3,-1],"i":%d}`, at),
 				engine.Request{Op: engine.OpMIS, List: four, I: at}},
+			{"/v1/matching", `{"next":[1,2,3,-1],"algorithm":"match2","processors":4}`,
+				engine.Request{Op: engine.OpMatching, List: four, Algorithm: engine.AlgoMatch2, Processors: 4}},
+			{"/v1/rank", `{"next":[1,2,3,-1],"rank":"loadbalanced","processors":4}`,
+				engine.Request{Op: engine.OpRank, List: four, Rank: engine.RankLoadBalanced, Processors: 4}},
 		} {
 			resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
 			if err != nil {
@@ -939,9 +986,120 @@ func TestBinaryReadDeadlines(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
+// TestConnInflightCap pipelines maxConnInflight+8 frames on one raw
+// connection while both engines are parked and the batcher holds every
+// group (BatchSize past the frame count, an hour-long MaxWait). The
+// server stops reading at the cap, so the batcher never holds more
+// than maxConnInflight of them. Once the engines are released every
+// frame is answered bit-identical to per-request Do, and closing the
+// connection ends both of its goroutines.
+func TestConnInflightCap(t *testing.T) {
+	const frames = maxConnInflight + 8
+	l := list.RandomList(300, 13)
+	reqs := serverTestRequests(t, l)
+	control := engine.NewPool(engine.PoolConfig{
+		Engines: 2, QueueDepth: 64, Engine: engine.Config{Processors: 8}})
+	wants := make([]*engine.Result, len(reqs))
+	for i, req := range reqs {
+		var err error
+		if wants[i], err = control.Do(context.Background(), req); err != nil {
+			t.Fatalf("control %d: %v", i, err)
+		}
+	}
+	control.Close()
+
+	pool, park := newParkedPool(2)
+	s, addr := newTestServer(t, Config{Pool: pool, BatchSize: 2 * frames, MaxWait: time.Hour})
+	base := runtime.NumGoroutine()
+	parkers := parkEngines(t, s, park)
+	var stream []byte
+	for i := 0; i < frames; i++ {
+		var err error
+		if stream, err = appendRequestFrame(stream, uint64(i), "", &reqs[i%len(reqs)]); err != nil {
+			t.Fatalf("encode %d: %v", i, err)
+		}
+	}
+	conn := dialRaw(t, addr)
+	if _, err := conn.Write(stream); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	waitFor(t, "the connection's cap to fill", func() bool { return s.bat.queued.Load() >= maxConnInflight })
+	// The rest of the frames sit in the socket: give a read loop that
+	// ignored the cap time to queue them.
+	for end := time.Now().Add(200 * time.Millisecond); time.Now().Before(end); time.Sleep(time.Millisecond) {
+		if q := s.bat.queued.Load(); q > maxConnInflight {
+			t.Fatalf("the batcher holds %d of one connection's frames, cap %d", q, maxConnInflight)
+		}
+	}
+	park.unpark(2)
+	awaitParkers(t, parkers, 2)
+
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	seen := make(map[uint64]bool, frames)
+	for range frames {
+		r, err := decodeResponseFrame(conn.next(t))
+		if err != nil {
+			t.Fatalf("decode response: %v", err)
+		}
+		if r.Status != StatusOK || r.ID >= frames || seen[r.ID] {
+			t.Fatalf("response id %d: status %s (%s), or an id out of range or repeated", r.ID, statusName(r.Status), r.Message)
+		}
+		seen[r.ID] = true
+		assertSameResult(t, int(r.ID), &r.Result, wants[int(r.ID)%len(reqs)])
+	}
+	conn.Close()
+	waitGoroutines(t, base)
+}
+
+// TestClientReadsWhileWriteBlocked pipelines far more large requests
+// from one goroutine than the server holds per connection. Once the
+// server stops reading at its cap the client's writes block, and its
+// read loop must go on delivering responses meanwhile: if it waited
+// for the write, the server's writes would block in turn and neither
+// side would move until the server's 30-s write deadline.
+func TestClientReadsWhileWriteBlocked(t *testing.T) {
+	const requests, n = 4 * maxConnInflight, 1 << 14
+	_, addr := newTestServer(t, Config{})
+	c, err := Dial(addr, "pipeline")
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer c.Close()
+	req := engine.Request{Op: engine.OpRank, List: list.RandomList(n, 17)}
+	chs := make(chan (<-chan *Response), requests)
+	var submitErr error // read once chs is closed
+	go func() {
+		defer close(chs)
+		for i := 0; i < requests; i++ {
+			ch, err := c.Submit(req)
+			if err != nil {
+				submitErr = fmt.Errorf("Submit %d: %w", i, err)
+				return
+			}
+			chs <- ch
+		}
+	}()
+	timeout := time.After(20 * time.Second)
+	got := 0
+	for ch := range chs {
+		select {
+		case r, ok := <-ch:
+			if !ok || r.Status != StatusOK || len(r.Result.Ranks) != n {
+				t.Fatalf("response %d: %+v", got, r)
+			}
+			got++
+		case <-timeout:
+			t.Fatalf("stalled after %d of %d responses", got, requests)
+		}
+	}
+	if submitErr != nil {
+		t.Fatal(submitErr)
+	}
+}
+
 // TestCancelWhileBatched parks both engines so an item waits in a
-// pending group (huge batch, long wait), cancels its context, and
-// checks the caller is released immediately while the batcher later
+// pending group (huge batch, long wait) and cancels its context. The
+// caller is answered, with the context's error, when the timer flush
 // drops the item without running it.
 func TestCancelWhileBatched(t *testing.T) {
 	pool, park := newParkedPool(2)
@@ -962,7 +1120,7 @@ func TestCancelWhileBatched(t *testing.T) {
 		}
 		done <- err
 	}()
-	time.Sleep(20 * time.Millisecond) // let the item reach the pending group
+	waitFor(t, "the item to reach the pending group", func() bool { return s.bat.queued.Load() == 1 })
 	cancel()
 	select {
 	case err := <-done:
@@ -970,10 +1128,8 @@ func TestCancelWhileBatched(t *testing.T) {
 			t.Fatal(err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("caller not released on cancel")
+		t.Fatal("caller not answered after cancel")
 	}
-	// The timer flush must drop the cancelled item, not run it.
-	time.Sleep(300 * time.Millisecond)
 	park.unpark(2)
 	awaitParkers(t, parkers, 2)
 	st := s.pool.Stats()

@@ -1,12 +1,12 @@
 package server
 
 // Tests for trace-context wire propagation: the HTTP header codec and
-// the v2 binary frame trace block must both be encode∘decode identities,
-// garbage must degrade to "no context" (never an error), and v1 frames
-// without the trace block must still decode.
+// the binary frame trace block must both be encode∘decode identities,
+// and garbage must degrade to "no context" (never an error).
 
 import (
 	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -21,7 +21,7 @@ import (
 // HTTP header form round-trips through Header/ParseTraceHeader; the
 // binary framing round-trips the trace block through both the request
 // and response codecs; and a version-1 request frame (no trace block)
-// still decodes, yielding the zero context.
+// is refused as an unsupported version.
 func TestTraceContextWireRoundTrip(t *testing.T) {
 	l := &list.List{Next: []int{1, 2, -1}, Head: 0}
 	contexts := []obs.TraceContext{
@@ -55,7 +55,8 @@ func TestTraceContextWireRoundTrip(t *testing.T) {
 
 		// Binary response frame identity (the response block carries the
 		// id halves and root span; the sampled flag is request-side only).
-		resp := appendResponseFrame(nil, 42, StatusInternal, engine.OpRank, nil, tc, "boom")
+		resp := appendResponseFrame(nil, &item{id: 42, status: StatusInternal, err: errors.New("boom"),
+			bi: engine.BatchItem{Req: engine.Request{Op: engine.OpRank, Trace: tc}}})
 		r, err := decodeResponseFrame(resp[4:])
 		if err != nil {
 			t.Fatal(err)
@@ -67,8 +68,7 @@ func TestTraceContextWireRoundTrip(t *testing.T) {
 	}
 
 	// A v1 frame is the v2 frame with the 32-byte trace block spliced
-	// out and the version byte dropped to 1: it must decode to the same
-	// request with the zero context.
+	// out and the version byte dropped to 1: it is refused.
 	req := engine.Request{Op: engine.OpRank, List: l,
 		Trace: obs.TraceContext{TraceHi: 9, TraceLo: 9, SpanID: 9, Sampled: true}}
 	frame, err := appendRequestFrame(nil, 7, "tenant", &req)
@@ -78,15 +78,8 @@ func TestTraceContextWireRoundTrip(t *testing.T) {
 	v2 := frame[4:]
 	v1 := append(append([]byte{}, v2[:64]...), v2[96:]...)
 	v1[1] = 1
-	id, tenant, req1, err := decodeRequestFrame(v1)
-	if err != nil {
-		t.Fatalf("v1 frame rejected: %v", err)
-	}
-	if id != 7 || tenant != "tenant" || req1.Trace != (obs.TraceContext{}) {
-		t.Errorf("v1 decode: id=%d tenant=%q trace=%+v, want 7 \"tenant\" zero", id, tenant, req1.Trace)
-	}
-	if len(req1.List.Next) != len(l.Next) {
-		t.Errorf("v1 decode lost the list: %d nodes", len(req1.List.Next))
+	if _, _, _, err := decodeRequestFrame(v1); !errors.Is(err, errBadVersion) {
+		t.Errorf("v1 frame: err = %v, want %v", err, errBadVersion)
 	}
 }
 
@@ -168,7 +161,7 @@ func TestHTTPTracePropagation(t *testing.T) {
 // TestBinaryFrameTraceOversize: the oversize-frame refusal path writes
 // a response with the zero context — it never invents a trace id.
 func TestBinaryFrameTraceOversize(t *testing.T) {
-	resp := appendResponseFrame(nil, 0, StatusInvalid, 0, nil, obs.TraceContext{}, "too big")
+	resp := appendResponseFrame(nil, &item{status: StatusInvalid, err: errors.New("too big")})
 	r, err := decodeResponseFrame(resp[4:])
 	if err != nil {
 		t.Fatal(err)
