@@ -192,9 +192,17 @@ func testNativeCase(t *testing.T, native, seq *Engine, req Request, kernel bool)
 // TestNativeKernelEdgeSizes sweeps the kernel-served ops over the sizes
 // that straddle the kernels' serial-fast-path and chunking thresholds
 // (n < 64 splitter cutoff, n ≤ parties, singletons) and over generator
-// families with adversarial address orders.
+// families with adversarial address orders, on native engines of 1, 2
+// and 4 workers. The sizes also straddle the Match4 kernel's column
+// height x (x = 6 from 5 to 256 nodes at i = 3, 8 above): n = x-1, x
+// and x+1, and columns whose last one is short (13 = 2·6 + 1,
+// 257 = 32·8 + 1). Schedule runs on the reference partition and on
+// address labels at K = max(n, 6), the largest range the engine
+// admits, where one column holds the whole list (a short one below six
+// nodes).
 func TestNativeKernelEdgeSizes(t *testing.T) {
-	native, seq := nativeEngines(t)
+	seq := New(Config{Processors: 8})
+	t.Cleanup(func() { seq.Close() })
 	gens := []struct {
 		name string
 		make func(n int) *list.List
@@ -203,39 +211,46 @@ func TestNativeKernelEdgeSizes(t *testing.T) {
 		{"reversed", list.ReversedList},
 		{"zigzag", list.ZigZagList},
 	}
-	for _, g := range gens {
-		for _, n := range []int{1, 2, 3, 5, 63, 64, 65, 257, 1000} {
-			l := g.make(n)
-			vals := make([]int, n)
-			for i := range vals {
-				vals[i] = (i*7)%19 - 9
-			}
-			labels, K := scheduleInput(t, seq, l)
-			reqs := []Request{
-				{Op: OpMatching, List: l},
-				{Op: OpRank, List: l, Rank: RankContraction},
-				{Op: OpRank, List: l, Rank: RankWyllie},
-				{Op: OpPrefix, List: l, Values: vals},
-				{Op: OpThreeColor, List: l},
-				{Op: OpMIS, List: l},
-				{Op: OpSchedule, List: l, Labels: labels, K: K},
-			}
-			if n > 1 {
-				// OpPartition is undefined at n = 1 on every executor
-				// (TestOneNodePartitionRejected).
-				reqs = append(reqs, Request{Op: OpPartition, List: l, Iters: 2})
-			}
-			for _, req := range reqs {
-				got, err := native.Run(bg, req)
-				if err != nil {
-					t.Fatalf("%s/n=%d/%s: native: %v", g.name, n, req.Op, err)
+	for _, workers := range []int{1, 2, 4} {
+		native := New(Config{Processors: 8, Exec: pram.Native, Workers: workers})
+		t.Cleanup(func() { native.Close() })
+		for _, g := range gens {
+			for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 13, 63, 64, 65, 257, 1000} {
+				l := g.make(n)
+				vals := make([]int, n)
+				addr := make([]int, n)
+				for i := range vals {
+					vals[i] = (i*7)%19 - 9
+					addr[i] = i
 				}
-				want, err := seq.Run(bg, req)
-				if err != nil {
-					t.Fatalf("%s/n=%d/%s: sequential: %v", g.name, n, req.Op, err)
+				labels, K := scheduleInput(t, seq, l)
+				reqs := []Request{
+					{Op: OpMatching, List: l},
+					{Op: OpRank, List: l, Rank: RankContraction},
+					{Op: OpRank, List: l, Rank: RankWyllie},
+					{Op: OpPrefix, List: l, Values: vals},
+					{Op: OpThreeColor, List: l},
+					{Op: OpMIS, List: l},
+					{Op: OpSchedule, List: l, Labels: labels, K: K},
+					{Op: OpSchedule, List: l, Labels: addr, K: max(n, 6)},
 				}
-				if !sameOutput(got, want) {
-					t.Errorf("%s/n=%d/%s: output diverges from sequential", g.name, n, req.Op)
+				if n > 1 {
+					// OpPartition is undefined at n = 1 on every executor
+					// (TestOneNodePartitionRejected).
+					reqs = append(reqs, Request{Op: OpPartition, List: l, Iters: 2})
+				}
+				for _, req := range reqs {
+					got, err := native.Run(bg, req)
+					if err != nil {
+						t.Fatalf("workers=%d/%s/n=%d/%s K=%d: native: %v", workers, g.name, n, req.Op, req.K, err)
+					}
+					want, err := seq.Run(bg, req)
+					if err != nil {
+						t.Fatalf("workers=%d/%s/n=%d/%s K=%d: sequential: %v", workers, g.name, n, req.Op, req.K, err)
+					}
+					if !sameOutput(got, want) {
+						t.Errorf("workers=%d/%s/n=%d/%s K=%d: output diverges from sequential", workers, g.name, n, req.Op, req.K)
+					}
 				}
 			}
 		}
@@ -520,5 +535,66 @@ func TestOneNodePartitionRejected(t *testing.T) {
 			}
 			eng.Close()
 		}
+	}
+}
+
+// match4Words is the arena a fresh native engine of the given width
+// holds after two warm-up runs of req: Engine.Stats().Arena's fresh
+// bytes, in 8-byte words per node.
+func match4Words(t *testing.T, workers int, req Request) float64 {
+	t.Helper()
+	eng := New(Config{Processors: 8, Exec: pram.Native, Workers: workers})
+	defer eng.Close()
+	var res Result
+	for i := 0; i < 2; i++ {
+		if err := eng.RunInto(bg, req, &res); err != nil {
+			t.Fatalf("%v n=%d workers=%d: %v", req.Op, req.List.Len(), workers, err)
+		}
+	}
+	return float64(eng.Stats().Arena.BytesAllocated) / 8 / float64(req.List.Len())
+}
+
+// TestNativeMatch4Footprint bounds the scratch of the Match4-family
+// requests, all of which run the native Match4 kernel: one warm
+// matching, MIS or schedule request holds at most 6 words/node of
+// arena from 256 to 65,536 nodes, at one party and at four. Schedule
+// at K = n, the largest label range the engine admits, holds the same
+// arena at one and four parties and at most 12 words/node: the step
+// histogram is shared by the team, so its 3K words do not grow with the
+// party count.
+func TestNativeMatch4Footprint(t *testing.T) {
+	seq := New(Config{Processors: 8})
+	defer seq.Close()
+	for _, n := range []int{256, 1024, 4096, 65536} {
+		l := list.RandomList(n, int64(n)+3)
+		labels, K := scheduleInput(t, seq, l)
+		for _, req := range []Request{
+			{Op: OpMatching, List: l},
+			{Op: OpMIS, List: l},
+			{Op: OpSchedule, List: l, Labels: labels, K: K},
+		} {
+			for _, workers := range []int{1, 4} {
+				words := match4Words(t, workers, req)
+				t.Logf("%v n=%d workers=%d: %.2f words/node", req.Op, n, workers, words)
+				if words > 6 {
+					t.Errorf("%v n=%d workers=%d: arena %.2f words/node, want ≤ 6", req.Op, n, workers, words)
+				}
+			}
+		}
+	}
+	const n = 4096
+	l := list.RandomList(n, 11)
+	addr := make([]int, n)
+	for v := range addr {
+		addr[v] = v
+	}
+	req := Request{Op: OpSchedule, List: l, Labels: addr, K: n}
+	one, four := match4Words(t, 1, req), match4Words(t, 4, req)
+	t.Logf("schedule K=n=%d: %.2f words/node at 1 party, %.2f at 4", n, one, four)
+	if one != four {
+		t.Errorf("schedule K=n: arena %.2f words/node at 1 party, %.2f at 4: want equal", one, four)
+	}
+	if four > 12 {
+		t.Errorf("schedule K=n: arena %.2f words/node, want ≤ 12", four)
 	}
 }

@@ -11,9 +11,11 @@ import (
 
 	"parlist/internal/engine"
 	"parlist/internal/list"
+	"parlist/internal/matching"
 	"parlist/internal/obs"
 	"parlist/internal/pram"
 	"parlist/internal/rank"
+	"parlist/internal/verify"
 )
 
 // runE17 profiles the serving layer with the observability collector:
@@ -270,14 +272,18 @@ func runE18(cfg Config) ([]*Table, error) {
 	return []*Table{t, sizes}, nil
 }
 
-// runE18Sizes is E18's size sweep for the native rank walker at one
-// party, the width of a pool engine on a small host: rank and prefix
-// requests on random lists from 2^12 to 2^20 nodes (2^14 in quick
-// mode), rotating over 8 lists so that no request finds its list warm
-// from the one before. The walk column names the path the walker takes
-// at that size — the serial walk below rank.SweepMinRank (prefix:
-// rank.SweepMinPrefix), the ruler sweep from it on — so the rows show
-// where the sweep starts to pay. Every request includes the degree pass.
+// runE18Sizes is E18's size sweep at one party, the width of a pool
+// engine on a small host: Match4, rank and prefix requests on random
+// lists from 2^12 to 2^20 nodes (2^14 in quick mode), rotating over 8
+// lists so that no request finds its list warm from the one before.
+// The walk column names the path the request takes at that size: the
+// Match4 kernel, or the rank walker's serial walk below
+// rank.SweepMinRank (prefix: rank.SweepMinPrefix) and its ruler sweep
+// from there on, so the rows show where the sweep starts to pay. Every
+// request includes the degree pass. Each row is set against T₁, a
+// serial algorithm run over the same lists: the greedy walk
+// matching.Sequential for Match4, walkReference's serial walk for rank
+// and prefix; ×T1 is how many times T₁ the request costs.
 func runE18Sizes(cfg Config) (*Table, error) {
 	maxLog, requests := 20, 16
 	if cfg.Quick {
@@ -285,9 +291,10 @@ func runE18Sizes(cfg Config) (*Table, error) {
 	}
 	const lists = 8
 	t := &Table{
-		Title:  fmt.Sprintf("E18 — one-party native rank and prefix by list size, %d lists rotated, %d requests per cell", lists, requests),
-		Note:   "walk = the path the walker takes at this size; ns-per-node = request wall time / n, degree pass included",
-		Header: []string{"op", "n", "walk", "ns-per-req", "ns-per-node", "identical"},
+		Title: fmt.Sprintf("E18 — one-party native Match4, rank and prefix by list size, %d lists rotated, %d requests per cell", lists, requests),
+		Note: "walk = the path the request takes at this size; ns-per-node = request wall time / n, degree pass included; " +
+			"t1 = the serial algorithm (greedy matching walk, serial rank/prefix walk); ok = rank/prefix equal T₁'s output, Match4's a maximal matching",
+		Header: []string{"op", "n", "walk", "ns-per-req", "ns-per-node", "t1-ns-per-node", "×T1", "ok"},
 	}
 	ctx := context.Background()
 	eng := engine.New(engine.Config{Processors: 256, Exec: pram.Native, Workers: 1})
@@ -302,24 +309,37 @@ func runE18Sizes(cfg Config) (*Table, error) {
 		for i := range vals {
 			vals[i] = i%7 - 3
 		}
-		for _, op := range []engine.Op{engine.OpRank, engine.OpPrefix} {
+		for _, op := range []engine.Op{engine.OpMatching, engine.OpRank, engine.OpPrefix} {
 			req := engine.Request{Op: op}
-			from := rank.SweepMinRank
-			if op == engine.OpPrefix {
-				req.Values, from = vals, rank.SweepMinPrefix
+			walk := "match4"
+			// check verifies a response on list l: a maximal matching,
+			// or T₁'s ranks or sums.
+			check := func(l *list.List, res *engine.Result) bool {
+				return verify.MaximalMatching(l, res.In) == nil
 			}
-			walk := "serial"
-			if n >= from {
-				walk = "sweep"
+			t1 := func(l *list.List) { matching.Sequential(l) }
+			if op != engine.OpMatching {
+				from := rank.SweepMinRank
+				if op == engine.OpPrefix {
+					req.Values, from = vals, rank.SweepMinPrefix
+				}
+				walk = "serial"
+				if n >= from {
+					walk = "sweep"
+				}
+				check = func(l *list.List, res *engine.Result) bool {
+					return reflect.DeepEqual(res.Ranks, walkReference(l, req.Values))
+				}
+				t1 = func(l *list.List) { walkReference(l, req.Values) }
 			}
 			var res engine.Result
-			identical := true
+			ok := true
 			for i := 0; i < lists; i++ { // warm up, and check every list
 				req.List = ls[i]
 				if err := eng.RunInto(ctx, req, &res); err != nil {
 					return nil, fmt.Errorf("E18 %v n=%d: %w", op, n, err)
 				}
-				identical = identical && reflect.DeepEqual(res.Ranks, walkReference(ls[i], req.Values))
+				ok = ok && check(ls[i], &res)
 			}
 			start := time.Now()
 			for i := 0; i < requests; i++ {
@@ -329,7 +349,13 @@ func runE18Sizes(cfg Config) (*Table, error) {
 				}
 			}
 			nsPer := float64(time.Since(start).Nanoseconds()) / float64(requests)
-			t.Add(op.String(), n, walk, fmt.Sprintf("%.0f", nsPer), fmt.Sprintf("%.2f", nsPer/float64(n)), identical)
+			start = time.Now()
+			for i := 0; i < requests; i++ {
+				t1(ls[i%lists])
+			}
+			t1Per := float64(time.Since(start).Nanoseconds()) / float64(requests)
+			t.Add(op.String(), n, walk, fmt.Sprintf("%.0f", nsPer), fmt.Sprintf("%.2f", nsPer/float64(n)),
+				fmt.Sprintf("%.2f", t1Per/float64(n)), fmt.Sprintf("%.1f", nsPer/t1Per), ok)
 		}
 	}
 	return t, nil

@@ -6,35 +6,46 @@ import (
 	"parlist/internal/list"
 	"parlist/internal/partition"
 	"parlist/internal/pram"
-	"parlist/internal/sortint"
 	"parlist/internal/ws"
 )
 
-// NativeRunner is the Native executor's Match4: the same four-stage
-// pipeline as Runner — iterated partition, per-column counting sorts,
-// WalkDown1, WalkDown2 with direct admission — executed as ONE team
-// dispatch on the machine's SPMD runtime instead of ~3x simulated
-// round dispatches. Each party owns a contiguous chunk of nodes (for
-// the partition rounds) and of columns (for the sorts and WalkDowns),
-// and the only synchronization is a barrier per genuine dependence
-// edge: one per partition application, one after the sorts, one per
-// WalkDown1 row and one per WalkDown2 automaton step. Within a step
-// the WalkDown schedule never processes two adjacent pointers (Lemmas
-// 6–7), so every step's admission writes touch disjoint node pairs and
-// the outcome is bit-identical to the simulated Match4's — a property
-// the equivalence suites assert.
+// NativeRunner is the Native executor's Match4: Runner's pipeline —
+// iterated partition, column-sorted labels, WalkDown1, WalkDown2 with
+// direct admission — run as ONE team dispatch on the machine's SPMD
+// runtime, with every pointer's WalkDown step computed in closed form
+// instead of simulated:
+//
+//   - Stage 1 labels the nodes: `rounds` applications of f, one
+//     barrier each.
+//   - Stage 2 gives each node v its row, rowOf[v]: its stable rank by
+//     label within its column of x nodes, one counting pass per column.
+//   - Stage 3 computes each pointer's step. Lemma 6 processes an
+//     inter-row pointer v→s (rowOf[s] ≠ rowOf[v]) at its row's step of
+//     WalkDown1, rowOf[v]. Lemma 7 puts a column's WalkDown2 in row r at
+//     step A[r] + r, so an intra-row pointer runs at step
+//     x + lab[v] + rowOf[v]: WalkDown2's steps follow WalkDown1's x.
+//   - Stage 4 buckets the pointers by step on party 0, in one
+//     histogram of the 3x-1 steps that the whole team shares.
+//   - Stage 5 admits the pointers bucket by bucket, with a barrier
+//     between non-empty steps and none inside one.
+//
+// No two pointers of one step are adjacent: in WalkDown1 an inter-row
+// pointer's successor sits in another row, and in WalkDown2 adjacent
+// pointers share a row but not a label. So the order inside a step
+// cannot matter, and the matching is the simulated Match4's bit for
+// bit — a property the equivalence suites assert.
 //
 // Schedule runs the same team body on a caller's matching partition:
 // stage 1 copies the labels in and applies f zero times, so §4's
-// ScheduleMatching shares stages 2–4 with Match4 here as it does in the
+// ScheduleMatching shares stages 2–5 with Match4 here as it does in the
 // simulated code.
 //
 // Nothing is charged to the simulated accounting (Result.Stats carries
 // Time = Work = 0); phase spans still flow to an attached observer.
-// Scratch comes from the machine's workspace, so steady-state reuse at
-// a fixed size performs no heap allocation, matching Runner's
-// zero-alloc contract. Not safe for concurrent use; the engine
-// serializes requests onto it.
+// Scratch comes from the machine's workspace and stays O(n + K) at any
+// party count, so steady-state reuse at a fixed size performs no heap
+// allocation. Not safe for concurrent use; the engine serializes
+// requests onto it.
 type NativeRunner struct {
 	m     *pram.Machine
 	iters int
@@ -48,13 +59,11 @@ type NativeRunner struct {
 	k          int   // label range K: stage 1's labels lie in [0, k)
 	rounds     int   // applications of f in stage 1 (0 for Schedule)
 	given      []int // Schedule's caller labels; nil = addresses
-	lab0, lab1 []int // partition double buffers; parity picks the result
-
-	cellNode, rowOf                    []int
-	keyBuf, nodeBuf, permBuf, countBuf []int
-	sortedBuf, sortedOff               []int
-	in, used                           []bool
-	states                             []walkState
+	lab0, lab1 []int // partition double buffers, then the steps and the order
+	rowOf      []int // node → its row in its column
+	count      []int // x label counters per party that owns a column
+	bucket     []int // step → end of its bucket in the order array
+	in, used   []bool
 
 	teamF func(*pram.TeamCtx) // the whole pipeline, bound once
 }
@@ -73,19 +82,9 @@ func NewNativeRunner(m *pram.Machine, iters int) (*NativeRunner, error) {
 // Machine returns the machine the runner dispatches on.
 func (r *NativeRunner) Machine() *pram.Machine { return r.m }
 
-// colLen is the column height in the column-major layout.
-func (r *NativeRunner) colLen(c int) int {
-	lo := c * r.x
-	hi := lo + r.x
-	if hi > r.n {
-		hi = r.n
-	}
-	return hi - lo
-}
-
 // team is the SPMD body: every party executes it over its own chunks.
 func (r *NativeRunner) team(ctx *pram.TeamCtx) {
-	l, n, x, y := r.l, r.n, r.x, r.y
+	l, n, x := r.l, r.n, r.x
 	next, head := l.Next, l.Head
 
 	// Stage 1: iterated partition, CREW-style single pass per
@@ -117,87 +116,101 @@ func (r *NativeRunner) team(ctx *pram.TeamCtx) {
 		lab, out = out, lab
 	}
 
-	// Stage 2: per-column counting sorts plus the in/used clear, all
-	// chunk-owned, one barrier before the WalkDowns read any of it.
+	// Stage 2: rows. Column c holds nodes [c·x, c·x+x); a node's row is
+	// its stable rank by label there, the row the simulated column sort
+	// moves it to. The in/used clear rides along.
 	if ctx.Worker == 0 {
 		r.m.Phase("column-sort")
 	}
-	cLo, cHi := ctx.Chunk(y)
-	for c := cLo; c < cHi; c++ {
-		ln := r.colLen(c)
-		keys := r.keyBuf[c*x : c*x+ln]
-		nodes := r.nodeBuf[c*x : c*x+ln]
-		for j := 0; j < ln; j++ {
-			v := c*x + j
-			nodes[j] = v
-			keys[j] = lab[v]
+	if cLo, cHi := ctx.Chunk(r.y); cLo < cHi {
+		cnt := r.count[ctx.Worker*x : ctx.Worker*x+x]
+		for c := cLo; c < cHi; c++ {
+			col := lab[c*x : min(c*x+x, n)]
+			rows := r.rowOf[c*x : c*x+len(col)]
+			clear(cnt)
+			for _, a := range col {
+				cnt[a]++
+			}
+			sum := 0
+			for a, k := range cnt {
+				cnt[a] = sum
+				sum += k
+			}
+			for j, a := range col {
+				rows[j] = cnt[a]
+				cnt[a]++
+			}
 		}
-		perm := sortint.SequentialByKeyInto(keys, x, r.permBuf[c*x:(c+1)*x], r.countBuf[c*(x+1):(c+1)*(x+1)])
-		sorted := r.sortedBuf[r.sortedOff[c]:r.sortedOff[c+1]]
-		for j := 0; j < ln; j++ {
-			v := nodes[perm[j]]
-			r.cellNode[c*x+j] = v
-			r.rowOf[v] = j
-			sorted[j] = keys[perm[j]]
-		}
-		r.states[c] = walkState{}
 	}
+	clear(r.in[lo:hi])
+	clear(r.used[lo:hi])
+	ctx.Barrier()
+
+	// Stage 3: each pointer's step, written over its own label (no
+	// other party reads lab[v] from here on); -1 marks the tail.
 	for v := lo; v < hi; v++ {
-		r.in[v] = false
-		r.used[v] = false
+		t := -1
+		if s := next[v]; s != list.Nil {
+			t = r.rowOf[v]
+			if r.rowOf[s] == t {
+				t += x + lab[v]
+			}
+		}
+		lab[v] = t
 	}
 	ctx.Barrier()
 
-	// Stage 3: WalkDown1 (Lemma 6) — inter-row pointers, row by row.
-	// One barrier per row keeps the simulated schedule's step structure;
-	// within a row no two processed pointers are adjacent, so the
-	// cross-chunk admission writes are conflict-free.
+	// Stage 4: a counting sort of the pointers by step into `out`, the
+	// free partition buffer; bucket[t] ends step t's run. It runs on
+	// party 0 alone: two streaming passes, where a histogram per party
+	// would cost 3x words a party.
+	order, bucket := out, r.bucket
 	if ctx.Worker == 0 {
+		clear(bucket)
+		for _, t := range lab {
+			if t >= 0 {
+				bucket[t]++
+			}
+		}
+		sum := 0
+		for t, k := range bucket {
+			bucket[t] = sum
+			sum += k
+		}
+		for v, t := range lab {
+			if t >= 0 {
+				order[bucket[t]] = v
+				bucket[t]++
+			}
+		}
 		r.m.Phase("walkdown1")
 	}
-	for row := 0; row < x; row++ {
-		for c := cLo; c < cHi; c++ {
-			if row >= r.colLen(c) {
-				continue
-			}
-			v := r.cellNode[c*x+row]
-			s := next[v]
-			if s == list.Nil || r.rowOf[v] == r.rowOf[s] {
-				continue
-			}
-			r.admit(v, s)
-		}
-		ctx.Barrier()
-	}
+	ctx.Barrier()
 
-	// Stage 4: WalkDown2 (Lemma 7) — intra-row pointers, 2x-1 pipelined
-	// automaton steps; the final step needs no barrier (the team join
-	// publishes it).
-	if ctx.Worker == 0 {
-		r.m.Phase("walkdown2")
-	}
-	for step := 0; step <= 2*x-2; step++ {
-		for c := cLo; c < cHi; c++ {
-			a := r.sortedBuf[r.sortedOff[c]:r.sortedOff[c+1]]
-			row := r.states[c].advance(a, len(a))
-			if row < 0 {
-				continue
-			}
-			v := r.cellNode[c*x+row]
-			s := next[v]
-			if s == list.Nil || r.rowOf[v] != r.rowOf[s] {
-				continue
-			}
-			r.admit(v, s)
+	// Stage 5: admission, step by step. Steps below x are WalkDown1's,
+	// the rest WalkDown2's. The last non-empty step needs no barrier
+	// (the team join publishes it).
+	start, last := 0, bucket[len(bucket)-1]
+	for t, end := range bucket {
+		if t == x && ctx.Worker == 0 {
+			r.m.Phase("walkdown2")
 		}
-		if step < 2*x-2 {
+		if end == start {
+			continue
+		}
+		bLo, bHi := ctx.Chunk(end - start)
+		for _, v := range order[start+bLo : start+bHi] {
+			r.admit(v, next[v])
+		}
+		start = end
+		if end < last {
 			ctx.Barrier()
 		}
 	}
 }
 
-// admit is the direct-admission process(v); safe because the WalkDown
-// schedule never processes adjacent pointers in the same step.
+// admit is the direct-admission process(v); safe because no two
+// pointers of one step are adjacent.
 func (r *NativeRunner) admit(v, s int) {
 	if !r.used[v] && !r.used[s] {
 		r.used[v] = true
@@ -235,7 +248,7 @@ func (r *NativeRunner) Run(l *list.List, res *Result) error {
 func (r *NativeRunner) Used() []bool { return r.used }
 
 // Schedule is ScheduleMatching on the team runtime: the same input
-// checks and errors, then stages 2–4 on the caller's labels. The
+// checks and errors, then stages 2–5 on the caller's labels. The
 // result matches ScheduleMatching's bit for bit; res.In aliases the
 // workspace, as with Run.
 func (r *NativeRunner) Schedule(l *list.List, lab []int, K int, res *Result) error {
@@ -264,7 +277,7 @@ func (r *NativeRunner) empty(n int, algo string, res *Result) {
 }
 
 // run binds one request — labels given (nil = addresses) in [0, K),
-// then `rounds` applications of f — dispatches stages 1–4 as one team
+// then `rounds` applications of f — dispatches stages 1–5 as one team
 // run, and fills res.
 func (r *NativeRunner) run(l *list.List, given []int, K, rounds int, algo string, res *Result) {
 	m := r.m
@@ -272,38 +285,23 @@ func (r *NativeRunner) run(l *list.List, given []int, K, rounds int, algo string
 	n := l.Len()
 	r.l, r.n = l, n
 	r.given, r.k, r.rounds = given, K, rounds
-
-	x := K
-	if x < 2 {
-		x = 2
-	}
-	r.x = x
-	r.y = (n + x - 1) / x
-	y := r.y
+	// x rows = the label range, so that a column's sorted labels drive
+	// WalkDown2 (Lemma 7); x may exceed n for tiny lists.
+	x := max(K, 2)
+	r.x, r.y = x, (n+x-1)/x
 
 	if given == nil {
 		m.Phase("partition") // Schedule's copy-in is no partition stage
 	}
 	r.lab0 = ws.IntsNoZero(w, n)
 	r.lab1 = ws.IntsNoZero(w, n)
-	r.cellNode = ws.IntsNoZero(w, n)
 	r.rowOf = ws.IntsNoZero(w, n)
-	r.keyBuf = ws.IntsNoZero(w, y*x)
-	r.nodeBuf = ws.IntsNoZero(w, y*x)
-	r.permBuf = ws.IntsNoZero(w, y*x)
-	r.countBuf = ws.IntsNoZero(w, y*(x+1))
-	r.sortedBuf = ws.IntsNoZero(w, n)
-	r.sortedOff = ws.IntsNoZero(w, y+1)
-	r.sortedOff[0] = 0
-	for c := 0; c < y; c++ {
-		r.sortedOff[c+1] = r.sortedOff[c] + r.colLen(c)
-	}
-	r.in = ws.BoolsNoZero(w, n)   // cleared chunk-parallel in the team
-	r.used = ws.BoolsNoZero(w, n) // likewise
-	if cap(r.states) < y {
-		r.states = make([]walkState, y)
-	}
-	r.states = r.states[:y]
+	// Only the parties that own a column count labels: at most
+	// min(parties, y), so the counters take ≤ y·x < n + x words.
+	r.count = ws.IntsNoZero(w, min(m.NativeParties(), r.y)*x)
+	r.bucket = ws.IntsNoZero(w, 3*x-1) // party 0 clears it in the team
+	r.in = ws.BoolsNoZero(w, n)        // cleared chunk-parallel in the team
+	r.used = ws.BoolsNoZero(w, n)      // likewise
 
 	m.RunTeam(r.teamF)
 	r.given = nil

@@ -111,6 +111,62 @@ func TestWalkDown2ExtremeColumns(t *testing.T) {
 	}
 }
 
+// TestWalkDown2ClosedForm checks Lemma 7 in the closed form the native
+// Match4 kernel schedules by: WalkDown2Trace(a)[r] == a[r] + r, for
+// random sorted columns, all-equal columns, strictly increasing columns
+// and short last columns. Inside Match4 a short column of ln < x rows,
+// labels in [0, x), runs the full 2x-1 steps; that is the trace of the
+// column padded to x rows with label x-1, whose first ln marks are the
+// short column's, so it is checked padded.
+func TestWalkDown2ClosedForm(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	check := func(kind string, a []int, rows int) {
+		t.Helper()
+		marks := WalkDown2Trace(a)
+		for r := 0; r < rows; r++ {
+			if marks[r] != a[r]+r {
+				t.Fatalf("%s column %v: row %d marked at step %d, want A[r]+r = %d", kind, a, r, marks[r], a[r]+r)
+			}
+		}
+	}
+	for _, x := range []int{1, 2, 3, 6, 8, 64, 500} {
+		for trial := 0; trial < 20; trial++ {
+			check("random", sortedRandomColumn(x, rng), x)
+		}
+		for _, v := range []int{0, x / 2, x - 1} {
+			a := make([]int, x)
+			for r := range a {
+				a[r] = v
+			}
+			check("all-equal", a, x)
+		}
+		a := make([]int, x)
+		for r := range a {
+			a[r] = r
+		}
+		check("strictly increasing", a, x)
+		for ln := 1; ln < x; ln = 2*ln + 1 {
+			for trial := 0; trial < 5; trial++ {
+				// A short column: ln sorted labels from [0, x), strictly
+				// increasing on every other trial, then the padding.
+				a := make([]int, x)
+				if trial%2 == 0 {
+					copy(a, rng.Perm(x)[:ln])
+				} else {
+					for r := range ln {
+						a[r] = rng.Intn(x)
+					}
+				}
+				sortint.SequentialByKeyInPlace(a[:ln], x)
+				for r := ln; r < x; r++ {
+					a[r] = x - 1
+				}
+				check("short", a, ln)
+			}
+		}
+	}
+}
+
 func TestWalkStateAdvanceAgreesWithTrace(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 50; trial++ {

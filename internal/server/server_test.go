@@ -1056,7 +1056,10 @@ func TestConnInflightCap(t *testing.T) {
 // server stops reading at its cap the client's writes block, and its
 // read loop must go on delivering responses meanwhile: if it waited
 // for the write, the server's writes would block in turn and neither
-// side would move until the server's 30-s write deadline.
+// side would move until the server's 30-s write deadline. Such a stall
+// is permanent, so the test fails when no response arrives for 10 s,
+// not on a budget for the whole run, which a slow run can exhaust
+// without stalling.
 func TestClientReadsWhileWriteBlocked(t *testing.T) {
 	const requests, n = 4 * maxConnInflight, 1 << 14
 	_, addr := newTestServer(t, Config{})
@@ -1079,7 +1082,7 @@ func TestClientReadsWhileWriteBlocked(t *testing.T) {
 			chs <- ch
 		}
 	}()
-	timeout := time.After(20 * time.Second)
+	const progress = 10 * time.Second
 	got := 0
 	for ch := range chs {
 		select {
@@ -1088,8 +1091,8 @@ func TestClientReadsWhileWriteBlocked(t *testing.T) {
 				t.Fatalf("response %d: %+v", got, r)
 			}
 			got++
-		case <-timeout:
-			t.Fatalf("stalled after %d of %d responses", got, requests)
+		case <-time.After(progress):
+			t.Fatalf("no response for %v: stalled after %d of %d responses", progress, got, requests)
 		}
 	}
 	if submitErr != nil {
