@@ -30,8 +30,6 @@
 //	loadgen -n 65536 -engines 4 -shards 4 -conc 1,2  # sharded rank plans
 //	loadgen -listen :9090 -trace out.json
 //	loadgen -smoke                       # tiny CI smoke run
-//	loadgen -chaos                       # resilience soak: faults, kills, deadlines
-//	loadgen -chaos -smoke                # scaled-down soak for CI (run under -race)
 //	loadgen -connect :7070 -qps 2000     # drive a parlistd over the wire
 //	loadgen -connect :7070 -smoke        # tiny wire-mode smoke run
 //
@@ -41,12 +39,6 @@
 // open loop against the socket; otherwise the -conc sweep runs closed
 // loops of concurrent callers. Rows add the daemon-reported mean fused
 // batch size next to the usual latency percentiles.
-//
-// In -chaos mode loadgen hands the run to internal/chaos: thousands of
-// requests with injected fault plans, random engine kills and deadline
-// pressure, audited for exactly-once Future resolution, bit-identical
-// successes, typed failures and zero goroutine leaks. Any violated
-// invariant exits 1.
 //
 // Exit status: 0 on success, 1 on a runtime failure (including any
 // request returning a wrong-shaped result), 2 on a usage error.
@@ -71,7 +63,6 @@ import (
 	"syscall"
 	"time"
 
-	"parlist/internal/chaos"
 	"parlist/internal/engine"
 	"parlist/internal/list"
 	"parlist/internal/obs"
@@ -139,15 +130,10 @@ func run(args []string, out *os.File) error {
 	listen := fs.String("listen", "", "serve /metrics and /debug/pprof on this address; keeps serving after the run until SIGINT")
 	traceOut := fs.String("trace", "", "write a Chrome trace-event JSON of algorithm phases to this file")
 	smoke := fs.Bool("smoke", false, "tiny fixed run for CI smoke tests")
-	chaosMode := fs.Bool("chaos", false, "run the resilience chaos soak instead of the latency sweep")
-	faultRate := fs.Float64("fault-rate", 0.20, "chaos: fraction of requests carrying a panic fault plan")
 	traceSlow := fs.Duration("trace-slow", 0, "log one line with the trace id for every request slower than this (0 disables)")
 	debugAddr := fs.String("debug-addr", "", "with -connect: the daemon's HTTP address, for -smoke's /debug/traces check")
 	if err := fs.Parse(args); err != nil {
 		return usageError{err}
-	}
-	if *chaosMode {
-		return runChaos(out, *enginesN, *seed, *faultRate, *smoke)
 	}
 	if *smoke {
 		*nFlag, *concFlag = "1024,300", "1,2"
@@ -536,37 +522,6 @@ func wireClosedLoop(out *os.File, c *server.Client, lists []*list.List, conc, re
 	return nil
 }
 
-// runChaos hands the run to the chaos soak harness and renders its
-// report. -smoke scales the soak to CI size (it still injects faults,
-// kills and deadline pressure — only the request count shrinks).
-func runChaos(out *os.File, engines int, seed int64, faultRate float64, smoke bool) error {
-	cfg := chaos.Config{Engines: engines, Seed: seed, FaultRate: faultRate}
-	if cfg.Seed == 1 {
-		cfg.Seed = 42
-	}
-	if smoke {
-		cfg.Requests = 500
-		cfg.KillEvery = 100
-	}
-	fmt.Fprintf(out, "chaos: engines=%d seed=%d fault-rate=%.0f%% smoke=%v\n",
-		engines, cfg.Seed, faultRate*100, smoke)
-	rep, err := chaos.Soak(cfg)
-	if rep != nil {
-		fmt.Fprintf(out, "chaos: %d requests in %v: %d succeeded (%.2f%%), %d transient, %d deadline, %d shed\n",
-			rep.Requests, rep.Elapsed.Round(time.Millisecond), rep.Succeeded,
-			100*rep.SuccessRate(), rep.TransientFailures, rep.DeadlineFailures, rep.Shed)
-		fmt.Fprintf(out, "chaos: %d retries, %d breaker trips, %d engine kills, %d deadline-exceeded\n",
-			rep.Retries, rep.Trips, rep.Kills, rep.DeadlineExceeded)
-		fmt.Fprintf(out, "chaos: lost=%d mismatches=%d unexpected=%d leaked=%d\n",
-			rep.Lost, rep.Mismatches, rep.Unexpected, rep.LeakedGoroutines)
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "chaos: all invariants held\n")
-	return nil
-}
-
 // doMetrics issues one request through the Submit path (retrying
 // ErrQueueFull with a short backoff, preserving closed-loop semantics)
 // and returns its per-request metrics, which split total latency into
@@ -671,7 +626,6 @@ func closedLoopSharded(out *os.File, pool *engine.EnginePool, lists []*list.List
 	var mu sync.Mutex
 	var exchange int64
 	var imbalance float64
-	var retries int
 	var wg sync.WaitGroup
 	start := time.Now()
 	for w := 0; w < conc; w++ {
@@ -697,7 +651,6 @@ func closedLoopSharded(out *os.File, pool *engine.EnginePool, lists []*list.List
 				mu.Lock()
 				exchange += res.Sharding.ExchangeBytes
 				imbalance += res.Sharding.Imbalance
-				retries += res.Sharding.StepRetries
 				mu.Unlock()
 			}
 		}(w)
@@ -714,10 +667,10 @@ func closedLoopSharded(out *os.File, pool *engine.EnginePool, lists []*list.List
 		all = append(all, ws...)
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	fmt.Fprintf(out, "conc=%-3d requests=%-5d shards=%-2d req/s=%-9.1f p50=%-10v p99=%-10v exchange/req=%-8d B imbalance=%.3f step-retries=%d\n",
+	fmt.Fprintf(out, "conc=%-3d requests=%-5d shards=%-2d req/s=%-9.1f p50=%-10v p99=%-10v exchange/req=%-8d B imbalance=%.3f\n",
 		conc, total, shards, float64(total)/elapsed.Seconds(),
 		percentile(all, 0.50), percentile(all, 0.99),
-		exchange/int64(len(all)), imbalance/float64(len(all)), retries)
+		exchange/int64(len(all)), imbalance/float64(len(all)))
 	return nil
 }
 

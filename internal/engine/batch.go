@@ -108,12 +108,11 @@ func SizeClass(n int) int { return sizeClass(n) }
 //
 // When the Future resolves, every item's Err and Res are populated.
 // Wait's error is reserved for whole-batch failures — a ctx that died
-// before service, or a retry cut short — and every item then carries
-// it too. Per-item deadlines (Req.Deadline) are armed at admission, so
-// queue time and time spent waiting behind earlier batchmates spend
-// the same budget as service. Under a RetryPolicy, items that fail
-// transiently are re-run together on another engine; their batchmates
-// are not, and the Future resolves once every item has settled.
+// before service — and every item then carries it too. Per-item
+// deadlines (Req.Deadline) are armed at admission, so queue time and
+// time spent waiting behind earlier batchmates spend the same budget
+// as service. An item that fails, a worker panic included, fails
+// alone: its batchmates are served as if it had not been there.
 func (p *EnginePool) SubmitBatch(ctx context.Context, items []*BatchItem) (*Future, error) {
 	if len(items) == 0 {
 		return nil, errors.New("engine pool: empty batch")

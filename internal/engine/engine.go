@@ -166,8 +166,7 @@ var (
 	// queued or already mid-service (the machine aborts between rounds;
 	// see pram.DeadlineExceeded). Distinct from ErrQueueFull: a shed is
 	// the pool protecting itself, a deadline is the caller bounding its
-	// own wait, and the retry layer treats only the former as worth
-	// backing off for.
+	// own wait.
 	ErrDeadlineExceeded = errors.New("request deadline exceeded")
 )
 
@@ -239,10 +238,6 @@ type Request struct {
 	// request only. Fault coordinates are request-relative: the pool's
 	// round counter rewinds to zero at every request, so the same plan
 	// hits the same rounds no matter how many requests ran before.
-	// A pool with a retry policy applies the plan to the first attempt
-	// only — it models an environment fault, which a retry on a healthy
-	// engine escapes — whether the request came through Submit or as a
-	// SubmitBatch item.
 	Faults *pram.FaultPlan
 
 	// Deadline bounds the request's total latency: admission, queueing
@@ -335,10 +330,7 @@ type Engine struct {
 	// workspace and every non-atomic field below.
 	sem chan struct{}
 
-	closed bool
-	// killed forces a machine rebuild on the next request — set by
-	// Invalidate, the quarantine/chaos kill hook.
-	killed      bool
+	closed      bool
 	m           *pram.Machine
 	wsp         *ws.Workspace
 	runner      *matching.Runner
@@ -389,25 +381,6 @@ func (e *Engine) Close() error {
 		e.m.Close()
 	}
 	return nil
-}
-
-// Invalidate tears down the engine's warm machine: the worker pool is
-// released immediately and the next request pays a full rebuild (the
-// Stats.Rebuilds counter records it). It blocks until any in-flight
-// request finishes — the execution model has no mid-round preemption,
-// so this is the strongest kill an external caller can deliver without
-// wedging workers (mid-round deaths are modelled by injected fault
-// plans instead). A no-op on a closed or never-used engine. This is
-// the chaos harness's engine-kill hook and the quarantine rebuild
-// trigger; normal serving never needs it.
-func (e *Engine) Invalidate() {
-	e.sem <- struct{}{}
-	defer func() { <-e.sem }()
-	if e.closed || e.m == nil {
-		return
-	}
-	e.m.Close()
-	e.killed = true
 }
 
 // Run serves one request, allocating a fresh Result.
@@ -536,8 +509,7 @@ func (e *Engine) serve(req Request, res *Result, at time.Time) error {
 			return fmt.Errorf("engine: deadline passed %v before dispatch: %w", now.Sub(at), ErrDeadlineExceeded)
 		}
 	}
-	if e.m == nil || e.m.Processors() != p || e.m.Degraded() || e.killed {
-		e.killed = false
+	if e.m == nil || e.m.Processors() != p || e.m.Degraded() {
 		e.rebuild(p)
 	}
 

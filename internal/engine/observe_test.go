@@ -172,8 +172,8 @@ const familiesPath = "testdata/metric_families.golden"
 
 // TestCollectorFamilies drives one pool observed by one Collector
 // through every pool and engine event — admission and shed, sampled
-// spans, a transient fault with its retry, breaker trip and
-// quarantine, a deadline spent in the queue, a sharded request — and
+// spans, a worker panic, a deadline spent in the queue, a sharded
+// request — and
 // compares the exported families and their label keys with the
 // committed list. Renaming a family or a label, or losing one a hook
 // feeds, fails here.
@@ -184,8 +184,6 @@ func TestCollectorFamilies(t *testing.T) {
 	c.AttachSpans(rec)
 	pool := NewPool(PoolConfig{Engines: 2, QueueDepth: 1,
 		Engine:   pooledCfg(),
-		Retry:    RetryPolicy{Max: 2},
-		Breaker:  BreakerPolicy{Threshold: 1, Cooldown: time.Millisecond},
 		Observer: c,
 	})
 	defer pool.Close()
@@ -211,8 +209,10 @@ func TestCollectorFamilies(t *testing.T) {
 	}
 
 	l := list.RandomList(1024, 13)
-	if _, err := pool.Do(bg, Request{List: l, Faults: panicPlan(17), Trace: rec.Source().NewContext(true)}); err != nil {
-		t.Fatalf("retried request: %v", err)
+	_, err := pool.Do(bg, Request{List: l, Faults: panicPlan(17), Trace: rec.Source().NewContext(true)})
+	var wp *pram.WorkerPanic
+	if !errors.As(err, &wp) {
+		t.Fatalf("faulted request: err = %v, want a *pram.WorkerPanic", err)
 	}
 	if _, err := pool.Do(bg, Request{List: l, Deadline: time.Nanosecond}); !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("deadline request: %v", err)

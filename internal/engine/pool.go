@@ -20,7 +20,6 @@ import (
 
 	"parlist/internal/list"
 	"parlist/internal/obs"
-	"parlist/internal/pram"
 )
 
 // Pool-level sentinel errors. Callers test with errors.Is; returned
@@ -52,16 +51,9 @@ type PoolConfig struct {
 	// running a GOMAXPROCS-wide team; at one worker an engine runs its
 	// kernels inline. An explicit Engine.Workers is used as given.
 	Engine Config
-	// Retry enables transparent retry of transient fault-class
-	// failures on a different shard (zero value = disabled); see
-	// RetryPolicy.
-	Retry RetryPolicy
-	// Breaker enables the per-engine circuit breaker and quarantine
-	// state machine (zero value = disabled); see BreakerPolicy.
-	Breaker BreakerPolicy
 	// Observer, when non-nil, receives the pool's events: admission
-	// (enqueue, dequeue, shed), resilience (retry, deadline, breaker,
-	// quarantine), sharded plans, and spans of sampled requests. When
+	// (enqueue, dequeue, shed), deadlines, sharded plans, and spans of
+	// sampled requests. When
 	// Engine.Observer is unset it is every engine's observer too, so
 	// one obs.Collector attached here instruments the whole stack down
 	// to the machines' rounds and barriers.
@@ -71,16 +63,12 @@ type PoolConfig struct {
 // RequestMetrics records how one pooled request was served. Valid once
 // the request's Future is done.
 type RequestMetrics struct {
-	// Engine is the index of the engine that served the final attempt.
+	// Engine is the index of the engine that served the request.
 	Engine int
-	// QueueWait is the final attempt's time between admission (or
-	// re-admission) and the start of service.
+	// QueueWait is the time between admission and the start of service.
 	QueueWait time.Duration
-	// Service is the engine-side service time of the final attempt.
+	// Service is the engine-side service time.
 	Service time.Duration
-	// Retries is how many re-attempts the request consumed (0 = served
-	// on the first try).
-	Retries int
 }
 
 // Future is the handle Submit and SubmitBatch return: a
@@ -94,27 +82,18 @@ type Future struct {
 	done chan struct{}
 
 	// items is the request work: SubmitBatch's caller-owned batch, or
-	// solo's one item. A retry narrows it to the items whose attempt
-	// failed transiently; the caller's slice is never written.
+	// solo's one item. The caller's slice is never written.
 	items []*BatchItem
 	// solo holds the item Submit allocated (nil for a batch): Wait
 	// returns its Res and Err, and the pool traces it. Its array backs
 	// items, so a Submit allocates no slice.
 	solo [1]*BatchItem
 
-	// born is the original admission instant. Unlike enq it survives
-	// retry re-enqueues, so the traced root span covers the request's
-	// whole life, backoffs included.
-	born time.Time
-
 	// deadline is the absolute budget a Submit future's request armed at
 	// admission (zero = none; a batch's items carry their own, checked
-	// per item by the engine); attempts counts retries consumed. Both
-	// are touched only by the goroutine currently responsible for the
-	// future (submitter → dispatcher → retry goroutine → dispatcher), a
-	// chain of happens-before edges through the queue sends.
+	// per item by the engine). The submitter writes it before the queue
+	// send and the dispatcher reads it after the receive.
 	deadline time.Time
-	attempts int
 
 	// step marks a sharded plan-step future (shard.go): the dispatcher
 	// runs the step against the request's shared shard state instead of
@@ -153,17 +132,15 @@ func (f *Future) Wait(ctx context.Context) (*Result, error) {
 func (f *Future) Metrics() RequestMetrics { return f.m }
 
 // resolve publishes the outcome and wakes waiters. Called exactly once
-// (a second call panics on the closed channel — the chaos harness
-// leans on that to prove no future ever double-resolves).
+// (a second call panics on the closed channel — the soak test leans on
+// that to prove no future ever double-resolves).
 func (f *Future) resolve(res *Result, err error) {
 	f.res, f.err = res, err
-	f.m.Retries = f.attempts
 	close(f.done)
 }
 
 // abort resolves f with err, which every pending item takes as its
-// outcome too: a context that died, a budget spent before service, or
-// a retry cut short.
+// outcome too: a context that died or a budget spent before service.
 func (f *Future) abort(err error) {
 	for _, it := range f.items {
 		it.Err = err
@@ -190,15 +167,11 @@ type shard struct {
 	batches     atomic.Int64
 	failures    atomic.Int64
 	canceled    atomic.Int64
-	retries     atomic.Int64
 	deadlined   atomic.Int64
 	queueWaitNs atomic.Int64
 	serviceNs   atomic.Int64
 
-	// brk is the shard's circuit breaker (resilience.go); inert when
-	// BreakerPolicy is disabled.
-	brk breaker
-	_   [64]byte
+	_ [64]byte
 }
 
 // load is the shard's backlog for placement decisions: requests
@@ -225,14 +198,6 @@ type EnginePool struct {
 	affinity [maxSizeClasses]atomic.Int32
 
 	rejected atomic.Int64
-
-	// Resilience plumbing (resilience.go). canary is the shared probe
-	// input for breaker readmission; stop wakes sleeping retry and
-	// quarantine goroutines at Close; resWG counts those goroutines so
-	// Close can wait them out before closing the shard queues.
-	canary *list.List
-	stop   chan struct{}
-	resWG  sync.WaitGroup
 
 	// plans caches compiled sharded plans by fan-out (shard.go), so
 	// repeated sharded requests reuse one immutable Plan.
@@ -274,32 +239,7 @@ func NewPool(cfg PoolConfig) *EnginePool {
 	if cfg.Engine.Observer == nil {
 		cfg.Engine.Observer = cfg.Observer
 	}
-	if cfg.Retry.Max > 0 {
-		if cfg.Retry.BaseBackoff <= 0 {
-			cfg.Retry.BaseBackoff = 200 * time.Microsecond
-		}
-		if cfg.Retry.MaxBackoff < cfg.Retry.BaseBackoff {
-			cfg.Retry.MaxBackoff = 5 * time.Millisecond
-			if cfg.Retry.MaxBackoff < cfg.Retry.BaseBackoff {
-				cfg.Retry.MaxBackoff = cfg.Retry.BaseBackoff
-			}
-		}
-	}
-	if cfg.Breaker.Threshold > 0 {
-		if cfg.Breaker.Cooldown <= 0 {
-			cfg.Breaker.Cooldown = 5 * time.Millisecond
-		}
-		if cfg.Breaker.Probes < 1 {
-			cfg.Breaker.Probes = 2
-		}
-		if cfg.Breaker.CanaryN < 1 {
-			cfg.Breaker.CanaryN = 64
-		}
-	}
-	p := &EnginePool{cfg: cfg, stop: make(chan struct{})}
-	if cfg.Breaker.Threshold > 0 {
-		p.canary = newCanary(cfg.Breaker.CanaryN)
-	}
+	p := &EnginePool{cfg: cfg}
 	p.shards = make([]*shard, cfg.Engines)
 	for i := range p.shards {
 		s := &shard{
@@ -362,7 +302,7 @@ func (p *EnginePool) admit(ctx context.Context, f *Future, items []*BatchItem) (
 	if it := f.solo[0]; it != nil {
 		f.deadline = it.Req.deadlineAt
 	}
-	f.ctx, f.enq, f.born, f.done, f.items = ctx, now, now, make(chan struct{}), items
+	f.ctx, f.enq, f.done, f.items = ctx, now, make(chan struct{}), items
 	s := p.pick(items[0].Req.List)
 	s.pending.Add(1)
 	select {
@@ -403,10 +343,8 @@ func (p *EnginePool) Do(ctx context.Context, req Request) (*Result, error) {
 }
 
 // pick chooses the serving shard for an input list: the size class's
-// last engine when it is idle and admitting (maximal arena reuse),
-// otherwise the best shard by choose's class-then-load order — which
-// routes around open breakers — updating the affinity hint to the
-// choice.
+// last engine when it is idle (maximal arena reuse), otherwise the
+// least-loaded shard, updating the affinity hint to the choice.
 func (p *EnginePool) pick(l *list.List) *shard {
 	n := 0
 	if l != nil {
@@ -414,27 +352,35 @@ func (p *EnginePool) pick(l *list.List) *shard {
 	}
 	c := sizeClass(n)
 	s := p.shards[int(p.affinity[c].Load())%len(p.shards)]
-	if s.load() == 0 && s.brk.now() == BreakerClosed {
+	if s.load() == 0 {
 		return s
 	}
-	best := p.choose(-1)
+	best, _ := p.leastLoaded()
 	p.affinity[c].Store(int32(best.id))
 	return best
 }
 
-// Idle reports whether some engine could start work right now: its
-// breaker is closed and it has no admitted, unfinished request. It
-// reads the same load and breaker signal pick routes by, so a Submit
-// made while Idle is true lands on an idle engine unless a concurrent
-// caller claims it first. The serving batcher flushes a pending group
-// as soon as Idle is true rather than holding it for more arrivals.
-func (p *EnginePool) Idle() bool {
-	for _, s := range p.shards {
-		if s.load() == 0 && s.brk.now() == BreakerClosed {
-			return true
+// leastLoaded returns the shard with the smallest backlog (the first in
+// engine order on a tie) and that backlog.
+func (p *EnginePool) leastLoaded() (*shard, int) {
+	best, bestLoad := p.shards[0], p.shards[0].load()
+	for _, s := range p.shards[1:] {
+		if load := s.load(); load < bestLoad {
+			best, bestLoad = s, load
 		}
 	}
-	return false
+	return best, bestLoad
+}
+
+// Idle reports whether some engine could start work right now: it has
+// no admitted, unfinished request. It reads the same load signal pick
+// routes by, so a Submit made while Idle is true lands on an idle
+// engine unless a concurrent caller claims it first. The serving
+// batcher flushes a pending group as soon as Idle is true rather than
+// holding it for more arrivals.
+func (p *EnginePool) Idle() bool {
+	_, load := p.leastLoaded()
+	return load == 0
 }
 
 // dispatch is a shard's service loop: one goroutine per engine draining
@@ -464,13 +410,13 @@ func (p *EnginePool) serve(s *shard, f *Future) {
 	tc := traceOf(f)
 	traced := p.cfg.Observer != nil && tc.Sampled
 	if traced {
-		p.childSpan(tc, "queue", s.id, f.attempts, f.enq, wait, "")
+		p.childSpan(tc, "queue", s.id, f.enq, wait, "")
 	}
 	if err := f.ctx.Err(); err != nil {
 		s.canceled.Add(1)
 		s.pending.Add(-1)
 		if traced && f.step == nil {
-			p.rootSpan(tc, s.id, f.attempts, f.born, time.Since(f.born), spanStatus(err))
+			p.rootSpan(tc, s.id, f.enq, time.Since(f.enq), spanStatus(err))
 		}
 		f.abort(err)
 		return
@@ -483,22 +429,18 @@ func (p *EnginePool) serve(s *shard, f *Future) {
 		p.observe(obs.Event{Kind: obs.KindDeadline})
 		s.pending.Add(-1)
 		if traced && f.step == nil {
-			p.rootSpan(tc, s.id, f.attempts, f.born, time.Since(f.born), "deadline")
+			p.rootSpan(tc, s.id, f.enq, time.Since(f.enq), "deadline")
 		}
 		f.abort(fmt.Errorf("engine pool: engine %d: queued past deadline: %w", s.id, ErrDeadlineExceeded))
 		return
 	}
 
 	var res *Result
-	var err, fault error // fault: the first transient failure, the retry's cause
-	succeeded := false
+	var err error
 	if f.step != nil {
 		err = s.eng.runStep(f.ctx, f.step)
 		s.steps.Add(1)
-		succeeded = err == nil
-		if p.tally(s, err) {
-			fault = err
-		}
+		p.tally(s, err)
 	} else {
 		if err = s.eng.RunBatch(f.ctx, f.items); err != nil {
 			for _, it := range f.items {
@@ -508,10 +450,7 @@ func (p *EnginePool) serve(s *shard, f *Future) {
 		s.served.Add(int64(len(f.items)))
 		s.batches.Add(1)
 		for _, it := range f.items {
-			succeeded = succeeded || it.Err == nil
-			if p.tally(s, it.Err) && fault == nil {
-				fault = it.Err
-			}
+			p.tally(s, it.Err)
 		}
 		if it := f.solo[0]; it != nil {
 			if err = it.Err; err == nil {
@@ -526,57 +465,33 @@ func (p *EnginePool) serve(s *shard, f *Future) {
 		if f.step != nil {
 			name = stepLabel(f.step.kind)
 		}
-		p.childSpan(tc, name, s.id, f.attempts, start, f.m.Service, spanStatus(err))
-	}
-	// One breaker rule for every future: a transient fault extends the
-	// engine's streak, and only a success resets it.
-	switch {
-	case fault != nil:
-		p.noteFault(s)
-	case succeeded:
-		p.noteOK(s)
-	}
-	if fault != nil && p.retryable(f) && p.scheduleRetry(s, f, fault) {
-		// The retry goroutine owns the future now; this shard is done
-		// with it.
-		s.pending.Add(-1)
-		return
+		p.childSpan(tc, name, s.id, start, f.m.Service, spanStatus(err))
 	}
 	s.pending.Add(-1)
 	if traced && f.step == nil {
-		p.rootSpan(tc, s.id, f.attempts, f.born, time.Since(f.born), spanStatus(err))
+		p.rootSpan(tc, s.id, f.enq, time.Since(f.enq), spanStatus(err))
 	}
 	f.resolve(res, err)
 }
 
-// tally counts one served outcome into s's failure counters and
-// reports whether it was a transient fault.
-func (p *EnginePool) tally(s *shard, err error) bool {
+// tally counts one served outcome into s's failure counters.
+func (p *EnginePool) tally(s *shard, err error) {
 	if err == nil {
-		return false
+		return
 	}
 	s.failures.Add(1)
-	switch {
-	case errors.Is(err, ErrDeadlineExceeded):
+	if errors.Is(err, ErrDeadlineExceeded) {
 		s.deadlined.Add(1)
 		p.observe(obs.Event{Kind: obs.KindDeadline})
-	case pram.Transient(err):
-		return true
 	}
-	return false
 }
 
 // Close drains and shuts the pool down: admission stops (further
-// Submits fail with ErrPoolClosed), in-flight retry and quarantine
-// goroutines are woken and waited out, already-queued requests are
-// served to completion, the dispatchers exit, and every engine is
-// released. Close is idempotent and safe to call concurrently with
-// Submit.
-//
-// The ordering is load-bearing: closed flips and stop closes under the
-// write lock (no new guarded goroutine can register after that), then
-// resWG drains BEFORE the shard queues close — a woken retry goroutine
-// may still be enqueueing, and sends on a closed channel panic.
+// Submits fail with ErrPoolClosed), already-queued requests are served
+// to completion, the dispatchers exit, and every engine is released.
+// Close is idempotent and safe to call concurrently with Submit: closed
+// flips under the write lock, and every admission sends while holding
+// the read lock, so no send can race the queues' close.
 func (p *EnginePool) Close() error {
 	p.mu.Lock()
 	if p.closed {
@@ -584,9 +499,7 @@ func (p *EnginePool) Close() error {
 		return nil
 	}
 	p.closed = true
-	close(p.stop)
 	p.mu.Unlock()
-	p.resWG.Wait()
 	for _, s := range p.shards {
 		close(s.queue)
 	}
@@ -609,10 +522,6 @@ type EngineLoad struct {
 	// requests admitted and not yet resolved — the same signal the
 	// placement logic balances on. /statusz renders it as live load.
 	Pending int
-	// Breaker is the engine's circuit-breaker state (BreakerClosed when
-	// breakers are disabled); Trips counts its closed→open transitions.
-	Breaker BreakerState
-	Trips   int64
 	// Stats is the engine's own cumulative counters (machine rebuilds,
 	// arena hit rates, simulated time/work).
 	Stats Stats
@@ -626,8 +535,7 @@ type PoolStats struct {
 	// Engines is the pool size.
 	Engines int
 	// Requests counts requests served by an engine, successes and
-	// failures alike (shed requests are not included); a retried
-	// request counts once per attempt.
+	// failures alike (shed requests are not included).
 	Requests int64
 	// Steps counts sharded plan steps served across all engines. A
 	// K-shard request contributes its 2K+1 engine-run steps here and
@@ -645,12 +553,12 @@ type PoolStats struct {
 	Rejected int64
 	// Canceled counts requests whose context expired while queued.
 	Canceled int64
-	// Retries counts re-admissions scheduled by the retry layer after a
-	// transient failure: a request retried twice counts twice, and a
-	// batch whose faulted items are re-admitted together counts once.
+	// Retries always reads 0: the pool never retries a request. It stays
+	// only because perfbench's layers.go reads it for pool.retries; a
+	// change to the benchmark will delete both.
 	Retries int64
-	// DeadlineExceeded counts requests failed with ErrDeadlineExceeded —
-	// while queued, mid-service, or during retry backoff.
+	// DeadlineExceeded counts requests failed with ErrDeadlineExceeded,
+	// while queued or mid-service.
 	DeadlineExceeded int64
 	// QueueWait and Service accumulate per-request queue latency and
 	// engine service time over all dequeued requests.
@@ -674,15 +582,12 @@ func (p *EnginePool) Stats() PoolStats {
 		st.Batches += s.batches.Load()
 		st.Failures += s.failures.Load()
 		st.Canceled += s.canceled.Load()
-		st.Retries += s.retries.Load()
 		st.DeadlineExceeded += s.deadlined.Load()
 		st.QueueWait += time.Duration(s.queueWaitNs.Load())
 		st.Service += time.Duration(s.serviceNs.Load())
 		st.PerEngine[i] = EngineLoad{
 			Served:  served,
 			Pending: s.load(),
-			Breaker: s.brk.now(),
-			Trips:   s.brk.trips.Load(),
 			Stats:   s.eng.Stats(),
 		}
 	}

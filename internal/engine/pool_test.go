@@ -457,11 +457,10 @@ func (o *parkObserver) Observe(e obs.Event) {
 }
 
 // TestPoolIdle pins the signal the serving batcher flushes on: the
-// pool is idle while some engine with a closed breaker has no admitted,
-// unfinished request, and busy once every engine holds one or is
-// quarantined. An engine reads idle again before its request's future
-// resolves, so a waiter that checks Idle after Wait sees the freed
-// engine.
+// pool is idle while some engine has no admitted, unfinished request,
+// and busy once every engine holds one. An engine reads idle again
+// before its request's future resolves, so a waiter that checks Idle
+// after Wait sees the freed engine.
 func TestPoolIdle(t *testing.T) {
 	park := newParkObserver(2)
 	pool := NewPool(PoolConfig{Engines: 2, QueueDepth: 4, Engine: Config{Processors: 8}, Observer: park})
@@ -502,24 +501,6 @@ func TestPoolIdle(t *testing.T) {
 		if _, err := f.Wait(bg); err != nil {
 			t.Fatal(err)
 		}
-	}
-
-	// A quarantined engine is not idle even with no load.
-	one := NewPool(PoolConfig{Engines: 1, QueueDepth: 4, Engine: pooledCfg(),
-		Breaker: BreakerPolicy{Threshold: 1, Cooldown: time.Hour}})
-	defer one.Close()
-	f, err := one.Submit(bg, Request{List: list.RandomList(4096, 2), Faults: panicPlan(3)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Wait(bg); err == nil {
-		t.Fatal("faulted request succeeded")
-	}
-	if one.Breaker(0) == BreakerClosed {
-		t.Fatal("breaker still closed after a fault at threshold 1")
-	}
-	if one.Idle() {
-		t.Error("pool whose only engine is quarantined reads idle")
 	}
 }
 

@@ -6,10 +6,9 @@ package engine
 // warm engines stage by stage, and stitches the shards' outputs into a
 // single Result that is bit-identical to a whole-request run. Steps
 // ride the ordinary admission queues as step futures, so they inherit
-// the full serving discipline — breakers route around quarantined
-// engines, deadlines abort queued or mid-service steps, and a transient
-// step failure retries THAT STEP on a different engine while the rest
-// of the plan proceeds. See DESIGN.md "Sharded execution".
+// the full serving discipline: deadlines abort queued or mid-service
+// steps, and a step that fails fails the whole request. See DESIGN.md
+// "Sharded execution".
 
 import (
 	"context"
@@ -27,7 +26,7 @@ import (
 )
 
 // Sharded-execution sentinel errors, in the validation class of the
-// pool's taxonomy (never retried, never trip breakers).
+// pool's taxonomy.
 var (
 	// ErrBadShards reports a ShardedDo fan-out below 1.
 	ErrBadShards = errors.New("bad shard count")
@@ -56,9 +55,6 @@ type ShardStats struct {
 	// shard wall time (1.0 = perfectly balanced, K = one shard did
 	// everything).
 	Imbalance float64
-	// StepRetries counts transient step failures retried on another
-	// engine across the whole plan.
-	StepRetries int
 }
 
 // planScratch recycles the coordinator-owned workspaces that back each
@@ -90,13 +86,11 @@ func (p *EnginePool) shardPlan(k int) plan.Plan {
 // or Wyllie scheme) and OpPrefix fail with ErrShardUnsupported — their
 // algorithms are not decomposable into shard-local segments.
 //
-// Deadlines, retries and breakers apply per step: Request.Deadline
-// bounds the whole plan (admission to last expand), a transient step
-// failure retries that step on a different engine, and Request.Faults
-// is applied to shard 0's contract step on its first attempt only.
-// ShardedDo blocks until the plan completes, ctx is done, or a step
-// fails; on any failure every in-flight step is awaited before the
-// shared scratch is released back to the arena pool.
+// Request.Deadline bounds the whole plan (admission to last expand),
+// and Request.Faults is applied to shard 0's contract step. ShardedDo
+// blocks until the plan completes, ctx is done, or a step fails; on
+// any failure every in-flight step is awaited before the shared
+// scratch is released back to the arena pool.
 func (p *EnginePool) ShardedDo(ctx context.Context, req Request, shards int) (*Result, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("engine pool: %d shards: %w", shards, ErrBadShards)
@@ -179,7 +173,7 @@ stages:
 			sh.Segments = st.Segments
 			sh.ExchangeBytes = plan.ExchangeBytes(st.Segments)
 			if traced {
-				p.childSpan(req.Trace, "exchange", -1, 0, exStart, time.Since(exStart), "")
+				p.childSpan(req.Trace, "exchange", -1, exStart, time.Since(exStart), "")
 			}
 			continue
 		}
@@ -210,8 +204,7 @@ stages:
 		}
 		// Wait for every submitted step of the stage, failed submissions
 		// included — the shared scratch must not recycle while any engine
-		// can still write it. A retried step's future resolves through
-		// its final attempt, so this also waits out in-flight retries.
+		// can still write it.
 		var stageWall time.Duration
 		for _, id := range stage {
 			f := futs[id]
@@ -226,7 +219,6 @@ stages:
 				}
 				continue
 			}
-			sh.StepRetries += f.m.Retries
 			if f.m.Service > stageWall {
 				stageWall = f.m.Service
 			}
@@ -256,7 +248,7 @@ stages:
 	}
 	if firstErr != nil {
 		if traced {
-			p.rootSpan(req.Trace, -1, sh.StepRetries, t0, time.Since(t0), spanStatus(firstErr))
+			p.rootSpan(req.Trace, -1, t0, time.Since(t0), spanStatus(firstErr))
 		}
 		return nil, firstErr
 	}
@@ -275,7 +267,7 @@ stages:
 		Bytes: sh.ExchangeBytes, Permille: int64(sh.Imbalance * 1000)})
 
 	if traced {
-		p.rootSpan(req.Trace, -1, sh.StepRetries, t0, time.Since(t0), "")
+		p.rootSpan(req.Trace, -1, t0, time.Since(t0), "")
 	}
 	res := &Result{Op: req.Op, Stats: agg, Sharding: sh}
 	res.Ranks = append(res.Ranks, st.Out[:n]...)
@@ -284,7 +276,8 @@ stages:
 
 // submitStep admits one plan step, spinning with backpressure on full
 // queues the way Do does for whole requests — steps never shed, they
-// wait (bounded by ctx, the plan deadline, and pool shutdown).
+// wait (bounded by ctx, the plan deadline, and pool shutdown, which
+// trySubmitStep reports as ErrPoolClosed).
 func (p *EnginePool) submitStep(ctx context.Context, idx int, spec *stepSpec) (*Future, error) {
 	backoff := 10 * time.Microsecond
 	for {
@@ -301,8 +294,6 @@ func (p *EnginePool) submitStep(ctx context.Context, idx int, spec *stepSpec) (*
 		select {
 		case <-ctx.Done():
 			return nil, ctx.Err()
-		case <-p.stop:
-			return nil, fmt.Errorf("engine pool: %w", ErrPoolClosed)
 		case <-time.After(backoff):
 		}
 		if backoff < 2*time.Millisecond {
@@ -313,8 +304,8 @@ func (p *EnginePool) submitStep(ctx context.Context, idx int, spec *stepSpec) (*
 
 // trySubmitStep performs one non-blocking step admission: prefer the
 // step-index-aligned shard (spreading a stage's steps across distinct
-// engines), spill to the best admitting shard when it is busy or
-// quarantined, and shed with ErrQueueFull when that queue is full too.
+// engines), spill to the least-loaded shard when it is busy, and shed
+// with ErrQueueFull when that queue is full too.
 func (p *EnginePool) trySubmitStep(ctx context.Context, idx int, spec *stepSpec) (*Future, error) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
@@ -322,8 +313,8 @@ func (p *EnginePool) trySubmitStep(ctx context.Context, idx int, spec *stepSpec)
 		return nil, fmt.Errorf("engine pool: %w", ErrPoolClosed)
 	}
 	s := p.shards[idx%len(p.shards)]
-	if s.load() > 0 || s.brk.now() != BreakerClosed {
-		s = p.choose(-1)
+	if s.load() > 0 {
+		s, _ = p.leastLoaded()
 	}
 	f := &Future{ctx: ctx, enq: time.Now(), done: make(chan struct{}), step: spec, deadline: spec.deadlineAt}
 	s.pending.Add(1)

@@ -8,7 +8,7 @@ package engine
 // construction, not by luck.
 //
 // Span topology is flat: one root "request" span per trace plus one
-// child per stage ("queue", "engine"/"step-*", "retry", "exchange"),
+// child per stage ("queue", "engine"/"step-*", "exchange"),
 // all parented directly onto the root. Children are emitted as their
 // stage completes; the root is emitted last, at terminal resolution,
 // because the recorder finalizes a trace when its root lands
@@ -40,16 +40,15 @@ func traceOf(f *Future) obs.TraceContext {
 // childSpan emits one child span of tc's root; the recorder mints the
 // span's own id. Callers must have checked p.cfg.Observer != nil &&
 // tc.Sampled.
-func (p *EnginePool) childSpan(tc obs.TraceContext, name string, shard, attempt int, start time.Time, d time.Duration, status string) {
+func (p *EnginePool) childSpan(tc obs.TraceContext, name string, shard int, start time.Time, d time.Duration, status string) {
 	p.cfg.Observer.Observe(obs.Event{Kind: obs.KindSpan, Span: obs.Span{TraceHi: tc.TraceHi, TraceLo: tc.TraceLo,
-		ParentID: tc.SpanID, Name: name, Shard: shard, Attempt: attempt, Start: start, Dur: d, Status: status}})
+		ParentID: tc.SpanID, Name: name, Shard: shard, Start: start, Dur: d, Status: status}})
 }
 
 // rootSpan emits tc's root "request" span — the trace's final span.
-// attempt carries the total retry attempts the request consumed.
-func (p *EnginePool) rootSpan(tc obs.TraceContext, shard, attempt int, start time.Time, d time.Duration, status string) {
+func (p *EnginePool) rootSpan(tc obs.TraceContext, shard int, start time.Time, d time.Duration, status string) {
 	p.cfg.Observer.Observe(obs.Event{Kind: obs.KindSpan, Span: obs.Span{TraceHi: tc.TraceHi, TraceLo: tc.TraceLo,
-		SpanID: tc.SpanID, Name: "request", Shard: shard, Attempt: attempt, Start: start, Dur: d, Status: status}})
+		SpanID: tc.SpanID, Name: "request", Shard: shard, Start: start, Dur: d, Status: status}})
 }
 
 // spanStatus classifies an error as a span status tag ("" = success).

@@ -1,7 +1,7 @@
 package engine
 
 // Tests for trace-span emission (span.go): the Submit and sharded span
-// tree shapes, the retry attempt tag, the stats bit-identity invariant,
+// tree shapes, fault status tags, the stats bit-identity invariant,
 // and the zero-cost guarantee when no span collector is attached.
 
 import (
@@ -44,10 +44,7 @@ func spansOf(rec *obs.SpanRecorder, tc obs.TraceContext) []obs.Span {
 // exchange span, and a queue span per step — a flat tree keyed by one
 // trace id, retrievable from the recorder the moment ShardedDo returns.
 func TestShardedSpanTree(t *testing.T) {
-	pool, rec := spanPool(t, PoolConfig{Engines: 2, QueueDepth: 16,
-		Engine: pooledCfg(),
-		Retry:  RetryPolicy{Max: 2},
-	})
+	pool, rec := spanPool(t, PoolConfig{Engines: 2, QueueDepth: 16, Engine: pooledCfg()})
 
 	l := list.RandomList(2048, 31)
 	const k = 4
@@ -75,9 +72,6 @@ func TestShardedSpanTree(t *testing.T) {
 		switch {
 		case strings.HasPrefix(s.Name, "step-"):
 			steps++
-			if s.Attempt != 0 {
-				t.Errorf("fault-free step span %q has attempt %d", s.Name, s.Attempt)
-			}
 		case s.Name == "queue":
 			queues++
 		case s.Name == "exchange":
@@ -100,73 +94,57 @@ func TestShardedSpanTree(t *testing.T) {
 	}
 }
 
-// TestShardedSpanTreeRetryAttempt injects a transient fault into one
-// contract step: the rerun's spans carry attempt 1, a "retry" span
-// records the hand-off, and the failed first try keeps its span with
-// the transient status — the trace shows the retry instead of hiding it.
-func TestShardedSpanTreeRetryAttempt(t *testing.T) {
-	pool, rec := spanPool(t, PoolConfig{Engines: 2, QueueDepth: 16,
-		Engine: pooledCfg(),
-		Retry:  RetryPolicy{Max: 2},
-	})
+// TestShardedSpanTreeFault injects a worker panic into one contract
+// step: the request fails, and both the failed step's span and the
+// root keep the transient status, so the trace is kept and shows where
+// the fault struck.
+func TestShardedSpanTreeFault(t *testing.T) {
+	pool, rec := spanPool(t, PoolConfig{Engines: 2, QueueDepth: 16, Engine: pooledCfg()})
 
 	l := list.RandomList(2048, 31)
 	const k = 4
 	tc := rec.Source().NewContext(true)
 	faults := &pram.FaultPlan{Seed: 5, PanicAt: []pram.FaultPoint{{Round: 2, Worker: 1}}}
-	if _, err := pool.ShardedDo(bg, Request{Op: OpRank, List: l, Trace: tc, Faults: faults}, k); err != nil {
-		t.Fatalf("sharded request with faulted step: %v", err)
+	if _, err := pool.ShardedDo(bg, Request{Op: OpRank, List: l, Trace: tc, Faults: faults}, k); !pram.Transient(err) {
+		t.Fatalf("sharded request with a faulted step: err = %v, want a transient failure", err)
 	}
 
-	var steps, retried, retrySpans, transient int
+	var roots, transient int
 	for _, s := range spansOf(rec, tc) {
 		switch {
-		case strings.HasPrefix(s.Name, "step-"):
-			steps++
-			if s.Attempt >= 1 {
-				retried++
+		case s.ParentID == 0:
+			roots++
+			if s.Status != "transient" {
+				t.Errorf("root status = %q, want \"transient\"", s.Status)
 			}
-			if s.Status == "transient" {
-				transient++
-			}
-		case s.Name == "retry":
-			retrySpans++
+		case strings.HasPrefix(s.Name, "step-") && s.Status == "transient":
+			transient++
 		}
 	}
-	if steps != 2*k+2 {
-		t.Errorf("step spans = %d, want 2K+2 = %d (the faulted step ran twice)", steps, 2*k+2)
+	if roots != 1 {
+		t.Errorf("roots = %d, want 1", roots)
 	}
-	if retried < 1 {
-		t.Errorf("no step span tagged attempt >= 1 after a retry")
-	}
-	if retrySpans < 1 {
-		t.Errorf("no retry span recorded")
-	}
-	if transient < 1 {
-		t.Errorf("the failed first try's span lost its transient status")
+	if transient != 1 {
+		t.Errorf("transient step spans = %d, want 1 (the faulted contract step)", transient)
 	}
 }
 
 // TestSubmitSpanTree pins the spans a sampled Submit emits: a
 // "request" root carrying the context's span id, with one queue and
-// one engine span per attempt parented onto it. A retried request adds
-// a retry span, and every span names the attempt it belongs to.
+// one engine span parented onto it. A faulted request's engine span
+// and root carry the transient status.
 func TestSubmitSpanTree(t *testing.T) {
-	pool, rec := spanPool(t, PoolConfig{Engines: 2, QueueDepth: 16,
-		Engine: pooledCfg(),
-		Retry:  RetryPolicy{Max: 2},
-	})
+	pool, rec := spanPool(t, PoolConfig{Engines: 2, QueueDepth: 16, Engine: pooledCfg()})
 	l := list.RandomList(2048, 31)
 
 	type key struct {
-		name    string
-		attempt int
-		status  string
+		name   string
+		status string
 	}
 	tree := func(faults *pram.FaultPlan) map[key]int {
 		tc := rec.Source().NewContext(true)
-		if _, err := pool.Do(bg, Request{List: l, Trace: tc, Faults: faults}); err != nil {
-			t.Fatal(err)
+		if _, err := pool.Do(bg, Request{List: l, Trace: tc, Faults: faults}); (err != nil) != (faults != nil) {
+			t.Fatalf("faults %v: err = %v", faults != nil, err)
 		}
 		got := map[key]int{}
 		for _, s := range spansOf(rec, tc) {
@@ -176,23 +154,18 @@ func TestSubmitSpanTree(t *testing.T) {
 			if s.ParentID != 0 && s.ParentID != tc.SpanID {
 				t.Errorf("span %q parented to %x, want the root %x", s.Name, s.ParentID, tc.SpanID)
 			}
-			got[key{s.Name, s.Attempt, s.Status}]++
+			got[key{s.Name, s.Status}]++
 		}
 		return got
 	}
 
-	want := map[key]int{{"request", 0, ""}: 1, {"queue", 0, ""}: 1, {"engine", 0, ""}: 1}
+	want := map[key]int{{"request", ""}: 1, {"queue", ""}: 1, {"engine", ""}: 1}
 	if got := tree(nil); !reflect.DeepEqual(got, want) {
 		t.Errorf("fault-free spans = %v, want %v", got, want)
 	}
-	want = map[key]int{
-		{"request", 1, ""}: 1,
-		{"queue", 0, ""}:   1, {"engine", 0, "transient"}: 1,
-		{"retry", 1, ""}: 1,
-		{"queue", 1, ""}: 1, {"engine", 1, ""}: 1,
-	}
+	want = map[key]int{{"request", "transient"}: 1, {"queue", ""}: 1, {"engine", "transient"}: 1}
 	if got := tree(panicPlan(7)); !reflect.DeepEqual(got, want) {
-		t.Errorf("retried spans = %v, want %v", got, want)
+		t.Errorf("faulted spans = %v, want %v", got, want)
 	}
 }
 

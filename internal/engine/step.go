@@ -6,8 +6,8 @@ package engine
 // is. runStep mirrors RunInto (semaphore, deadline, rebuild-on-degrade,
 // workspace/machine reset, fault plan, observer) so a step inherits the
 // entire serving discipline for free: a step that panics on an injected
-// fault is a transient failure the pool retries on another engine, a
-// step that outlives its budget aborts between rounds with
+// fault fails its request with the transient class, a step that
+// outlives its budget aborts between rounds with
 // ErrDeadlineExceeded, and a step on a degraded machine pays the same
 // rebuild a request would. The kernels live in internal/rank; the
 // cross-step state they share is the coordinator-owned rank.ShardState,
@@ -28,8 +28,7 @@ import (
 // stepSpec describes one sharded plan step bound to its request's
 // shared state. The pool's coordinator (ShardedDo) owns the spec; the
 // serving engine fills stats on success. faults carries the request's
-// fault plan on the step it targets (first attempt only — the retry
-// path strips it, mirroring whole-request retries).
+// fault plan on the step it targets.
 type stepSpec struct {
 	kind  plan.Kind
 	shard int
@@ -40,7 +39,7 @@ type stepSpec struct {
 	faults     *pram.FaultPlan
 	deadlineAt time.Time
 	// trace is the owning sharded request's trace context: step spans
-	// ("queue", "step-*", "retry") parent onto its root span, which the
+	// ("queue", "step-*") parent onto its root span, which the
 	// coordinator emits when the plan resolves.
 	trace obs.TraceContext
 	// stats is the step's simulated accounting, valid after a
@@ -127,8 +126,7 @@ func (e *Engine) serveStep(spec *stepSpec, at time.Time) error {
 			return fmt.Errorf("engine: deadline passed %v before step dispatch: %w", now.Sub(at), ErrDeadlineExceeded)
 		}
 	}
-	if e.m == nil || e.m.Processors() != p || e.m.Degraded() || e.killed {
-		e.killed = false
+	if e.m == nil || e.m.Processors() != p || e.m.Degraded() {
 		e.rebuild(p)
 	}
 	e.wsp.Reset()

@@ -282,8 +282,9 @@ func runE18(cfg Config) ([]*Table, error) {
 // from there on, so the rows show where the sweep starts to pay. Every
 // request includes the degree pass. Each row is set against T₁, a
 // serial algorithm run over the same lists: the greedy walk
-// matching.Sequential for Match4, walkReference's serial walk for rank
-// and prefix; ×T1 is how many times T₁ the request costs.
+// matching.Sequential for Match4, and for rank and prefix serialWalk
+// into a buffer sized once per size; ×T1 is how many times T₁ the
+// request costs.
 func runE18Sizes(cfg Config) (*Table, error) {
 	maxLog, requests := 20, 16
 	if cfg.Quick {
@@ -309,6 +310,7 @@ func runE18Sizes(cfg Config) (*Table, error) {
 		for i := range vals {
 			vals[i] = i%7 - 3
 		}
+		walkOut := make([]int, n)
 		for _, op := range []engine.Op{engine.OpMatching, engine.OpRank, engine.OpPrefix} {
 			req := engine.Request{Op: op}
 			walk := "match4"
@@ -330,7 +332,7 @@ func runE18Sizes(cfg Config) (*Table, error) {
 				check = func(l *list.List, res *engine.Result) bool {
 					return reflect.DeepEqual(res.Ranks, walkReference(l, req.Values))
 				}
-				t1 = func(l *list.List) { walkReference(l, req.Values) }
+				t1 = func(l *list.List) { serialWalk(l, req.Values, walkOut) }
 			}
 			var res engine.Result
 			ok := true
@@ -361,9 +363,23 @@ func runE18Sizes(cfg Config) (*Table, error) {
 	return t, nil
 }
 
+// serialWalk ranks l (vals nil) or sums vals along it into out, one
+// pass from the head: E18's T₁ for rank and prefix.
+func serialWalk(l *list.List, vals, out []int) {
+	acc := 0
+	for v, r := l.Head, 0; v != list.Nil; v, r = l.Next[v], r+1 {
+		if vals == nil {
+			out[v] = r
+		} else {
+			acc += vals[v]
+			out[v] = acc
+		}
+	}
+}
+
 // walkReference ranks l (vals nil) or sums vals along it in list
-// order: the reference for E18's size sweep, where a simulated one
-// would dominate the run at 2^20 nodes.
+// order: the oracle for E18's size sweep, where a simulated one would
+// dominate the run at 2^20 nodes.
 func walkReference(l *list.List, vals []int) []int {
 	out := l.Position()
 	if vals != nil {

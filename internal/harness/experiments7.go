@@ -37,10 +37,15 @@ import (
 //     filled.
 //   - shed: requests refused at admission (batcher inbox or engine
 //     queue full) — the open loop does not retry them.
-//   - p50/p99: client-observed round trip, submit to response. On a
-//     small host client, server and engines time-slice the same cores,
-//     so absolute latency is pessimistic; the batch=1 vs batch≥8
-//     ordering at equal offered QPS is the host-independent signal.
+//   - p50/p99: client-observed latency, from the request's due time to
+//     its response: its scheduled send time on paced rows (or its send,
+//     if the pacer runs ahead of schedule), the cell's start on flat-out
+//     rows, where every request is due at once. So a request counts the
+//     pacer's lateness and any wait in Submit at the connection's frame
+//     cap. On a small host client, server and engines time-slice the
+//     same cores, so absolute latency is pessimistic; the batch=1 vs
+//     batch≥8 ordering at equal offered QPS is the host-independent
+//     signal.
 //
 // The offered rates span the batcher's regimes: 400/s is light load
 // (engines mostly idle, so every setting should flush at once and
@@ -127,15 +132,19 @@ func e21Cell(cfg Config, l *list.List, batch int, maxWait time.Duration, qps flo
 	start := time.Now()
 	next := start
 	for i := 0; i < requests; i++ {
+		due := start
 		if interval > 0 {
 			// Sleep only when meaningfully ahead: on a 1-CPU host the
 			// timer granularity would otherwise under-offer the target.
 			if d := time.Until(next); d > 500*time.Microsecond {
 				time.Sleep(d)
 			}
+			due = next
+			if now := time.Now(); now.Before(due) {
+				due = now // the pacer ran ahead of schedule
+			}
 			next = next.Add(interval)
 		}
-		t0 := time.Now()
 		ch, err := c.Submit(engine.Request{Op: engine.OpRank, List: l})
 		if err != nil {
 			drain()
@@ -157,7 +166,7 @@ func e21Cell(cfg Config, l *list.List, batch int, maxWait time.Duration, qps flo
 				}
 				served++
 				batchedSum += r.Batched
-				lat = append(lat, time.Since(t0))
+				lat = append(lat, time.Since(due))
 			case r.Status == server.StatusShed || r.Status == server.StatusOverLimit:
 				shed++
 			default:

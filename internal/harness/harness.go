@@ -1,4 +1,5 @@
-// Package harness runs the reproduction experiments E1–E21 (see
+// Package harness runs the reproduction experiments E1–E22 (E19 is
+// retired; see
 // DESIGN.md): each of the paper's lemmas and theorems is exercised over
 // parameter sweeps and rendered as a text table comparing measured PRAM
 // step counts against the paper's bounds.
@@ -161,7 +162,6 @@ func All() []Experiment {
 		{ID: "E16", Title: "Serving layer: EnginePool scaling across engines × concurrency", Run: runE16},
 		{ID: "E17", Title: "Observability: queue-wait and barrier-wait imbalance across pool sizes", Run: runE17},
 		{ID: "E18", Title: "Native fast-path executor vs pooled on the warm-engine path", Run: runE18},
-		{ID: "E19", Title: "Resilience: availability and tail latency under injected faults", Run: runE19},
 		{ID: "E20", Title: "Sharded execution: exchange volume and balance across fan-outs", Run: runE20},
 		{ID: "E21", Title: "Wire serving: coalescing batcher across batch size × max-wait × offered load", Run: runE21},
 		{ID: "E22", Title: "Tracing: span-path overhead and tail-sampling funnel on the wire path", Run: runE22},

@@ -26,8 +26,9 @@ import (
 //     x + lab[v] + rowOf[v]: WalkDown2's steps follow WalkDown1's x.
 //   - Stage 4 buckets the pointers by step on party 0, in one
 //     histogram of the 3x-1 steps that the whole team shares.
-//   - Stage 5 admits the pointers bucket by bucket, with a barrier
-//     between non-empty steps and none inside one.
+//   - Stage 5 admits the pointers bucket by bucket. A step the team
+//     shares ends at a barrier; a run of small steps is admitted by
+//     party 0 alone, with no barrier inside the run.
 //
 // No two pointers of one step are adjacent: in WalkDown1 an inter-row
 // pointer's successor sits in another row, and in WalkDown2 adjacent
@@ -78,6 +79,11 @@ func NewNativeRunner(m *pram.Machine, iters int) (*NativeRunner, error) {
 	r.teamF = r.team
 	return r, nil
 }
+
+// soloGrain is stage 5's split: a step with fewer pointers than
+// soloGrain per party is admitted by party 0 alone, since sharing it
+// would cost the team a barrier for a few admissions each.
+const soloGrain = 64
 
 // Machine returns the machine the runner dispatches on.
 func (r *NativeRunner) Machine() *pram.Machine { return r.m }
@@ -188,15 +194,31 @@ func (r *NativeRunner) team(ctx *pram.TeamCtx) {
 	ctx.Barrier()
 
 	// Stage 5: admission, step by step. Steps below x are WalkDown1's,
-	// the rest WalkDown2's. The last non-empty step needs no barrier
-	// (the team join publishes it).
+	// the rest WalkDown2's. Party 0 admits a small step alone, and the
+	// small steps after it, so the team meets only before the next
+	// shared step; steps stay in order either way. The last non-empty
+	// step needs no barrier (the team join publishes it).
 	start, last := 0, bucket[len(bucket)-1]
+	solo := false // party 0 has admitted steps the others have not seen
 	for t, end := range bucket {
 		if t == x && ctx.Worker == 0 {
 			r.m.Phase("walkdown2")
 		}
 		if end == start {
 			continue
+		}
+		if end-start < soloGrain*ctx.Workers {
+			if ctx.Worker == 0 {
+				for _, v := range order[start:end] {
+					r.admit(v, next[v])
+				}
+			}
+			start, solo = end, true
+			continue
+		}
+		if solo {
+			ctx.Barrier()
+			solo = false
 		}
 		bLo, bHi := ctx.Chunk(end - start)
 		for _, v := range order[start+bLo : start+bHi] {

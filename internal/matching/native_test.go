@@ -3,9 +3,11 @@ package matching
 import (
 	"fmt"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"parlist/internal/list"
+	"parlist/internal/obs"
 	"parlist/internal/pram"
 	"parlist/internal/ws"
 )
@@ -128,6 +130,60 @@ func TestNativeRunnerMatchesRunner(t *testing.T) {
 					rr.finish(l, in.lab, in.K, 0, 0, &want)
 					check(fmt.Sprintf("Schedule K=%d", in.K), &got, &want, nr.Used(), rr.used)
 				}
+			}
+		}
+	}
+}
+
+// barrierCounter counts the coordinator's barrier waits: one per team
+// barrier and one at the team join.
+type barrierCounter struct{ n atomic.Int64 }
+
+func (c *barrierCounter) Observe(e obs.Event) {
+	if e.Kind == obs.KindBarrierWait && e.Index == 0 {
+		c.n.Add(1)
+	}
+}
+
+// TestNativeScheduleBarriers bounds the barriers one request costs a
+// multi-party team. A schedule on address labels at K = n has about n
+// steps of one pointer each; the team must not meet once per step, so
+// the count stays under a bound that does not grow with n. A default
+// Match4 run stays at the few dozen its partition rounds and large
+// steps need.
+func TestNativeScheduleBarriers(t *testing.T) {
+	const scheduleMax, match4Max = 8, 30
+	for _, parties := range []int{2, 4} {
+		bc := &barrierCounter{}
+		m := pram.New(8, pram.WithExec(pram.Native), pram.WithWorkers(parties),
+			pram.WithWorkspace(ws.New()), pram.WithObserver(bc))
+		defer m.Close()
+		r, err := NewNativeRunner(m, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		barriers := func(run func(*Result) error) int64 {
+			t.Helper()
+			m.Workspace().Reset()
+			m.Reset()
+			before := bc.n.Load()
+			var res Result
+			if err := run(&res); err != nil {
+				t.Fatal(err)
+			}
+			return bc.n.Load() - before
+		}
+		for _, n := range []int{4096, 65536} {
+			l := list.RandomList(n, int64(n))
+			addr := make([]int, n)
+			for v := range addr {
+				addr[v] = v
+			}
+			if got := barriers(func(res *Result) error { return r.Schedule(l, addr, n, res) }); got > scheduleMax {
+				t.Errorf("parties=%d n=%d: schedule at K = n met %d barriers, want ≤ %d", parties, n, got, scheduleMax)
+			}
+			if got := barriers(func(res *Result) error { return r.Run(l, res) }); got > match4Max {
+				t.Errorf("parties=%d n=%d: Match4 met %d barriers, want ≤ %d", parties, n, got, match4Max)
 			}
 		}
 	}

@@ -35,11 +35,7 @@ const MaxTrackedWorkers = 64
 //	parlist_queue_wait_ns            histogram  admission → service start
 //	parlist_queue_depth              gauge      depth of the event's shard
 //	parlist_queue_shed_total         counter    ErrQueueFull rejections
-//	parlist_retries_total{engine}    counter    transient-failure retries
 //	parlist_deadline_exceeded_total  counter    requests past their budget
-//	parlist_breaker_state{engine}    gauge      0 closed, 1 open, 2 half-open
-//	parlist_breaker_trips_total{engine}           counter (closed → open)
-//	parlist_quarantine_ns            histogram  open → readmitted duration
 //	parlist_sharded_requests_total   counter    plans served by ShardedDo
 //	parlist_shard_segments_total     counter    reduced-list segments exchanged
 //	parlist_exchange_bytes_total     counter    PEM-style boundary-exchange volume
@@ -66,16 +62,10 @@ type Collector struct {
 	arenaBytes *Counter
 
 	// Pool layer.
-	queueWait  *Histogram
-	queueDepth *Gauge
-	shed       *Counter
-
-	// Resilience layer. Per-engine series are lazily created like the
-	// per-worker barrier counters.
+	queueWait        *Histogram
+	queueDepth       *Gauge
+	shed             *Counter
 	deadlineExceeded *Counter
-	quarantineNs     *Histogram
-	engRetries       [MaxTrackedWorkers]atomic.Pointer[Counter]
-	engBreakers      [MaxTrackedWorkers]atomic.Pointer[breakerSeries]
 
 	// Sharded-execution layer. Step-wall series are labelled by
 	// plan-step kind, lazily like phaseNs.
@@ -102,9 +92,7 @@ func NewCollector(reg *Registry) *Collector {
 		queueDepth:  reg.Gauge("parlist_queue_depth", "instantaneous depth of the event's shard queue"),
 		shed:        reg.Counter("parlist_queue_shed_total", "requests shed with a full admission queue"),
 		deadlineExceeded: reg.Counter("parlist_deadline_exceeded_total",
-			"requests failed past their deadline budget (queued, mid-service, or in retry backoff)"),
-		quarantineNs: reg.Histogram("parlist_quarantine_ns",
-			"breaker open-to-readmitted duration per quarantine episode"),
+			"requests failed past their deadline budget (queued or mid-service)"),
 		shardedReqs:   reg.Counter("parlist_sharded_requests_total", "requests served through a sharded plan"),
 		shardSegments: reg.Counter("parlist_shard_segments_total", "reduced-list segments exchanged across shard boundaries"),
 		exchangeBytes: reg.Counter("parlist_exchange_bytes_total",
@@ -163,22 +151,8 @@ func (c *Collector) Observe(e Event) {
 		c.queueDepth.Set(int64(e.N))
 	case KindShed:
 		c.shed.Inc()
-	case KindRetry:
-		if e.Index >= 0 && e.Index < MaxTrackedWorkers {
-			c.retries(e.Index).Inc()
-		}
 	case KindDeadline:
 		c.deadlineExceeded.Inc()
-	case KindBreaker:
-		if e.Index >= 0 && e.Index < MaxTrackedWorkers {
-			b := c.breaker(e.Index)
-			b.state.Set(int64(e.N))
-			if e.N == 1 { // entering open
-				b.trips.Inc()
-			}
-		}
-	case KindQuarantine:
-		c.quarantineNs.Observe(e.Dur.Nanoseconds())
 	case KindShardedRequest:
 		c.shardedReqs.Inc()
 		c.shardSegments.Add(int64(e.N))
@@ -247,40 +221,6 @@ func (c *Collector) RequestLatency(op string) *Histogram {
 			c.reg.Histogram("parlist_request_latency_ns", "engine-side service time per request", "op", op))
 	}
 	return v.(*Histogram)
-}
-
-// retries returns engine's lazily created retry counter.
-func (c *Collector) retries(engine int) *Counter {
-	ctr := c.engRetries[engine].Load()
-	if ctr == nil {
-		ctr = c.reg.Counter("parlist_retries_total",
-			"transient-failure retries scheduled, by failing engine", "engine", strconv.Itoa(engine))
-		c.engRetries[engine].Store(ctr)
-	}
-	return ctr
-}
-
-// breakerSeries is one engine's breaker gauge and trips counter, built
-// together and published as one pointer like workerCounters.
-type breakerSeries struct {
-	state *Gauge
-	trips *Counter
-}
-
-// breaker returns engine's lazily created breaker series.
-func (c *Collector) breaker(engine int) *breakerSeries {
-	b := c.engBreakers[engine].Load()
-	if b == nil {
-		label := strconv.Itoa(engine)
-		b = &breakerSeries{
-			state: c.reg.Gauge("parlist_breaker_state",
-				"circuit-breaker state per engine (0 closed, 1 open, 2 half-open)", "engine", label),
-			trips: c.reg.Counter("parlist_breaker_trips_total",
-				"closed-to-open breaker transitions per engine", "engine", label),
-		}
-		c.engBreakers[engine].Store(b)
-	}
-	return b
 }
 
 // QueueWait returns the pool queue-wait histogram.

@@ -121,10 +121,10 @@ func TestCollectorConcurrent(t *testing.T) {
 }
 
 // TestCollectorFirstCallRace races four goroutines into the first
-// observation of one worker and one engine on a fresh collector, many
-// times over. Each lazily created series pair must be complete the
-// moment any caller can see it: a caller that finds the pair published
-// must never find one half of it missing.
+// observation of one worker on a fresh collector, many times over. The
+// lazily created series pair must be complete the moment any caller can
+// see it: a caller that finds the pair published must never find one
+// half of it missing.
 func TestCollectorFirstCallRace(t *testing.T) {
 	const callers = 4
 	for round := 0; round < 500; round++ {
@@ -138,17 +138,15 @@ func TestCollectorFirstCallRace(t *testing.T) {
 				defer wg.Done()
 				<-start
 				c.Observe(Event{Kind: KindBarrierWait, Index: 1, Dur: time.Microsecond})
-				c.Observe(Event{Kind: KindBreaker, Index: 1, N: 1})
 			}()
 		}
 		close(start)
 		wg.Wait()
 		waits := reg.Counter("parlist_barrier_worker_waits_total", "", "worker", "1").Value()
 		waitNs := reg.Counter("parlist_barrier_worker_wait_ns_total", "", "worker", "1").Value()
-		trips := reg.Counter("parlist_breaker_trips_total", "", "engine", "1").Value()
-		if waits != callers || waitNs != callers*1000 || trips != callers {
-			t.Fatalf("round %d: waits %d, wait ns %d, trips %d; want %d, %d, %d",
-				round, waits, waitNs, trips, callers, callers*1000, callers)
+		if waits != callers || waitNs != callers*1000 {
+			t.Fatalf("round %d: waits %d, wait ns %d; want %d, %d",
+				round, waits, waitNs, callers, callers*1000)
 		}
 	}
 }

@@ -5,7 +5,7 @@ import "time"
 // Observer receives the event stream: every observation the simulator,
 // the engines and the pool make reaches its sink as one Event. Observe
 // is called concurrently — from machine coordinators, pool workers at
-// their barriers, dispatchers, and retry and quarantine goroutines — so
+// their barriers, dispatchers and sharded-plan coordinators — so
 // implementations must be safe for that, and should return at once on
 // the kinds they do not consume.
 //
@@ -52,17 +52,8 @@ const (
 	KindDequeue
 	// KindShed is one admission refused with a full queue.
 	KindShed
-	// KindRetry is one retry scheduled after a transient failure on
-	// engine Index.
-	KindRetry
 	// KindDeadline is one request failed past its deadline budget.
 	KindDeadline
-	// KindBreaker is engine Index's breaker entering state N (0 closed,
-	// 1 open, 2 half-open).
-	KindBreaker
-	// KindQuarantine is engine Index readmitted Dur after its breaker
-	// opened.
-	KindQuarantine
 	// KindShardedRequest is one completed sharded request: Index is its
 	// fan-out, N the reduced list's segments, Bytes the exchange
 	// volume, Permille the contract-stage imbalance (slowest shard over

@@ -44,8 +44,6 @@ type Span struct {
 	Name string
 	// Shard is the engine/shard index that did the work (-1 = none).
 	Shard int
-	// Attempt is the retry attempt the span ran as (0 = first try).
-	Attempt int
 	// Start and Dur bound the span.
 	Start time.Time
 	Dur   time.Duration
@@ -363,7 +361,6 @@ type spanJSON struct {
 	Link    string `json:"link,omitempty"`
 	Name    string `json:"name"`
 	Shard   int    `json:"shard,omitempty"`
-	Attempt int    `json:"attempt,omitempty"`
 	StartNS int64  `json:"start_unix_ns"`
 	DurNS   int64  `json:"dur_ns"`
 	Status  string `json:"status,omitempty"`
@@ -379,7 +376,6 @@ func (r *SpanRecorder) WriteJSONL(w io.Writer) error {
 			Span:    fmt.Sprintf("%016x", s.SpanID),
 			Name:    s.Name,
 			Shard:   s.Shard,
-			Attempt: s.Attempt,
 			StartNS: s.Start.UnixNano(),
 			DurNS:   s.Dur.Nanoseconds(),
 			Status:  s.Status,

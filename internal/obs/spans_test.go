@@ -187,7 +187,7 @@ func TestTracesHandlerJSONL(t *testing.T) {
 	const hi = 0x7
 	root := rootFor(hi, 2*time.Millisecond, "")
 	rec.Record(Span{TraceHi: hi, TraceLo: 1, ParentID: root.SpanID, Name: "queue",
-		Shard: 3, Attempt: 1, Start: time.Unix(0, 0), Dur: time.Microsecond, Status: "transient"})
+		Shard: 3, Start: time.Unix(0, 0), Dur: time.Microsecond, Status: "transient"})
 	rec.Record(root)
 
 	w := httptest.NewRecorder()
@@ -197,7 +197,7 @@ func TestTracesHandlerJSONL(t *testing.T) {
 	for sc.Scan() {
 		var rec struct {
 			Trace, Span, Parent, Name, Status string
-			Shard, Attempt                    int
+			Shard                             int
 			DurNS                             int64 `json:"dur_ns"`
 		}
 		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
@@ -210,7 +210,7 @@ func TestTracesHandlerJSONL(t *testing.T) {
 			roots++
 		} else {
 			children++
-			if rec.Shard != 3 || rec.Attempt != 1 || rec.Status != "transient" {
+			if rec.Shard != 3 || rec.Status != "transient" {
 				t.Errorf("child lost tags: %q", sc.Text())
 			}
 		}

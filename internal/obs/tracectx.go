@@ -115,7 +115,7 @@ func getU64(b []byte) uint64 {
 // TraceSource mints trace and span ids: a splitmix64 stream behind one
 // atomic counter, so concurrent minting is lock-free and a fixed seed
 // yields a fixed id sequence (deterministic tests). The mixer is the
-// same one the retry jitter and fault planner use.
+// same one the fault planner uses.
 type TraceSource struct {
 	state atomic.Uint64
 }

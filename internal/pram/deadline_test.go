@@ -114,7 +114,7 @@ func TestDeadlineFutureIsFree(t *testing.T) {
 	}
 }
 
-// TestTransientClassification pins the retry layer's error taxonomy:
+// TestTransientClassification pins the transient class of the taxonomy:
 // fault-class executor failures are transient, caller-imposed aborts
 // and admission errors are not, and wrapping is transparent.
 func TestTransientClassification(t *testing.T) {

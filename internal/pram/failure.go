@@ -93,13 +93,11 @@ func (e *DeadlineExceeded) Error() string {
 }
 
 // Transient reports whether err (or anything it wraps) is a
-// fault-class executor failure that a retry on a healthy machine can
-// outrun: a recovered WorkerPanic or a watchdog-declared BarrierStall.
-// Both leave the failing machine degraded while saying nothing about
-// the request itself, so re-running the same request elsewhere is
-// sound (results are schedule-independent; see FaultPlan). Deadline
-// aborts and validation errors are not transient: retrying them burns
-// budget without changing the outcome.
+// fault-class executor failure: a recovered WorkerPanic or a
+// watchdog-declared BarrierStall. Both leave the failing machine
+// degraded, and an engine rebuilds it before its next request.
+// Deadline aborts and validation errors are not transient: they leave
+// the machine healthy.
 func Transient(err error) bool {
 	var wp *WorkerPanic
 	var bs *BarrierStall

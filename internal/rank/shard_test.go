@@ -138,8 +138,8 @@ func shardOf(bounds []int, v int) int {
 
 // TestShardedKernelsUnderFaults checks the kernels run as ordinary
 // simulated rounds: an injected worker fault inside a contract step
-// surfaces as the usual transient panic, which is what lets the pool
-// retry a step instead of the whole request.
+// surfaces as the usual transient panic, which fails the step with the
+// typed error.
 func TestShardedKernelsUnderFaults(t *testing.T) {
 	l := list.RandomList(512, 83)
 	m := pram.New(8, pram.WithExec(pram.Pooled), pram.WithWorkers(4))

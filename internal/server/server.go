@@ -50,7 +50,7 @@ type Config struct {
 	// before the group flushes regardless of size (default 500µs). The
 	// batcher holds a group only while every engine is busy and flushes
 	// it the moment one is idle, so MaxWait binds only when every
-	// engine stays busy (or every breaker open) for that long.
+	// engine stays busy for that long.
 	MaxWait time.Duration
 	// MaxNodes caps a single request's node count (default 1<<24;
 	// larger requests are refused with StatusInvalid).
@@ -69,7 +69,7 @@ type Config struct {
 	// mints a TraceContext for requests that arrive without one,
 	// records its own life-cycle spans (request/inbox/queue/engine)
 	// into the recorder, and serves the recorder on /debug/traces. To
-	// also capture pool-side spans (retries, sharded steps), attach the
+	// also capture pool-side spans (queue, engine, sharded steps), attach the
 	// same recorder to the pool's obs.Collector (AttachSpans). Nil
 	// disables tracing entirely — wire contexts still propagate to the
 	// engine untouched.

@@ -1,7 +1,7 @@
 package server
 
 // /statusz is the human-facing live-introspection page: one request
-// shows the pool's per-engine load and breaker states, the coalescing
+// shows the pool's per-engine load and rebuilds, the coalescing
 // batcher's occupancy, each partly spent tenant bucket, the recent
 // sampled slow traces, and the latency exemplars that bridge /metrics
 // to /debug/traces. It renders plain text by default ("curl :8080/statusz"
@@ -29,12 +29,11 @@ func (s *Server) statusz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(&buf, "engine pool\n")
 	fmt.Fprintf(&buf, "  engines %d  requests %d  steps %d  batches %d  failures %d\n",
 		st.Engines, st.Requests, st.Steps, st.Batches, st.Failures)
-	fmt.Fprintf(&buf, "  rejected %d  canceled %d  retries %d  deadline %d\n",
-		st.Rejected, st.Canceled, st.Retries, st.DeadlineExceeded)
-	fmt.Fprintf(&buf, "  %-6s %8s %8s %10s %6s %9s\n", "engine", "served", "pending", "breaker", "trips", "rebuilds")
+	fmt.Fprintf(&buf, "  rejected %d  canceled %d  deadline %d\n",
+		st.Rejected, st.Canceled, st.DeadlineExceeded)
+	fmt.Fprintf(&buf, "  %-6s %8s %8s %9s\n", "engine", "served", "pending", "rebuilds")
 	for i, e := range st.PerEngine {
-		fmt.Fprintf(&buf, "  %-6d %8d %8d %10s %6d %9d\n",
-			i, e.Served, e.Pending, e.Breaker, e.Trips, e.Stats.Rebuilds)
+		fmt.Fprintf(&buf, "  %-6d %8d %8d %9d\n", i, e.Served, e.Pending, e.Stats.Rebuilds)
 	}
 
 	fmt.Fprintf(&buf, "\nbatcher\n")

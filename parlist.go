@@ -410,44 +410,20 @@ func (e *Engine) ScheduleMatching(l *List, lab []int, K int, o Options) (*Result
 type EnginePool = engine.EnginePool
 
 // PoolConfig shapes an engine pool: engine count (default GOMAXPROCS),
-// per-engine queue depth, the shared per-engine EngineConfig, and the
-// resilience knobs (Retry, Breaker). Unless
-// EngineConfig.Workers is set, the engines split GOMAXPROCS between
-// them: each gets max(1, GOMAXPROCS/Engines) real workers.
+// per-engine queue depth, the shared per-engine EngineConfig, and an
+// observer. Unless EngineConfig.Workers is set, the engines split
+// GOMAXPROCS between them: each gets max(1, GOMAXPROCS/Engines) real
+// workers.
 type PoolConfig = engine.PoolConfig
 
 // PoolStats is a pool-wide counter snapshot: totals, rejections,
-// cancellations, retries, cumulative queue-wait/service time, and
+// cancellations, deadlines, cumulative queue-wait/service time, and
 // per-engine load.
 type PoolStats = engine.PoolStats
 
 // Future is the handle for a pending pool request: Wait for the result,
 // Done to select on completion, Metrics for per-request timings.
 type Future = engine.Future
-
-// RetryPolicy (PoolConfig.Retry) bounds automatic retry of transient
-// faults — worker panics and barrier stalls — on a different engine
-// with capped jittered backoff. Deadline, overload, and validation
-// failures are never retried. Retried results are bit-identical to
-// fault-free runs.
-type RetryPolicy = engine.RetryPolicy
-
-// BreakerPolicy (PoolConfig.Breaker) configures the per-engine circuit
-// breaker: Threshold consecutive transient faults quarantine the
-// engine, which is rebuilt off the hot path and readmitted only after
-// verifier-checked canary probes pass.
-type BreakerPolicy = engine.BreakerPolicy
-
-// BreakerState is an engine breaker's health state (closed / open /
-// half-open), reported per engine in PoolStats.
-type BreakerState = engine.BreakerState
-
-// Breaker states, reported per engine in PoolStats.
-const (
-	BreakerClosed   = engine.BreakerClosed
-	BreakerOpen     = engine.BreakerOpen
-	BreakerHalfOpen = engine.BreakerHalfOpen
-)
 
 // EngineRequest is the raw typed request served by Engine.Run and
 // EnginePool.Submit/Do — the full-control entry point (op selection,
@@ -473,7 +449,7 @@ const (
 
 // ShardStats is one sharded request's execution accounting — fan-out,
 // reduced-list segments, PEM-style exchange volume, per-shard contract
-// wall times and their imbalance, step retries — attached to
+// wall times and their imbalance — attached to
 // EngineResult.Sharding by EnginePool.ShardedDo:
 //
 //	res, err := p.ShardedDo(ctx, parlist.EngineRequest{Op: parlist.OpRank, List: l}, 4)
@@ -489,7 +465,7 @@ var (
 	ErrPoolClosed = engine.ErrPoolClosed
 	// ErrDeadlineExceeded reports a request that blew its
 	// EngineRequest.Deadline budget — while queued or mid-service.
-	// Distinct from sheds and cancellations; never retried.
+	// Distinct from sheds and cancellations.
 	ErrDeadlineExceeded = engine.ErrDeadlineExceeded
 	// ErrBadShards reports a ShardedDo fan-out below 1.
 	ErrBadShards = engine.ErrBadShards
