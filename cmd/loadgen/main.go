@@ -1,14 +1,19 @@
 // Command loadgen drives an EnginePool with synthetic request traffic
 // and reports throughput and latency percentiles. Two modes:
 //
-//   - closed loop (default): -conc workers each issue requests
-//     back-to-back via Do, sweeping the comma-separated concurrency
-//     levels and printing req/s, p50/p99 latency and queue-wait per
-//     level;
-//   - open loop (-qps > 0): one paced submitter targets the given
-//     request rate via non-blocking Submit, so overload shows up as
-//     ErrQueueFull drops instead of coordinated-omission-masked
-//     latency.
+//   - closed loop (default): -conc callers each issue requests back to
+//     back, sweeping the comma-separated concurrency levels and
+//     printing req/s and p50/p99 latency per level;
+//   - open loop (-qps > 0): one pacer sends requests at the target rate
+//     via non-blocking Submit, so overload shows up as shed requests
+//     instead of coordinated-omission-masked latency.
+//
+// Both loops run on internal/load, so a request's latency runs from
+// the time it was due: its scheduled send in the open loop, its
+// caller's readiness in the closed loop. The open-loop row also prints
+// late-p50, how late the pacer sent the median request, the part of
+// p50 that is the client's own. In-process rows split each request's
+// time in the pool into queue wait and service.
 //
 // Observability: -listen ADDR serves live Prometheus metrics on
 // /metrics (plus net/http/pprof) while the run executes, and keeps
@@ -27,7 +32,6 @@
 //	loadgen -n 4096 -p 256 -engines 4 -conc 1,2,4,8 -requests 256
 //	loadgen -n 4096,300 -engines 2 -qps 500 -requests 1000
 //	loadgen -n 65536 -exec native -conc 1,4 -requests 256
-//	loadgen -n 65536 -engines 4 -shards 4 -conc 1,2  # sharded rank plans
 //	loadgen -listen :9090 -trace out.json
 //	loadgen -smoke                       # tiny CI smoke run
 //	loadgen -connect :7070 -qps 2000     # drive a parlistd over the wire
@@ -51,20 +55,21 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
 	"parlist/internal/engine"
 	"parlist/internal/list"
+	"parlist/internal/load"
 	"parlist/internal/obs"
 	"parlist/internal/pram"
 	"parlist/internal/server"
@@ -105,16 +110,7 @@ func parseInts(s, flagName string) ([]int, error) {
 	return out, nil
 }
 
-// percentile returns the q-quantile (0 ≤ q ≤ 1) of sorted durations.
-func percentile(sorted []time.Duration, q float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(q * float64(len(sorted)-1))
-	return sorted[i]
-}
-
-func run(args []string, out *os.File) error {
+func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("loadgen", flag.ContinueOnError)
 	nFlag := fs.String("n", "4096", "list size(s), comma-separated; requests cycle through them")
 	p := fs.Int("p", 256, "simulated PRAM processors")
@@ -123,7 +119,6 @@ func run(args []string, out *os.File) error {
 	concFlag := fs.String("conc", "1,2,4", "closed-loop concurrency sweep, comma-separated")
 	requests := fs.Int("requests", 128, "requests per sweep level (total in -qps mode)")
 	qps := fs.Float64("qps", 0, "open-loop target request rate; 0 = closed loop")
-	shardsN := fs.Int("shards", 1, "fan each request across K engine shards (closed-loop rank requests via ShardedDo); 1 = whole-request path")
 	queueDepth := fs.Int("queue", 32, "per-engine admission queue depth")
 	seed := fs.Int64("seed", 1, "list generator seed")
 	connect := fs.String("connect", "", "drive a running parlistd at this address over the binary framing instead of an in-process pool")
@@ -156,12 +151,6 @@ func run(args []string, out *os.File) error {
 	if *requests < 1 {
 		return usagef("-requests must be >= 1 (got %d)", *requests)
 	}
-	if *shardsN < 1 {
-		return usagef("-shards must be >= 1 (got %d)", *shardsN)
-	}
-	if *shardsN > 1 && *qps > 0 {
-		return usagef("-shards works in the closed loop only (ShardedDo blocks; drop -qps)")
-	}
 	// Under native the default matching request runs Match4 through the
 	// fast-path kernels; Stats report zero simulated time/work for it.
 	// loadgen never attaches fault plans, so no request can hit
@@ -176,11 +165,8 @@ func run(args []string, out *os.File) error {
 		lists[i] = list.RandomList(n, *seed)
 	}
 
+	tr := &tracer{slow: *traceSlow, log: slowLogger()}
 	if *connect != "" {
-		if *shardsN > 1 {
-			return usagef("-shards is an in-process mode (drop -connect)")
-		}
-		tr := &tracer{slow: *traceSlow, log: slowLogger()}
 		return wireMode(out, *connect, *debugAddr, lists, *requests, *qps, concs, *smoke, tr)
 	}
 
@@ -196,7 +182,6 @@ func run(args []string, out *os.File) error {
 	// Tracing is opt-in for the in-process sweeps (minting contexts puts
 	// every request on the span path), switched on by -trace-slow or
 	// -smoke — the smoke run asserts traces are actually retrievable.
-	tr := &tracer{slow: *traceSlow, log: slowLogger()}
 	if *traceSlow > 0 || *smoke {
 		tr.rec = obs.NewSpanRecorder(obs.NewTraceSource(*seed), 1)
 		collector.AttachSpans(tr.rec)
@@ -224,21 +209,10 @@ func run(args []string, out *os.File) error {
 	fmt.Fprintf(out, "loadgen: engines=%d queue=%d p=%d exec=%s sizes=%v\n",
 		*enginesN, *queueDepth, *p, exec, sizes)
 
-	if *qps > 0 {
-		if err := openLoop(out, pool, lists, *requests, *qps, tr); err != nil {
-			return err
-		}
-	} else {
-		for _, conc := range concs {
-			if *shardsN > 1 {
-				err = closedLoopSharded(out, pool, lists, conc, *requests, *shardsN, tr)
-			} else {
-				err = closedLoop(out, pool, lists, conc, *requests, tr)
-			}
-			if err != nil {
-				return err
-			}
-		}
+	if err := sweep(out, poolTarget(pool, lists, tr), *requests, *qps, concs, tr); err != nil {
+		return err
+	}
+	if *qps == 0 {
 		st := pool.Stats()
 		fmt.Fprintf(out, "pool totals: requests=%d steps=%d failures=%d rejected=%d\n",
 			st.Requests, st.Steps, st.Failures, st.Rejected)
@@ -330,7 +304,7 @@ func (t *tracer) slowCheck(tc obs.TraceContext, dur time.Duration) {
 
 // assertTraces fetches a /debug/traces endpoint and fails unless at
 // least one sampled trace (a root span and its children) came back.
-func assertTraces(out *os.File, url string) error {
+func assertTraces(out io.Writer, url string) error {
 	resp, err := http.Get(url)
 	if err != nil {
 		return fmt.Errorf("smoke: fetch %s: %w", url, err)
@@ -366,9 +340,8 @@ func assertTraces(out *os.File, url string) error {
 
 // wireMode drives a running parlistd over the binary framing: an open
 // loop when qps > 0, otherwise the closed-loop -conc sweep. -smoke
-// shrinks it to CI size. All requests are rank requests (results are
-// length-checked), pipelined on one connection.
-func wireMode(out *os.File, addr, debugAddr string, lists []*list.List, requests int, qps float64, concs []int, smoke bool, tr *tracer) error {
+// shrinks it to CI size.
+func wireMode(out io.Writer, addr, debugAddr string, lists []*list.List, requests int, qps float64, concs []int, smoke bool, tr *tracer) error {
 	if smoke {
 		requests = 40
 		if qps == 0 {
@@ -380,16 +353,7 @@ func wireMode(out *os.File, addr, debugAddr string, lists []*list.List, requests
 		return fmt.Errorf("connect %s: %w", addr, err)
 	}
 	defer c.Close()
-	if qps > 0 {
-		err = wireOpenLoop(out, c, lists, requests, qps, tr)
-	} else {
-		for _, conc := range concs {
-			if err = wireClosedLoop(out, c, lists, conc, requests, tr); err != nil {
-				break
-			}
-		}
-	}
-	if err != nil {
+	if err := sweep(out, wireTarget(c, lists), requests, qps, concs, tr); err != nil {
 		return err
 	}
 	if smoke && debugAddr != "" {
@@ -400,321 +364,150 @@ func wireMode(out *os.File, addr, debugAddr string, lists []*list.List, requests
 	return nil
 }
 
-// wireOpenLoop paces Submit frames at the target rate and collects
-// responses as they arrive; daemon sheds (queue-full, over-limit) are
-// drops, anything else non-OK fails the run.
-func wireOpenLoop(out *os.File, c *server.Client, lists []*list.List, requests int, qps float64, tr *tracer) error {
-	interval := time.Duration(float64(time.Second) / qps)
-	var mu sync.Mutex
-	var lat []time.Duration
-	var batchedSum, served, drops, failed int
-	var wg sync.WaitGroup
-	start := time.Now()
-	next := start
-	for i := 0; i < requests; i++ {
-		if d := time.Until(next); d > 0 {
-			time.Sleep(d)
-		}
-		next = next.Add(interval)
-		l := lists[i%len(lists)]
-		t0 := time.Now()
-		ch, err := c.Submit(engine.Request{Op: engine.OpRank, List: l})
-		if err != nil {
-			return fmt.Errorf("submit: %w", err)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			r, ok := <-ch
-			mu.Lock()
-			defer mu.Unlock()
-			switch {
-			case !ok:
-				failed++
-			case r.Status == server.StatusOK:
-				if len(r.Result.Ranks) != l.Len() {
-					failed++
-					return
-				}
-				served++
-				batchedSum += r.Batched
-				tr.slowCheck(r.Trace, time.Since(t0))
-				lat = append(lat, time.Since(t0))
-			case r.Status == server.StatusShed || r.Status == server.StatusOverLimit:
-				drops++
-			default:
-				failed++
-			}
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	if failed > 0 {
-		return fmt.Errorf("wire: %d of %d requests failed", failed, requests)
-	}
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	meanBatch := 0.0
-	if served > 0 {
-		meanBatch = float64(batchedSum) / float64(served)
-	}
-	fmt.Fprintf(out, "wire qps-target=%.0f offered=%d served=%d shed=%d achieved=%.1f/s mean-batch=%.2f p50=%v p99=%v\n",
-		qps, requests, served, drops,
-		float64(served)/elapsed.Seconds(), meanBatch,
-		percentile(lat, 0.50), percentile(lat, 0.99))
-	return nil
+// target is what a sweep drives: the in-process pool or, with
+// -connect, a parlistd over the wire. send submits request i without
+// waiting for it and returns the wait for its result, which checks the
+// result's length and returns the request's trace context; a refusal
+// at admission is wrapped in load.ErrShed. columns renders the
+// target's own columns for the requests served since its last call.
+type target struct {
+	prefix  string
+	send    func(i int) func() (obs.TraceContext, error)
+	columns func() string
 }
 
-// wireClosedLoop runs conc workers issuing Do back-to-back over the
-// shared pipelined connection and prints one sweep row.
-func wireClosedLoop(out *os.File, c *server.Client, lists []*list.List, conc, requests int, tr *tracer) error {
+// poolTarget submits default (matching) requests over lists in turn to
+// the in-process pool; a full engine queue sheds. Its columns split
+// each served request's time in the pool into queue wait and service.
+func poolTarget(pool *engine.EnginePool, lists []*list.List, tr *tracer) *target {
 	ctx := context.Background()
-	per := requests / conc
-	if per < 1 {
-		per = 1
-	}
-	total := per * conc
-	lat := make([][]time.Duration, conc)
-	batched := make([]int, conc)
-	errs := make([]error, conc)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < conc; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			lat[w] = make([]time.Duration, 0, per)
-			for i := 0; i < per; i++ {
-				l := lists[(w*per+i)%len(lists)]
-				t0 := time.Now()
-				r, err := c.Do(ctx, engine.Request{Op: engine.OpRank, List: l})
+	var wait, service *obs.Histogram
+	reset := func() { wait, service = new(obs.Histogram), new(obs.Histogram) }
+	reset()
+	return &target{
+		send: func(i int) func() (obs.TraceContext, error) {
+			l := lists[i%len(lists)]
+			tc := tr.mint()
+			f, err := pool.Submit(ctx, engine.Request{List: l, Trace: tc})
+			if errors.Is(err, engine.ErrQueueFull) {
+				err = fmt.Errorf("%w: %w", load.ErrShed, err)
+			}
+			return func() (obs.TraceContext, error) {
 				if err != nil {
-					errs[w] = err
-					return
+					return tc, err
 				}
-				if len(r.Result.Ranks) != l.Len() {
-					errs[w] = fmt.Errorf("short result: %d ranks for n=%d", len(r.Result.Ranks), l.Len())
-					return
-				}
-				tr.slowCheck(r.Trace, time.Since(t0))
-				lat[w] = append(lat[w], time.Since(t0))
-				batched[w] += r.Batched
-			}
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	var all []time.Duration
-	batchedSum := 0
-	for w := range lat {
-		all = append(all, lat[w]...)
-		batchedSum += batched[w]
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	fmt.Fprintf(out, "wire conc=%-3d requests=%-5d req/s=%-9.1f mean-batch=%-6.2f p50=%-10v p99=%v\n",
-		conc, total, float64(total)/elapsed.Seconds(),
-		float64(batchedSum)/float64(len(all)),
-		percentile(all, 0.50), percentile(all, 0.99))
-	return nil
-}
-
-// doMetrics issues one request through the Submit path (retrying
-// ErrQueueFull with a short backoff, preserving closed-loop semantics)
-// and returns its per-request metrics, which split total latency into
-// queue wait and service time — the two components the sweep rows
-// report separately.
-func doMetrics(ctx context.Context, pool *engine.EnginePool, l *list.List, tr *tracer) (engine.RequestMetrics, error) {
-	tc := tr.mint()
-	t0 := time.Now()
-	for {
-		f, err := pool.Submit(ctx, engine.Request{List: l, Trace: tc})
-		if errors.Is(err, engine.ErrQueueFull) {
-			time.Sleep(50 * time.Microsecond)
-			continue
-		}
-		if err != nil {
-			return engine.RequestMetrics{}, err
-		}
-		res, err := f.Wait(ctx)
-		if err != nil {
-			return engine.RequestMetrics{}, err
-		}
-		if len(res.In) != l.Len() {
-			return engine.RequestMetrics{}, fmt.Errorf("short result: %d in-flags for n=%d", len(res.In), l.Len())
-		}
-		tr.slowCheck(tc, time.Since(t0))
-		return f.Metrics(), nil
-	}
-}
-
-// closedLoop runs conc workers issuing requests back-to-back and prints
-// one sweep row with queue-wait and service-time percentiles broken out
-// (a fast engine behind a deep queue and a slow engine behind an empty
-// one have the same total latency; the split tells them apart).
-func closedLoop(out *os.File, pool *engine.EnginePool, lists []*list.List, conc, requests int, tr *tracer) error {
-	ctx := context.Background()
-	per := requests / conc
-	if per < 1 {
-		per = 1
-	}
-	total := per * conc
-	type sample struct{ wait, service time.Duration }
-	samples := make([][]sample, conc)
-	errs := make([]error, conc)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < conc; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			samples[w] = make([]sample, 0, per)
-			for i := 0; i < per; i++ {
-				l := lists[(w*per+i)%len(lists)]
-				m, err := doMetrics(ctx, pool, l, tr)
+				res, err := f.Wait(ctx)
 				if err != nil {
-					errs[w] = err
-					return
+					return tc, err
 				}
-				samples[w] = append(samples[w], sample{m.QueueWait, m.Service})
+				if len(res.In) != l.Len() {
+					return tc, fmt.Errorf("short result: %d in-flags for n=%d", len(res.In), l.Len())
+				}
+				m := f.Metrics()
+				wait.Observe(int64(m.QueueWait))
+				service.Observe(int64(m.Service))
+				return tc, nil
 			}
-		}(w)
+		},
+		columns: func() string {
+			var w, s obs.HistSnapshot
+			wait.Snapshot(&w)
+			service.Snapshot(&s)
+			reset()
+			q := func(h *obs.HistSnapshot, p float64) time.Duration { return time.Duration(h.Quantile(p)) }
+			return fmt.Sprintf(" queue-wait p50=%-10v p99=%-10v service p50=%-10v p99=%v",
+				q(&w, 0.50), q(&w, 0.99), q(&s, 0.50), q(&s, 0.99))
+		},
 	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	var lat, wait, svc []time.Duration
-	for _, ws := range samples {
-		for _, s := range ws {
-			lat = append(lat, s.wait+s.service)
-			wait = append(wait, s.wait)
-			svc = append(svc, s.service)
-		}
-	}
-	for _, sl := range [][]time.Duration{lat, wait, svc} {
-		sort.Slice(sl, func(i, j int) bool { return sl[i] < sl[j] })
-	}
-	fmt.Fprintf(out, "conc=%-3d requests=%-5d req/s=%-9.1f p50=%-10v p99=%-10v queue-wait p50=%-10v p99=%-10v service p50=%-10v p99=%v\n",
-		conc, total, float64(total)/elapsed.Seconds(),
-		percentile(lat, 0.50), percentile(lat, 0.99),
-		percentile(wait, 0.50), percentile(wait, 0.99),
-		percentile(svc, 0.50), percentile(svc, 0.99))
-	return nil
 }
 
-// closedLoopSharded is the closed loop over ShardedDo: conc workers
-// each fan rank requests across shards engine shards back-to-back. The
-// row adds the sharded plan's data-movement accounting — per-request
-// exchange volume and the mean contract-stage imbalance — next to the
-// usual latency percentiles.
-func closedLoopSharded(out *os.File, pool *engine.EnginePool, lists []*list.List, conc, requests, shards int, tr *tracer) error {
-	ctx := context.Background()
-	per := requests / conc
-	if per < 1 {
-		per = 1
-	}
-	total := per * conc
-	lat := make([][]time.Duration, conc)
-	errs := make([]error, conc)
-	var mu sync.Mutex
-	var exchange int64
-	var imbalance float64
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < conc; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			lat[w] = make([]time.Duration, 0, per)
-			for i := 0; i < per; i++ {
-				l := lists[(w*per+i)%len(lists)]
-				tc := tr.mint()
-				t0 := time.Now()
-				res, err := pool.ShardedDo(ctx, engine.Request{Op: engine.OpRank, List: l, Trace: tc}, shards)
+// wireTarget submits rank requests over lists in turn to a parlistd,
+// pipelined on one connection; a daemon shed (queue full, over limit)
+// sheds. Its column is the daemon-reported mean fused batch size.
+func wireTarget(c *server.Client, lists []*list.List) *target {
+	var batched, served atomic.Int64
+	return &target{
+		prefix: "wire ",
+		send: func(i int) func() (obs.TraceContext, error) {
+			l := lists[i%len(lists)]
+			ch, err := c.Submit(engine.Request{Op: engine.OpRank, List: l})
+			return func() (obs.TraceContext, error) {
 				if err != nil {
-					errs[w] = err
-					return
+					return obs.TraceContext{}, fmt.Errorf("submit: %w", err)
 				}
-				if len(res.Ranks) != l.Len() {
-					errs[w] = fmt.Errorf("short result: %d ranks for n=%d", len(res.Ranks), l.Len())
-					return
+				r, ok := <-ch
+				switch {
+				case !ok:
+					return obs.TraceContext{}, errors.New("connection lost")
+				case r.Status == server.StatusShed || r.Status == server.StatusOverLimit:
+					return r.Trace, fmt.Errorf("%w: %s", load.ErrShed, r.Message)
+				case r.Status != server.StatusOK:
+					return r.Trace, fmt.Errorf("status %d: %s", r.Status, r.Message)
+				case len(r.Result.Ranks) != l.Len():
+					return r.Trace, fmt.Errorf("short result: %d ranks for n=%d", len(r.Result.Ranks), l.Len())
 				}
-				tr.slowCheck(tc, time.Since(t0))
-				lat[w] = append(lat[w], time.Since(t0))
-				mu.Lock()
-				exchange += res.Sharding.ExchangeBytes
-				imbalance += res.Sharding.Imbalance
-				mu.Unlock()
+				batched.Add(int64(r.Batched))
+				served.Add(1)
+				return r.Trace, nil
 			}
-		}(w)
+		},
+		columns: func() string {
+			mean := 0.0
+			if n := served.Swap(0); n > 0 {
+				mean = float64(batched.Swap(0)) / float64(n)
+			}
+			return fmt.Sprintf(" mean-batch=%.2f", mean)
+		},
 	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	for _, err := range errs {
+}
+
+// sweep prints the open-loop row when qps > 0, and otherwise one
+// closed-loop row per level of concs; each row runs requests requests.
+func sweep(out io.Writer, t *target, requests int, qps float64, concs []int, tr *tracer) error {
+	if qps > 0 {
+		s, err := measure(t, requests, tr, func(send func(int) func() error) []load.Record {
+			return load.Open(load.Even(requests, qps), send)
+		})
 		if err != nil {
 			return err
 		}
+		fmt.Fprintf(out, "%sqps-target=%.0f offered=%d served=%d shed=%d achieved=%.1f/s p50=%v p99=%v late-p50=%v%s\n",
+			t.prefix, qps, requests, s.Served, s.Shed, s.Rate, s.P50, s.P99, s.LateP50, t.columns())
+		return nil
 	}
-	var all []time.Duration
-	for _, ws := range lat {
-		all = append(all, ws...)
+	for _, conc := range concs {
+		s, err := measure(t, max(requests, conc), tr, func(send func(int) func() error) []load.Record {
+			return load.Closed(requests, conc, func(i int) error { return send(i)() })
+		})
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "%sconc=%-3d requests=%-5d shed=%-3d req/s=%-9.1f p50=%-10v p99=%-10v%s\n",
+			t.prefix, conc, s.Served+s.Shed, s.Shed, s.Rate, s.P50, s.P99, t.columns())
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	fmt.Fprintf(out, "conc=%-3d requests=%-5d shards=%-2d req/s=%-9.1f p50=%-10v p99=%-10v exchange/req=%-8d B imbalance=%.3f\n",
-		conc, total, shards, float64(total)/elapsed.Seconds(),
-		percentile(all, 0.50), percentile(all, 0.99),
-		exchange/int64(len(all)), imbalance/float64(len(all)))
 	return nil
 }
 
-// openLoop paces Submit at the target rate; overload surfaces as
-// ErrQueueFull drops rather than queueing delay.
-func openLoop(out *os.File, pool *engine.EnginePool, lists []*list.List, requests int, qps float64, tr *tracer) error {
-	ctx := context.Background()
-	interval := time.Duration(float64(time.Second) / qps)
-	futures := make([]*engine.Future, 0, requests)
-	traces := make([]obs.TraceContext, 0, requests)
-	drops := 0
-	start := time.Now()
-	next := start
-	for i := 0; i < requests; i++ {
-		if d := time.Until(next); d > 0 {
-			time.Sleep(d)
-		}
-		next = next.Add(interval)
-		tc := tr.mint()
-		f, err := pool.Submit(ctx, engine.Request{List: lists[i%len(lists)], Trace: tc})
-		switch {
-		case errors.Is(err, engine.ErrQueueFull):
-			drops++
-		case err != nil:
-			return err
-		default:
-			futures = append(futures, f)
-			traces = append(traces, tc)
-		}
-	}
-	lat := make([]time.Duration, 0, len(futures))
-	for i, f := range futures {
-		if _, err := f.Wait(ctx); err != nil {
+// measure runs one row of at most size requests on t through drive,
+// logs every served request slower than -trace-slow, and summarizes
+// the row. Any failed request fails it.
+func measure(t *target, size int, tr *tracer, drive func(send func(int) func() error) []load.Record) (load.Summary, error) {
+	traces := make([]obs.TraceContext, size)
+	recs := drive(func(i int) func() error {
+		wait := t.send(i)
+		return func() (err error) {
+			traces[i], err = wait()
 			return err
 		}
-		m := f.Metrics()
-		tr.slowCheck(traces[i], m.QueueWait+m.Service)
-		lat = append(lat, m.QueueWait+m.Service)
+	})
+	for i := range recs {
+		if recs[i].Err == nil {
+			tr.slowCheck(traces[i], recs[i].Latency())
+		}
 	}
-	elapsed := time.Since(start)
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	fmt.Fprintf(out, "qps-target=%.0f offered=%d served=%d dropped=%d achieved=%.1f/s p50=%v p99=%v\n",
-		qps, requests, len(futures), drops,
-		float64(len(futures))/elapsed.Seconds(),
-		percentile(lat, 0.50), percentile(lat, 0.99))
-	return nil
+	s := load.Summarize(recs)
+	if s.Err != nil {
+		return s, fmt.Errorf("%s%d of %d requests failed, first: %w", t.prefix, s.Failed, len(recs), s.Err)
+	}
+	return s, nil
 }

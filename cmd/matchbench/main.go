@@ -1,4 +1,4 @@
-// Command matchbench runs the reproduction experiment suite (E1–E18,
+// Command matchbench runs the reproduction experiment suite (E1–E22,
 // see DESIGN.md) and prints the result tables recorded in
 // EXPERIMENTS.md.
 //
@@ -51,7 +51,7 @@ func run(args []string, out *os.File) error {
 	quick := fs.Bool("quick", false, "shrink the sweeps")
 	seed := fs.Int64("seed", 1, "list-generation seed")
 	check := fs.Bool("verify", false, "re-check experiment outputs with the independent verifiers")
-	execFlag := fs.String("exec", "", "override the serving-layer experiments' executor (E16/E17): sequential|pooled|native")
+	execFlag := fs.String("exec", "", "override the serving-layer experiments' executor (E16, E17, E20, E21, E22): sequential|pooled|native")
 	if err := fs.Parse(args); err != nil {
 		return usageError{err}
 	}

@@ -4,12 +4,12 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
-	"time"
+	"sync/atomic"
 
 	"parlist/internal/bits"
 	"parlist/internal/engine"
 	"parlist/internal/list"
+	"parlist/internal/load"
 	"parlist/internal/matching"
 	"parlist/internal/partition"
 	"parlist/internal/pram"
@@ -212,44 +212,24 @@ func runE16(cfg Config) ([]*Table, error) {
 				QueueDepth: 2 * conc,
 				Engine:     engine.Config{Processors: 256, Exec: cfg.exec(pram.Sequential)},
 			})
-			per := requests / conc
-			if per < 1 {
-				per = 1
-			}
-			errs := make([]error, conc)
-			identical := true
-			var mu sync.Mutex
-			var wg sync.WaitGroup
-			start := time.Now()
-			for w := 0; w < conc; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					for i := 0; i < per; i++ {
-						res, err := p.Do(ctx, engine.Request{List: l})
-						if err != nil {
-							errs[w] = err
-							return
-						}
-						same := len(res.In) == len(want.In) && res.Stats.Time == want.Stats.Time
-						for v := 0; same && v < len(want.In); v++ {
-							same = res.In[v] == want.In[v]
-						}
-						if !same {
-							mu.Lock()
-							identical = false
-							mu.Unlock()
-						}
-					}
-				}(w)
-			}
-			wg.Wait()
-			elapsed := time.Since(start)
-			for _, err := range errs {
+			var differs atomic.Bool
+			s := load.Summarize(load.Closed(requests, conc, func(int) error {
+				res, err := p.Do(ctx, engine.Request{List: l})
 				if err != nil {
-					p.Close()
-					return nil, err
+					return err
 				}
+				same := len(res.In) == len(want.In) && res.Stats.Time == want.Stats.Time
+				for v := 0; same && v < len(want.In); v++ {
+					same = res.In[v] == want.In[v]
+				}
+				if !same {
+					differs.Store(true)
+				}
+				return nil
+			}))
+			if s.Err != nil {
+				p.Close()
+				return nil, s.Err
 			}
 			st := p.Stats()
 			p.Close()
@@ -263,11 +243,10 @@ func runE16(cfg Config) ([]*Table, error) {
 			if served == 0 {
 				served = 1
 			}
-			t.Add(engines, conc,
-				float64(per*conc)/elapsed.Seconds(),
+			t.Add(engines, conc, s.Rate,
 				float64(st.QueueWait.Microseconds())/float64(served),
 				float64(st.Service.Microseconds())/float64(served),
-				busy, identical)
+				busy, !differs.Load())
 		}
 	}
 	return []*Table{t}, nil

@@ -5,12 +5,12 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
 	"parlist/internal/engine"
 	"parlist/internal/list"
+	"parlist/internal/load"
 	"parlist/internal/matching"
 	"parlist/internal/obs"
 	"parlist/internal/pram"
@@ -62,35 +62,16 @@ func runE17(cfg Config) ([]*Table, error) {
 				Workers:    4,
 			},
 		})
-		per := requests / conc
-		if per < 1 {
-			per = 1
-		}
-		errs := make([]error, conc)
-		var wg sync.WaitGroup
-		for w := 0; w < conc; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := 0; i < per; i++ {
-					res, err := p.Do(ctx, engine.Request{List: l})
-					if err != nil {
-						errs[w] = err
-						return
-					}
-					if err := cfg.checkMatching(l, res.In); err != nil {
-						errs[w] = err
-						return
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-		p.Close()
-		for _, err := range errs {
+		s := load.Summarize(load.Closed(requests, conc, func(int) error {
+			res, err := p.Do(ctx, engine.Request{List: l})
 			if err != nil {
-				return nil, err
+				return err
 			}
+			return cfg.checkMatching(l, res.In)
+		}))
+		p.Close()
+		if s.Err != nil {
+			return nil, s.Err
 		}
 
 		var qw, bw obs.HistSnapshot

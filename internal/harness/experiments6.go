@@ -8,6 +8,7 @@ import (
 	"parlist/internal/engine"
 	"parlist/internal/list"
 	"parlist/internal/plan"
+	"parlist/internal/pram"
 	"parlist/internal/rank"
 	"parlist/internal/verify"
 )
@@ -47,7 +48,7 @@ func runE20(cfg Config) ([]*Table, error) {
 	pool := engine.NewPool(engine.PoolConfig{
 		Engines:    4,
 		QueueDepth: 8,
-		Engine:     engine.Config{Processors: 256, Exec: cfg.exec(0)},
+		Engine:     engine.Config{Processors: 256, Exec: cfg.exec(pram.Sequential)},
 	})
 	defer pool.Close()
 	ctx := context.Background()

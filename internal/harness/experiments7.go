@@ -2,15 +2,17 @@ package harness
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"runtime"
-	"sort"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"parlist/internal/engine"
 	"parlist/internal/list"
+	"parlist/internal/load"
+	"parlist/internal/obs"
 	"parlist/internal/pram"
 	"parlist/internal/server"
 )
@@ -38,14 +40,15 @@ import (
 //   - shed: requests refused at admission (batcher inbox or engine
 //     queue full) — the open loop does not retry them.
 //   - p50/p99: client-observed latency, from the request's due time to
-//     its response: its scheduled send time on paced rows (or its send,
-//     if the pacer runs ahead of schedule), the cell's start on flat-out
-//     rows, where every request is due at once. So a request counts the
-//     pacer's lateness and any wait in Submit at the connection's frame
-//     cap. On a small host client, server and engines time-slice the
-//     same cores, so absolute latency is pessimistic; the batch=1 vs
-//     batch≥8 ordering at equal offered QPS is the host-independent
-//     signal.
+//     its response: its scheduled send time on paced rows, the cell's
+//     start on flat-out rows, where every request is due at once. So a
+//     request counts the pacer's lateness and any wait in Submit at
+//     the connection's frame cap. On a small host client, server and
+//     engines time-slice the same cores, so absolute latency is
+//     pessimistic; the batch=1 vs batch≥8 ordering at equal offered
+//     QPS is the host-independent signal.
+//   - late-p50: how late the pacer sent the median request, the part
+//     of p50 that is the client's own.
 //
 // The offered rates span the batcher's regimes: 400/s is light load
 // (engines mostly idle, so every setting should flush at once and
@@ -75,131 +78,98 @@ func runE21(cfg Config) ([]*Table, error) {
 			"factor and achieved/s the served throughput — groups are held only while both engines are busy, so " +
 			"light load flushes at once whatever the settings, and at offered rates the per-request path (batch=1) " +
 			"cannot sustain, fused batches lift capacity by paying dispatch once per batch instead of per request",
-		Header: []string{"batch", "maxWait", "offered qps", "requests", "served", "shed", "achieved/s", "mean-batch", "p50", "p99"},
+		Header: []string{"batch", "maxWait", "offered qps", "requests", "served", "shed", "achieved/s", "mean-batch", "p50", "p99", "late-p50"},
 	}
 	for _, b := range batches {
 		for _, w := range waits {
 			for _, r := range rates {
-				row, err := e21Cell(cfg, l, b, w, r, requests)
+				s, meanBatch, err := wireCell(cfg, l, server.Config{BatchSize: b, MaxWait: w}, nil, load.Even(requests, r))
 				if err != nil {
 					return nil, fmt.Errorf("E21 batch=%d maxWait=%v qps=%.0f: %w", b, w, r, err)
 				}
-				t.Rows = append(t.Rows, row)
+				offered := "max"
+				if r > 0 {
+					offered = fmt.Sprintf("%.0f", r)
+				}
+				t.Add(b, w, offered, requests, s.Served, s.Shed, fmt.Sprintf("%.0f", s.Rate), fmt.Sprintf("%.2f", meanBatch),
+					s.P50.Round(time.Microsecond), s.P99.Round(time.Microsecond), s.LateP50.Round(time.Microsecond))
 			}
 		}
 	}
 	return []*Table{t}, nil
 }
 
-// e21Cell runs one configuration end to end: fresh pool, fresh server,
-// real listener, open-loop client, graceful drain.
-func e21Cell(cfg Config, l *list.List, batch int, maxWait time.Duration, qps float64, requests int) ([]string, error) {
-	pool := engine.NewPool(engine.PoolConfig{
+// wireCell runs one wire configuration end to end: a fresh two-engine
+// pool (observed by o when it is non-nil), a server configured by sc
+// on a loopback listener, and one pipelined client sending rank
+// requests over l on the open-loop schedule due; then it drains the
+// server. A daemon shed (queue full, over limit) counts as shed; any
+// other non-OK response, a short result, or an untraced response from
+// a tracing server fails the cell. It also returns the mean fused
+// batch size of the served requests.
+func wireCell(cfg Config, l *list.List, sc server.Config, o obs.Observer, due []time.Duration) (load.Summary, float64, error) {
+	sc.Pool = engine.NewPool(engine.PoolConfig{
 		Engines:    2,
 		QueueDepth: 256,
+		Observer:   o,
 		Engine:     engine.Config{Processors: 256, Exec: cfg.exec(pram.Native)},
 	})
-	srv, err := server.New(server.Config{Pool: pool, BatchSize: batch, MaxWait: maxWait})
+	srv, err := server.New(sc)
 	if err != nil {
-		return nil, err
+		sc.Pool.Close()
+		return load.Summary{}, 0, err
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	go srv.ServeBinary(ln)
 	drain := func() error {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
 		return srv.Shutdown(ctx)
 	}
-
-	c, err := server.Dial(ln.Addr().String(), "E21")
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		drain()
-		return nil, err
+		return load.Summary{}, 0, err
+	}
+	go srv.ServeBinary(ln)
+	c, err := server.Dial(ln.Addr().String(), "harness")
+	if err != nil {
+		drain()
+		return load.Summary{}, 0, err
 	}
 	defer c.Close()
 
-	var mu sync.Mutex
-	var lat []time.Duration
-	var served, shed, failed, batchedSum int
-	var wg sync.WaitGroup
-	var interval time.Duration
-	if qps > 0 {
-		interval = time.Duration(float64(time.Second) / qps)
-	}
-	start := time.Now()
-	next := start
-	for i := 0; i < requests; i++ {
-		due := start
-		if interval > 0 {
-			// Sleep only when meaningfully ahead: on a 1-CPU host the
-			// timer granularity would otherwise under-offer the target.
-			if d := time.Until(next); d > 500*time.Microsecond {
-				time.Sleep(d)
-			}
-			due = next
-			if now := time.Now(); now.Before(due) {
-				due = now // the pacer ran ahead of schedule
-			}
-			next = next.Add(interval)
-		}
+	var batched atomic.Int64
+	recs := load.Open(due, func(int) func() error {
 		ch, err := c.Submit(engine.Request{Op: engine.OpRank, List: l})
 		if err != nil {
-			drain()
-			return nil, fmt.Errorf("submit %d: %w", i, err)
+			return func() error { return err }
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+		return func() error {
 			r, ok := <-ch
-			mu.Lock()
-			defer mu.Unlock()
 			switch {
 			case !ok:
-				failed++
-			case r.Status == server.StatusOK:
-				if len(r.Result.Ranks) != l.Len() {
-					failed++
-					return
-				}
-				served++
-				batchedSum += r.Batched
-				lat = append(lat, time.Since(due))
+				return errors.New("connection lost")
 			case r.Status == server.StatusShed || r.Status == server.StatusOverLimit:
-				shed++
-			default:
-				failed++
+				return fmt.Errorf("%w: %s", load.ErrShed, r.Message)
+			case r.Status != server.StatusOK:
+				return fmt.Errorf("status %d: %s", r.Status, r.Message)
+			case len(r.Result.Ranks) != l.Len():
+				return fmt.Errorf("short result: %d ranks for n=%d", len(r.Result.Ranks), l.Len())
+			case sc.Trace != nil && !r.Trace.Valid():
+				return errors.New("a traced server's response carries no trace")
 			}
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
+			batched.Add(int64(r.Batched))
+			return nil
+		}
+	})
 	if err := drain(); err != nil {
-		return nil, err
+		return load.Summary{}, 0, err
 	}
-	if failed > 0 {
-		return nil, fmt.Errorf("%d of %d requests failed", failed, requests)
+	s := load.Summarize(recs)
+	if s.Err != nil {
+		return s, 0, fmt.Errorf("%d of %d requests failed, first: %w", s.Failed, len(due), s.Err)
 	}
-	if served == 0 {
-		return nil, fmt.Errorf("no requests served (all %d shed)", shed)
+	if s.Served == 0 {
+		return s, 0, fmt.Errorf("no requests served (all %d shed)", s.Shed)
 	}
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	offered := "max"
-	if qps > 0 {
-		offered = fmt.Sprintf("%.0f", qps)
-	}
-	return []string{
-		fmt.Sprintf("%d", batch),
-		maxWait.String(),
-		offered,
-		fmt.Sprintf("%d", requests),
-		fmt.Sprintf("%d", served),
-		fmt.Sprintf("%d", shed),
-		fmt.Sprintf("%.0f", float64(served)/elapsed.Seconds()),
-		fmt.Sprintf("%.2f", float64(batchedSum)/float64(served)),
-		lat[len(lat)/2].Round(time.Microsecond).String(),
-		lat[len(lat)*99/100].Round(time.Microsecond).String(),
-	}, nil
+	return s, float64(batched.Load()) / float64(s.Served), nil
 }

@@ -1,18 +1,13 @@
 package harness
 
 import (
-	"context"
 	"fmt"
-	"net"
 	"runtime"
-	"sort"
-	"sync"
 	"time"
 
-	"parlist/internal/engine"
 	"parlist/internal/list"
+	"parlist/internal/load"
 	"parlist/internal/obs"
-	"parlist/internal/pram"
 	"parlist/internal/server"
 )
 
@@ -50,6 +45,7 @@ func runE22(cfg Config) ([]*Table, error) {
 		keeps = []float64{1, 0.1}
 	}
 	l := list.RandomList(n, cfg.Seed)
+	due := load.Even(requests, 0) // flat out: every request is due at the cell's start
 
 	t := &Table{
 		Title: fmt.Sprintf("E22 — end-to-end tracing: overhead and tail-sampling funnel, rank n=%d, batch=8, 2 engines, GOMAXPROCS = %d",
@@ -61,145 +57,34 @@ func runE22(cfg Config) ([]*Table, error) {
 		Header: []string{"tracing", "keep", "served", "achieved/s", "ns/op", "overhead", "roots", "kept", "ring spans", "p50", "p99"},
 	}
 
-	base, _, err := e22Cell(cfg, l, requests, false, 0)
-	if err != nil {
-		return nil, fmt.Errorf("E22 untraced: %w", err)
-	}
-	baseNs := base.nsPerOp
-	t.Rows = append(t.Rows, base.row("off", "-", "-"))
-	for _, keep := range keeps {
-		cell, rec, err := e22Cell(cfg, l, requests, true, keep)
+	var base load.Summary
+	// The first cell, with no recorder, is the untraced control.
+	for i, keep := range append([]float64{0}, keeps...) {
+		sc := server.Config{BatchSize: 8, MaxWait: 500 * time.Microsecond, TraceSample: 1}
+		var o obs.Observer
+		if i > 0 {
+			sc.Trace = obs.NewSpanRecorder(obs.NewTraceSource(cfg.Seed), keep)
+			c := obs.NewCollector(obs.NewRegistry())
+			c.AttachSpans(sc.Trace)
+			o = c
+		}
+		s, _, err := wireCell(cfg, l, sc, o, due)
+		if err == nil && s.Shed > 0 {
+			err = fmt.Errorf("%d of %d requests shed", s.Shed, requests)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("E22 keep=%g: %w", keep, err)
 		}
-		st := rec.Stats()
-		overhead := fmt.Sprintf("%+.1f%%", 100*(cell.nsPerOp-baseNs)/baseNs)
-		row := cell.row("on", fmt.Sprintf("%.2f", keep), overhead)
-		row[6] = fmt.Sprintf("%d", st.Roots)
-		row[7] = fmt.Sprintf("%d", st.Kept)
-		row[8] = fmt.Sprintf("%d", st.Spans)
-		t.Rows = append(t.Rows, row)
+		row := []any{"off", "-", s.Served, fmt.Sprintf("%.0f", s.Rate), fmt.Sprintf("%.0f", 1e9/s.Rate), "-", "-", "-", "-",
+			s.P50.Round(time.Microsecond), s.P99.Round(time.Microsecond)}
+		if i == 0 {
+			base = s
+		} else {
+			st := sc.Trace.Stats()
+			row[0], row[1], row[5] = "on", fmt.Sprintf("%.2f", keep), fmt.Sprintf("%+.1f%%", 100*(base.Rate/s.Rate-1))
+			row[6], row[7], row[8] = st.Roots, st.Kept, st.Spans
+		}
+		t.Add(row...)
 	}
 	return []*Table{t}, nil
-}
-
-// e22Result is one cell's client-side measurement.
-type e22Result struct {
-	served   int
-	achieved float64
-	nsPerOp  float64
-	p50, p99 time.Duration
-}
-
-func (r *e22Result) row(tracing, keep, overhead string) []string {
-	return []string{
-		tracing, keep,
-		fmt.Sprintf("%d", r.served),
-		fmt.Sprintf("%.0f", r.achieved),
-		fmt.Sprintf("%.0f", r.nsPerOp),
-		overhead,
-		"-", "-", "-",
-		r.p50.Round(time.Microsecond).String(),
-		r.p99.Round(time.Microsecond).String(),
-	}
-}
-
-// e22Cell drives one tracing configuration end to end: fresh pool and
-// server, real listener, one pipelined client submitting flat-out,
-// graceful drain. With traced set the server head-samples every
-// request (TraceSample 1) and the pool's collector feeds the same
-// recorder, so each request's full span tree is assembled.
-func e22Cell(cfg Config, l *list.List, requests int, traced bool, keep float64) (*e22Result, *obs.SpanRecorder, error) {
-	var rec *obs.SpanRecorder
-	poolCfg := engine.PoolConfig{
-		Engines:    2,
-		QueueDepth: 256,
-		Engine:     engine.Config{Processors: 256, Exec: cfg.exec(pram.Native)},
-	}
-	if traced {
-		rec = obs.NewSpanRecorder(obs.NewTraceSource(cfg.Seed), keep)
-		c := obs.NewCollector(obs.NewRegistry())
-		c.AttachSpans(rec)
-		poolCfg.Observer = c
-	}
-	pool := engine.NewPool(poolCfg)
-	srv, err := server.New(server.Config{Pool: pool, BatchSize: 8,
-		MaxWait: 500 * time.Microsecond, Trace: rec, TraceSample: 1})
-	if err != nil {
-		return nil, nil, err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, nil, err
-	}
-	go srv.ServeBinary(ln)
-	drain := func() error {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		return srv.Shutdown(ctx)
-	}
-
-	c, err := server.Dial(ln.Addr().String(), "E22")
-	if err != nil {
-		drain()
-		return nil, nil, err
-	}
-	defer c.Close()
-
-	var mu sync.Mutex
-	var lat []time.Duration
-	var served, failed, batched int
-	var wg sync.WaitGroup
-	start := time.Now() // every request is due at once
-	for i := 0; i < requests; i++ {
-		ch, err := c.Submit(engine.Request{Op: engine.OpRank, List: l})
-		if err != nil {
-			drain()
-			return nil, nil, fmt.Errorf("submit %d: %w", i, err)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			r, ok := <-ch
-			mu.Lock()
-			defer mu.Unlock()
-			switch {
-			case !ok:
-				failed++
-			case r.Status == server.StatusOK:
-				if len(r.Result.Ranks) != l.Len() {
-					failed++
-					return
-				}
-				if traced && !r.Trace.Valid() {
-					failed++
-					return
-				}
-				served++
-				batched += r.Batched
-				lat = append(lat, time.Since(start))
-			default:
-				failed++
-			}
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	if err := drain(); err != nil {
-		return nil, nil, err
-	}
-	if failed > 0 {
-		return nil, nil, fmt.Errorf("%d of %d requests failed", failed, requests)
-	}
-	if served == 0 {
-		return nil, nil, fmt.Errorf("no requests served")
-	}
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	return &e22Result{
-		served:   served,
-		achieved: float64(served) / elapsed.Seconds(),
-		nsPerOp:  float64(elapsed.Nanoseconds()) / float64(served),
-		p50:      lat[len(lat)/2],
-		p99:      lat[len(lat)*99/100],
-	}, rec, nil
 }

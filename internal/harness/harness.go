@@ -25,10 +25,11 @@ type Config struct {
 	// validate results with the algorithm-side checkers; this adds the
 	// from-first-principles pass on top.
 	Verify bool
-	// Exec, when ExecSet, overrides the executor behind the serving-layer
-	// experiments (E16, E17; matchbench -exec). Experiments that ablate
-	// executors themselves (E11, E18) ignore it, as do the simulated-cost
-	// reproductions E1–E15, whose step counts are executor-independent.
+	// Exec, when ExecSet, overrides the executor behind the
+	// serving-layer experiments (E16, E17, E20, E21, E22; matchbench
+	// -exec). Experiments that ablate executors themselves (E11, E18)
+	// ignore it, as do the simulated-cost reproductions E1–E15, whose
+	// step counts are executor-independent.
 	Exec    pram.Exec
 	ExecSet bool
 }

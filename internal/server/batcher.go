@@ -37,6 +37,9 @@ type item struct {
 	err     error
 	// out receives the item from finish once its outcome is settled.
 	out chan<- *item
+	// slots is how many of its connection's in-flight slots a binary
+	// frame took (frameSlots); the writer frees as many.
+	slots int
 	// admitted is set once the batcher has taken the item: it then
 	// counts towards the server's in-flight requests until release.
 	admitted bool

@@ -546,7 +546,18 @@ var (
 // gets backpressure instead of the whole inbox. The bound is also why
 // finish's send on the connection's out queue, which has this many
 // slots, never blocks.
+//
+// The slots also bound a connection's bytes: a frame takes one slot
+// per maxFrame/maxConnInflight bytes or part of it (frameSlots), so
+// the frames a connection holds add up to at most one largest frame.
+// A frame under that unit, 4 MiB at DefaultMaxFrame, takes one slot.
 const maxConnInflight = 64
+
+// frameSlots is how many in-flight slots a frame of size ≤ maxFrame
+// bytes takes: ⌈size·maxConnInflight/maxFrame⌉, and at least one.
+func frameSlots(size, maxFrame int) int {
+	return max(1, (size*maxConnInflight-1)/maxFrame+1)
+}
 
 // serveConn serves one binary connection with two goroutines: readConn
 // decodes and submits frames, and this one, the writer, takes each
@@ -572,26 +583,32 @@ func (s *Server) serveConn(c net.Conn) {
 				c.Close()
 			}
 		}
+		k := it.slots
 		s.release(it)
-		<-slots
+		for range k {
+			<-slots
+		}
 	}
 }
 
-// readConn is a binary connection's read loop. Each frame takes a slot
-// of slots, which the writer frees once the frame's response is
-// written. A frame the decoder rejects never becomes a request: it
-// goes to the writer with an error response and the loop ends, since
-// after a framing error the stream offset can't be trusted. A read
-// that outlives its deadline ends the loop the way a client close
-// does. Either way the responses in flight are still written: the loop
-// closes out only once every slot is back.
+// readConn is a binary connection's read loop. Each frame takes its
+// frameSlots of slots, which the writer frees once the frame's
+// response is written. A frame the decoder rejects never becomes a
+// request: it goes to the writer with an error response and the loop
+// ends, since after a framing error the stream offset can't be
+// trusted. A read that outlives its deadline ends the loop the way a
+// client close does. Either way the responses in flight are still
+// written: the loop closes out only once every slot is back.
 func (s *Server) readConn(c net.Conn, out chan<- *item, slots chan struct{}) {
-	// take returns an item for the next frame, waiting while the
-	// connection holds maxConnInflight.
-	take := func() *item {
-		slots <- struct{}{}
+	// take returns an item for the next frame, of size bytes, waiting
+	// until the connection has the frame's slots free.
+	take := func(size int) *item {
+		k := frameSlots(size, s.maxFrame)
+		for range k {
+			slots <- struct{}{}
+		}
 		it := s.items.get()
-		it.out = out
+		it.out, it.slots = out, k
 		return it
 	}
 	br := bufio.NewReaderSize(c, 1<<16)
@@ -604,7 +621,7 @@ func (s *Server) readConn(c net.Conn, out chan<- *item, slots chan struct{}) {
 		}
 		size := int(binary.LittleEndian.Uint32(lenBuf[:]))
 		if size > s.maxFrame {
-			it := take()
+			it := take(0)
 			it.status, it.err = StatusInvalid, fmt.Errorf("frame of %d bytes exceeds limit %d", size, s.maxFrame)
 			out <- it
 			break
@@ -616,7 +633,7 @@ func (s *Server) readConn(c net.Conn, out chan<- *item, slots chan struct{}) {
 		}
 		// The decode copies everything it keeps out of buf, so the next
 		// frame may overwrite it while this request is served.
-		it := take()
+		it := take(size)
 		if err := decodeRequest(buf, it); err != nil {
 			it.status, it.err = StatusInvalid, err
 			out <- it

@@ -986,69 +986,90 @@ func TestBinaryReadDeadlines(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
-// TestConnInflightCap pipelines maxConnInflight+8 frames on one raw
-// connection while both engines are parked and the batcher holds every
-// group (BatchSize past the frame count, an hour-long MaxWait). The
-// server stops reading at the cap, so the batcher never holds more
-// than maxConnInflight of them. Once the engines are released every
-// frame is answered bit-identical to per-request Do, and closing the
-// connection ends both of its goroutines.
+// TestConnInflightCap pipelines more frames than one binary
+// connection may hold on a raw connection while both engines are
+// parked and the batcher holds every group (BatchSize past the frame
+// count, an hour-long MaxWait). The server stops reading at the cap,
+// so the batcher never holds more than it of one connection's frames.
+// Once the engines are released every frame is answered bit-identical
+// to per-request Do, and closing the connection ends both of its
+// goroutines. The "frames" case sends maxConnInflight+8 frames at the
+// default MaxFrame, where the cap is maxConnInflight frames; the
+// "bytes" case sends 12 frames of a quarter of MaxFrame each, where
+// the cap is MaxFrame bytes: 4 frames.
 func TestConnInflightCap(t *testing.T) {
-	const frames = maxConnInflight + 8
 	l := list.RandomList(300, 13)
-	reqs := serverTestRequests(t, l)
-	control := engine.NewPool(engine.PoolConfig{
-		Engines: 2, QueueDepth: 64, Engine: engine.Config{Processors: 8}})
-	wants := make([]*engine.Result, len(reqs))
-	for i, req := range reqs {
-		var err error
-		if wants[i], err = control.Do(context.Background(), req); err != nil {
-			t.Fatalf("control %d: %v", i, err)
-		}
+	rank := []engine.Request{{Op: engine.OpRank, List: l}}
+	frame, err := appendRequestFrame(nil, 0, "", &rank[0])
+	if err != nil {
+		t.Fatalf("encode: %v", err)
 	}
-	control.Close()
+	quarter := len(frame) - 4 // the payload, after the length prefix
+	for _, tc := range []struct {
+		name        string
+		reqs        []engine.Request
+		maxFrame    int
+		frames, cap int
+	}{
+		{"frames", serverTestRequests(t, l), 0, maxConnInflight + 8, maxConnInflight},
+		{"bytes", rank, 4 * quarter, 12, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reqs := tc.reqs
+			control := engine.NewPool(engine.PoolConfig{
+				Engines: 2, QueueDepth: 64, Engine: engine.Config{Processors: 8}})
+			wants := make([]*engine.Result, len(reqs))
+			for i, req := range reqs {
+				var err error
+				if wants[i], err = control.Do(context.Background(), req); err != nil {
+					t.Fatalf("control %d: %v", i, err)
+				}
+			}
+			control.Close()
 
-	pool, park := newParkedPool(2)
-	s, addr := newTestServer(t, Config{Pool: pool, BatchSize: 2 * frames, MaxWait: time.Hour})
-	base := runtime.NumGoroutine()
-	parkers := parkEngines(t, s, park)
-	var stream []byte
-	for i := 0; i < frames; i++ {
-		var err error
-		if stream, err = appendRequestFrame(stream, uint64(i), "", &reqs[i%len(reqs)]); err != nil {
-			t.Fatalf("encode %d: %v", i, err)
-		}
-	}
-	conn := dialRaw(t, addr)
-	if _, err := conn.Write(stream); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	waitFor(t, "the connection's cap to fill", func() bool { return s.bat.queued.Load() >= maxConnInflight })
-	// The rest of the frames sit in the socket: give a read loop that
-	// ignored the cap time to queue them.
-	for end := time.Now().Add(200 * time.Millisecond); time.Now().Before(end); time.Sleep(time.Millisecond) {
-		if q := s.bat.queued.Load(); q > maxConnInflight {
-			t.Fatalf("the batcher holds %d of one connection's frames, cap %d", q, maxConnInflight)
-		}
-	}
-	park.unpark(2)
-	awaitParkers(t, parkers, 2)
+			pool, park := newParkedPool(2)
+			s, addr := newTestServer(t, Config{Pool: pool, BatchSize: 2 * tc.frames, MaxWait: time.Hour, MaxFrame: tc.maxFrame})
+			base := runtime.NumGoroutine()
+			parkers := parkEngines(t, s, park)
+			var stream []byte
+			for i := 0; i < tc.frames; i++ {
+				var err error
+				if stream, err = appendRequestFrame(stream, uint64(i), "", &reqs[i%len(reqs)]); err != nil {
+					t.Fatalf("encode %d: %v", i, err)
+				}
+			}
+			conn := dialRaw(t, addr)
+			if _, err := conn.Write(stream); err != nil {
+				t.Fatalf("write: %v", err)
+			}
+			waitFor(t, "the connection's cap to fill", func() bool { return s.bat.queued.Load() >= int64(tc.cap) })
+			// The rest of the frames sit in the socket: give a read loop
+			// that ignored the cap time to queue them.
+			for end := time.Now().Add(200 * time.Millisecond); time.Now().Before(end); time.Sleep(time.Millisecond) {
+				if q := s.bat.queued.Load(); q > int64(tc.cap) {
+					t.Fatalf("the batcher holds %d of one connection's frames, cap %d", q, tc.cap)
+				}
+			}
+			park.unpark(2)
+			awaitParkers(t, parkers, 2)
 
-	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	seen := make(map[uint64]bool, frames)
-	for range frames {
-		r, err := decodeResponseFrame(conn.next(t))
-		if err != nil {
-			t.Fatalf("decode response: %v", err)
-		}
-		if r.Status != StatusOK || r.ID >= frames || seen[r.ID] {
-			t.Fatalf("response id %d: status %s (%s), or an id out of range or repeated", r.ID, statusName(r.Status), r.Message)
-		}
-		seen[r.ID] = true
-		assertSameResult(t, int(r.ID), &r.Result, wants[int(r.ID)%len(reqs)])
+			conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+			seen := make(map[uint64]bool, tc.frames)
+			for range tc.frames {
+				r, err := decodeResponseFrame(conn.next(t))
+				if err != nil {
+					t.Fatalf("decode response: %v", err)
+				}
+				if r.Status != StatusOK || r.ID >= uint64(tc.frames) || seen[r.ID] {
+					t.Fatalf("response id %d: status %s (%s), or an id out of range or repeated", r.ID, statusName(r.Status), r.Message)
+				}
+				seen[r.ID] = true
+				assertSameResult(t, int(r.ID), &r.Result, wants[int(r.ID)%len(reqs)])
+			}
+			conn.Close()
+			waitGoroutines(t, base)
+		})
 	}
-	conn.Close()
-	waitGoroutines(t, base)
 }
 
 // TestClientReadsWhileWriteBlocked pipelines far more large requests
