@@ -42,7 +42,10 @@
 // connection) instead of calling the pool in-process. -qps paces an
 // open loop against the socket; otherwise the -conc sweep runs closed
 // loops of concurrent callers. Rows add the daemon-reported mean fused
-// batch size next to the usual latency percentiles.
+// batch size next to the usual latency percentiles. The flags that
+// shape the in-process pool and what it exports (-p, -exec, -engines,
+// -queue, -listen, -trace) are usage errors with -connect, and
+// -debug-addr is one without it.
 //
 // Exit status: 0 on success, 1 on a runtime failure (including any
 // request returning a wrong-shaped result), 2 on a usage error.
@@ -61,6 +64,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -113,22 +117,37 @@ func parseInts(s, flagName string) ([]int, error) {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("loadgen", flag.ContinueOnError)
 	nFlag := fs.String("n", "4096", "list size(s), comma-separated; requests cycle through them")
-	p := fs.Int("p", 256, "simulated PRAM processors")
-	execFlag := fs.String("exec", "sequential", "per-engine executor: sequential|pooled|native")
-	enginesN := fs.Int("engines", 2, "engines in the pool")
+	p := fs.Int("p", 256, "simulated PRAM processors (in-process only)")
+	execFlag := fs.String("exec", "sequential", "per-engine executor: sequential|pooled|native (in-process only)")
+	enginesN := fs.Int("engines", 2, "engines in the pool (in-process only)")
 	concFlag := fs.String("conc", "1,2,4", "closed-loop concurrency sweep, comma-separated")
 	requests := fs.Int("requests", 128, "requests per sweep level (total in -qps mode)")
 	qps := fs.Float64("qps", 0, "open-loop target request rate; 0 = closed loop")
-	queueDepth := fs.Int("queue", 32, "per-engine admission queue depth")
+	queueDepth := fs.Int("queue", 32, "per-engine admission queue depth (in-process only)")
 	seed := fs.Int64("seed", 1, "list generator seed")
 	connect := fs.String("connect", "", "drive a running parlistd at this address over the binary framing instead of an in-process pool")
-	listen := fs.String("listen", "", "serve /metrics and /debug/pprof on this address; keeps serving after the run until SIGINT")
-	traceOut := fs.String("trace", "", "write a Chrome trace-event JSON of algorithm phases to this file")
+	listen := fs.String("listen", "", "serve /metrics and /debug/pprof on this address; keeps serving after the run until SIGINT (in-process only)")
+	traceOut := fs.String("trace", "", "write a Chrome trace-event JSON of algorithm phases to this file (in-process only)")
 	smoke := fs.Bool("smoke", false, "tiny fixed run for CI smoke tests")
 	traceSlow := fs.Duration("trace-slow", 0, "log one line with the trace id for every request slower than this (0 disables)")
 	debugAddr := fs.String("debug-addr", "", "with -connect: the daemon's HTTP address, for -smoke's /debug/traces check")
 	if err := fs.Parse(args); err != nil {
 		return usageError{err}
+	}
+	// Wire mode has no pool, collector or trace of its own: refuse the
+	// flags that shape them rather than ignore them. Visit sees only
+	// flags set on the command line, not defaults or -smoke's settings.
+	var misused error
+	fs.Visit(func(f *flag.Flag) {
+		switch {
+		case *connect != "" && slices.Contains([]string{"p", "exec", "engines", "queue", "listen", "trace"}, f.Name):
+			misused = usagef("-%s does not apply with -connect", f.Name)
+		case *connect == "" && f.Name == "debug-addr":
+			misused = usagef("-debug-addr needs -connect")
+		}
+	})
+	if misused != nil {
+		return misused
 	}
 	if *smoke {
 		*nFlag, *concFlag = "1024,300", "1,2"

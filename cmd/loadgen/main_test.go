@@ -83,6 +83,15 @@ func TestUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-shards", "2"}, {"-bogus"}, {"-p", "0"}, {"-engines", "0"}, {"-requests", "0"},
 		{"-conc", "1,x"}, {"-n", "0"}, {"-exec", "goroutines"},
+		// Flags wire mode ignores, and -debug-addr without wire mode.
+		{"-connect", "127.0.0.1:1", "-trace", "unwritten.json"},
+		{"-connect", "127.0.0.1:1", "-listen", "127.0.0.1:0"},
+		{"-connect", "127.0.0.1:1", "-engines", "2"},
+		{"-connect", "127.0.0.1:1", "-queue", "8"},
+		{"-connect", "127.0.0.1:1", "-p", "8"},
+		{"-connect", "127.0.0.1:1", "-exec", "native"},
+		{"-connect", "127.0.0.1:1", "-smoke", "-trace", "unwritten.json"},
+		{"-debug-addr", "127.0.0.1:1", "-n", "16", "-requests", "1", "-conc", "1"},
 	} {
 		err := run(args, io.Discard)
 		var ue usageError

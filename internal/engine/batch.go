@@ -21,10 +21,10 @@ import (
 
 // BatchItem is one request of a fused batch. The caller owns the item:
 // Req and Ctx are read by the engine, Res/Err/Start/End are written by
-// it. After RunBatch (or the resolution of SubmitBatch's Future)
-// returns, Err holds the item's outcome and Res its output; Start and
-// End bound the item's service interval on the machine — the
-// service-stage timestamps the daemon surfaces to clients.
+// it. Once RunBatch returns, or SubmitBatch's completion runs, Err
+// holds the item's outcome and Res its output; Start and End bound the
+// item's service interval on the machine — the service-stage
+// timestamps the daemon surfaces to clients.
 type BatchItem struct {
 	// Ctx is the item's own cancellation context (nil = the batch
 	// context). An item whose context is done by the time the machine
@@ -98,24 +98,27 @@ func (e *Engine) RunBatch(ctx context.Context, items []*BatchItem) error {
 // class.
 func SizeClass(n int) int { return sizeClass(n) }
 
-// SubmitBatch admits a fused batch as one queue entry and returns its
-// Future. Admission is Submit's: it never blocks, a full queue sheds
-// the whole batch with ErrQueueFull (no item ran — the caller can
-// re-split or shed), and a closed pool fails with ErrPoolClosed. The
-// shard is chosen by the first item's size class, so a batcher that
-// keys batches by (op, size class) lands every batch on the engine
-// whose arena is already warm for that class.
+// SubmitBatch admits a fused batch as one queue entry. Admission is
+// Submit's: it never blocks, a full queue sheds the whole batch with
+// ErrQueueFull (no item ran — the caller can re-split or shed), and a
+// closed pool fails with ErrPoolClosed; a refused batch never calls
+// done. The shard is chosen by the first item's size class, so a
+// batcher that keys batches by (op, size class) lands every batch on
+// the engine whose arena is already warm for that class.
 //
-// When the Future resolves, every item's Err and Res are populated.
-// Wait's error is reserved for whole-batch failures — a ctx that died
-// before service — and every item then carries it too. Per-item
-// deadlines (Req.Deadline) are armed at admission, so queue time and
-// time spent waiting behind earlier batchmates spend the same budget
-// as service. An item that fails, a worker panic included, fails
-// alone: its batchmates are served as if it had not been there.
-func (p *EnginePool) SubmitBatch(ctx context.Context, items []*BatchItem) (*Future, error) {
+// The serving engine's dispatcher calls done once, with the engine's
+// index, when every item holds its outcome (a whole-batch failure,
+// such as a ctx that died before service, lands in every item's Err)
+// and the engine's load has dropped, before it takes its next batch.
+// done therefore must not block: what it hands an item to must have
+// room waiting, and what it submits must shed rather than wait.
+// Per-item deadlines (Req.Deadline) are armed at admission, so queue
+// time and time behind earlier batchmates spend the same budget as
+// service. An item that fails, a worker panic included, fails alone:
+// its batchmates are served as if it had not been there.
+func (p *EnginePool) SubmitBatch(ctx context.Context, items []*BatchItem, done func(engine int)) error {
 	if len(items) == 0 {
-		return nil, errors.New("engine pool: empty batch")
+		return errors.New("engine pool: empty batch")
 	}
-	return p.admit(ctx, &Future{}, items)
+	return p.admit(ctx, &Future{then: done}, items)
 }

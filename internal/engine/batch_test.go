@@ -67,13 +67,7 @@ func TestBatchBitIdenticalAllOps(t *testing.T) {
 	for i, req := range reqs {
 		items[i] = &BatchItem{Req: req}
 	}
-	f, err := pool.SubmitBatch(ctx, items)
-	if err != nil {
-		t.Fatalf("SubmitBatch: %v", err)
-	}
-	if _, err := f.Wait(ctx); err != nil {
-		t.Fatalf("Wait: %v", err)
-	}
+	runBatch(t, pool, ctx, items)
 	for i, it := range items {
 		if it.Err != nil {
 			t.Fatalf("item %d (%v): %v", i, it.Req.Op, it.Err)
@@ -110,12 +104,8 @@ func TestSubmitIsBatchOfOne(t *testing.T) {
 		}
 		mid := pool.Stats()
 		it := &BatchItem{Req: req}
-		bf, err := pool.SubmitBatch(bg, []*BatchItem{it})
-		if err != nil {
-			t.Fatalf("%v: SubmitBatch: %v", req.Op, err)
-		}
-		if _, err := bf.Wait(bg); err != nil || it.Err != nil {
-			t.Fatalf("%v: SubmitBatch: %v / %v", req.Op, err, it.Err)
+		if runBatch(t, pool, bg, []*BatchItem{it}); it.Err != nil {
+			t.Fatalf("%v: SubmitBatch: %v", req.Op, it.Err)
 		}
 		after := pool.Stats()
 		if !reflect.DeepEqual(got, &it.Res) {
@@ -146,13 +136,7 @@ func TestBatchRepeatedIdentical(t *testing.T) {
 			{Req: Request{Op: OpRank, List: l}},
 			{Req: Request{Op: OpMatching, List: l}},
 		}
-		f, err := pool.SubmitBatch(ctx, items)
-		if err != nil {
-			t.Fatalf("SubmitBatch: %v", err)
-		}
-		if _, err := f.Wait(ctx); err != nil {
-			t.Fatalf("Wait: %v", err)
-		}
+		runBatch(t, pool, ctx, items)
 		return items
 	}
 	a, b := run(), run()
@@ -182,13 +166,7 @@ func TestBatchItemCancel(t *testing.T) {
 		{Ctx: cctx, Req: Request{Op: OpRank, List: l}},
 		{Req: Request{Op: OpRank, List: l}},
 	}
-	f, err := pool.SubmitBatch(ctx, items)
-	if err != nil {
-		t.Fatalf("SubmitBatch: %v", err)
-	}
-	if _, err := f.Wait(ctx); err != nil {
-		t.Fatalf("Wait: %v", err)
-	}
+	runBatch(t, pool, ctx, items)
 	if items[0].Err != nil || items[2].Err != nil {
 		t.Fatalf("healthy items failed: %v / %v", items[0].Err, items[2].Err)
 	}
@@ -213,13 +191,7 @@ func TestBatchItemDeadline(t *testing.T) {
 		{Req: Request{Op: OpRank, List: l}},
 		{Req: Request{Op: OpRank, List: l, Deadline: time.Nanosecond}},
 	}
-	f, err := pool.SubmitBatch(ctx, items)
-	if err != nil {
-		t.Fatalf("SubmitBatch: %v", err)
-	}
-	if _, err := f.Wait(ctx); err != nil {
-		t.Fatalf("Wait: %v", err)
-	}
+	runBatch(t, pool, ctx, items)
 	if items[0].Err != nil {
 		t.Fatalf("healthy item failed: %v", items[0].Err)
 	}
@@ -246,13 +218,7 @@ func TestBatchCounts(t *testing.T) {
 			{Req: Request{Op: OpRank, List: l}},
 			{Req: Request{Op: OpRank, List: l}},
 		}
-		f, err := pool.SubmitBatch(ctx, items)
-		if err != nil {
-			t.Fatalf("SubmitBatch: %v", err)
-		}
-		if _, err := f.Wait(ctx); err != nil {
-			t.Fatalf("Wait: %v", err)
-		}
+		runBatch(t, pool, ctx, items)
 	}
 	st := pool.Stats()
 	if st.Requests != 6 || st.Batches != 2 {
@@ -263,27 +229,65 @@ func TestBatchCounts(t *testing.T) {
 	}
 }
 
-// TestSubmitBatchValidation: empty batches and closed pools fail with
-// typed errors, and no goroutines leak through the batch path.
+// TestSubmitBatchValidation: empty batches, sheds and closed pools
+// fail with typed errors and never run the completion, and no
+// goroutines leak through the batch path.
 func TestSubmitBatchValidation(t *testing.T) {
 	base := runtime.NumGoroutine()
 	ctx := context.Background()
 	l := list.RandomList(200, 1)
-	pool := NewPool(PoolConfig{Engines: 1, Engine: Config{Processors: 2}})
-	if _, err := pool.SubmitBatch(ctx, nil); err == nil {
+	park := newParkObserver(1)
+	pool := NewPool(PoolConfig{Engines: 1, QueueDepth: 1, Engine: Config{Processors: 2}, Observer: park})
+	refused := func(eng int) { t.Errorf("a refused batch completed on engine %d", eng) }
+	if err := pool.SubmitBatch(ctx, nil, refused); err == nil {
 		t.Fatal("empty batch admitted")
 	}
-	items := []*BatchItem{{Req: Request{Op: OpRank, List: l}}}
-	f, err := pool.SubmitBatch(ctx, items)
-	if err != nil {
-		t.Fatalf("SubmitBatch: %v", err)
+	// The first batch parks on the engine and the second fills the
+	// one-slot queue, so the third is shed.
+	done := make(chan int, 2)
+	for i := 0; i < 2; i++ {
+		items := []*BatchItem{{Req: Request{Op: OpRank, List: l}}}
+		if err := pool.SubmitBatch(ctx, items, func(eng int) { done <- eng }); err != nil {
+			t.Fatalf("SubmitBatch %d: %v", i, err)
+		}
+		if i == 0 {
+			<-park.parked
+		}
 	}
-	if _, err := f.Wait(ctx); err != nil {
-		t.Fatalf("Wait: %v", err)
+	items := []*BatchItem{{Req: Request{Op: OpRank, List: l}}}
+	if err := pool.SubmitBatch(ctx, items, refused); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("full queue: err = %v, want ErrQueueFull", err)
+	}
+	park.release <- struct{}{}
+	for i := 0; i < 2; i++ {
+		if eng := <-done; eng != 0 {
+			t.Errorf("batch %d completed on engine %d, want 0", i, eng)
+		}
+	}
+	runBatch(t, pool, ctx, items)
+	if items[0].Err != nil {
+		t.Fatalf("batch after the shed: %v", items[0].Err)
 	}
 	pool.Close()
-	if _, err := pool.SubmitBatch(ctx, items); !errors.Is(err, ErrPoolClosed) {
+	if err := pool.SubmitBatch(ctx, items, refused); !errors.Is(err, ErrPoolClosed) {
 		t.Fatalf("closed pool: err = %v, want ErrPoolClosed", err)
 	}
 	waitGoroutinesPool(t, base)
+}
+
+// runBatch submits items as one batch, waits for its completion and
+// returns the engine that served it.
+func runBatch(t *testing.T, p *EnginePool, ctx context.Context, items []*BatchItem) int {
+	t.Helper()
+	done := make(chan int, 1)
+	if err := p.SubmitBatch(ctx, items, func(eng int) { done <- eng }); err != nil {
+		t.Fatalf("SubmitBatch: %v", err)
+	}
+	select {
+	case eng := <-done:
+		return eng
+	case <-time.After(30 * time.Second):
+		t.Fatal("batch never completed")
+		return -1
+	}
 }

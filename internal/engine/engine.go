@@ -3,9 +3,12 @@
 // pool) and one workspace arena, serving algorithm requests through a
 // single serialized entry point.
 //
-// The engine keeps the machine warm and recycles the scratch, so the
-// second and later requests at a fixed size run without heap
-// allocation (BenchmarkEngineReuse asserts this); parlist's
+// The engine keeps the machine warm and recycles the scratch, so at a
+// fixed size the second and later requests run without heap
+// allocation when the default Match4 or a native kernel serves them
+// (BenchmarkEngineReuse and the steady-state tests assert this); every
+// other simulated path allocates per request, 719 times for rank by
+// contraction at 4,096 nodes (DESIGN.md lists them). parlist's
 // package-level functions share one lazily created engine per
 // executor. N concurrent callers may share one Engine: requests are
 // serialized onto the machine, and every output is copied out of the
@@ -304,8 +307,9 @@ type Stats struct {
 	// Failures counts requests that returned an error (validation
 	// failures and recovered machine faults alike).
 	Failures int64
-	// Rebuilds counts machine replacements after the first build — a
-	// processor-count change or a degraded (post-fault) pool.
+	// Rebuilds counts machine replacements after the first build: each
+	// is a fault recovery, since only a fault degrades the machine. A
+	// request's processor count never rebuilds it.
 	Rebuilds int64
 	// SimTime and SimWork accumulate the simulated PRAM step and
 	// operation counts over all successful requests.
@@ -509,20 +513,7 @@ func (e *Engine) serve(req Request, res *Result, at time.Time) error {
 			return fmt.Errorf("engine: deadline passed %v before dispatch: %w", now.Sub(at), ErrDeadlineExceeded)
 		}
 	}
-	if e.m == nil || e.m.Processors() != p || e.m.Degraded() {
-		e.rebuild(p)
-	}
-
-	// Request prologue: recycle the scratch epoch, rewind the
-	// accounting, and (re)install this request's fault plan — the pool's
-	// round counter rewinds with it, so fault coordinates never depend
-	// on how many requests this machine served before. The deadline is
-	// (re)armed every request, so a stale deadline can never leak from
-	// an aborted predecessor.
-	e.wsp.Reset()
-	e.m.Reset()
-	e.m.SetFaults(req.Faults)
-	e.m.SetDeadline(at)
+	e.prologue(p, req.Faults, at)
 
 	// When the native rank walker serves the request it certifies
 	// reachability itself (walk), so only the degree pass runs here.
@@ -580,9 +571,26 @@ func (e *Engine) walk(l *list.List, vals []int) ([]int, error) {
 	return out, nil
 }
 
+// prologue readies the machine for one request or step: it (re)builds
+// a missing or degraded machine (only a fault degrades one), recycles
+// the scratch, rewinds the accounting, sets the processor count — it
+// scales only the accounting, so one warm machine and its kernels serve
+// every count — and reinstalls the fault plan, whose round counter
+// rewinds with it, and the deadline, so no stale one leaks.
+func (e *Engine) prologue(p int, faults *pram.FaultPlan, at time.Time) {
+	if e.m == nil || e.m.Degraded() {
+		e.rebuild()
+	}
+	e.wsp.Reset()
+	e.m.Reset()
+	e.m.SetProcessors(p)
+	e.m.SetFaults(faults)
+	e.m.SetDeadline(at)
+}
+
 // rebuild replaces the machine (first build included), keeping the
 // workspace and its warm free lists.
-func (e *Engine) rebuild(p int) {
+func (e *Engine) rebuild() {
 	if e.m != nil {
 		e.m.Close()
 		st := <-e.statsCh
@@ -599,7 +607,7 @@ func (e *Engine) rebuild(p int) {
 	if e.cfg.Observer != nil {
 		opts = append(opts, pram.WithObserver(e.cfg.Observer))
 	}
-	e.m = pram.New(p, opts...)
+	e.m = pram.New(e.cfg.Processors, opts...)
 	e.runner = nil // bound to the old machine
 	e.native = nil
 	e.nativePart = nil

@@ -434,33 +434,62 @@ func TestEngineContextAndClose(t *testing.T) {
 	}
 }
 
-// TestEngineProcessorOverrideRebuilds checks the per-request processor
-// override swaps the machine (and counts it) while the workspace stays
-// warm.
-func TestEngineProcessorOverrideRebuilds(t *testing.T) {
-	eng := New(Config{Processors: 4})
-	defer eng.Close()
+// TestEngineProcessorOverrideKeepsMachine alternates the per-request
+// processor count on one warm engine of each executor: the machine is
+// never rebuilt, each request's Stats carry its own count and time,
+// and outputs and Stats equal a fresh engine's at that count.
+func TestEngineProcessorOverrideKeepsMachine(t *testing.T) {
 	l := list.RandomList(512, 2)
-
-	a, err := eng.Run(bg, Request{List: l})
-	if err != nil {
-		t.Fatal(err)
+	vals := make([]int, l.Len())
+	for i := range vals {
+		vals[i] = i%5 - 2
 	}
-	b, err := eng.Run(bg, Request{List: l, Processors: 16})
-	if err != nil {
-		t.Fatal(err)
+	reqs := []Request{
+		{List: l},
+		{List: l, Algorithm: AlgoMatch2},
+		{Op: OpPartition, List: l, Iters: 2},
+		{Op: OpRank, List: l},
+		{Op: OpPrefix, List: l, Values: vals},
 	}
-	if a.Stats.Processors != 4 || b.Stats.Processors != 16 {
-		t.Errorf("processors = %d/%d, want 4/16", a.Stats.Processors, b.Stats.Processors)
-	}
-	if a.Stats.Time <= b.Stats.Time {
-		t.Errorf("more processors did not reduce simulated time: %d vs %d", a.Stats.Time, b.Stats.Time)
-	}
-	if st := eng.Stats(); st.Rebuilds != 1 {
-		t.Errorf("Rebuilds = %d, want 1", st.Rebuilds)
-	}
-	if !reflect.DeepEqual(a.In, b.In) {
-		t.Error("matching depends on processor count")
+	counts := []int{1, 2, 1, 16, 3, 2}
+	for _, cfg := range []Config{
+		{Processors: 4},
+		{Processors: 4, Exec: pram.Pooled, Workers: 2},
+		{Processors: 4, Exec: pram.Native, Workers: 2},
+	} {
+		t.Run(cfg.Exec.String(), func(t *testing.T) {
+			eng := New(cfg)
+			defer eng.Close()
+			for _, req := range reqs {
+				times := map[int]int64{}
+				for _, p := range counts {
+					req.Processors = p
+					got, err := eng.Run(bg, req)
+					if err != nil {
+						t.Fatalf("%v at p=%d: %v", req.Op, p, err)
+					}
+					fresh := New(cfg)
+					want, err := fresh.Run(bg, req)
+					fresh.Close()
+					if err != nil {
+						t.Fatalf("fresh %v at p=%d: %v", req.Op, p, err)
+					}
+					if got.Stats.Processors != p {
+						t.Errorf("%v: Stats.Processors = %d, want %d", req.Op, got.Stats.Processors, p)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%v at p=%d: result or Stats differ from a fresh engine's", req.Op, p)
+					}
+					times[p] = got.Stats.Time
+				}
+				if cfg.Exec != pram.Native && times[16] >= times[1] {
+					t.Errorf("%v: time at p=16 is %d, not below p=1's %d", req.Op, times[16], times[1])
+				}
+			}
+			if st := eng.Stats(); st.Rebuilds != 0 {
+				t.Errorf("Rebuilds = %d, want 0", st.Rebuilds)
+			}
+		})
 	}
 }
 

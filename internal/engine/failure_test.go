@@ -58,13 +58,7 @@ func TestBatchFaultedItemFailsAlone(t *testing.T) {
 	items[1].Req.Faults = panicPlan(7)
 	batch := append([]*BatchItem(nil), items...)
 
-	f, err := pool.SubmitBatch(bg, batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Wait(bg); err != nil {
-		t.Fatalf("Wait: %v", err)
-	}
+	served := runBatch(t, pool, bg, batch)
 	for i, it := range items {
 		if batch[i] != it {
 			t.Errorf("batch slot %d rewritten", i)
@@ -87,7 +81,7 @@ func TestBatchFaultedItemFailsAlone(t *testing.T) {
 	if st.Requests != 3 || st.Batches != 1 || st.Failures != 1 {
 		t.Errorf("Requests/Batches/Failures = %d/%d/%d, want 3/1/1", st.Requests, st.Batches, st.Failures)
 	}
-	if got := st.PerEngine[f.Metrics().Engine].Stats.Rebuilds; got != 1 {
+	if got := st.PerEngine[served].Stats.Rebuilds; got != 1 {
 		t.Errorf("serving engine Rebuilds = %d, want 1 (the item after the fault)", got)
 	}
 }

@@ -71,15 +71,18 @@ type RequestMetrics struct {
 	Service time.Duration
 }
 
-// Future is the handle Submit and SubmitBatch return: a
-// single-assignment cell that resolves when service completes. Every
-// admission is one kind of future: a batch of request items served by
-// one RunBatch, of which a Submit is the batch of one. ShardedDo's plan
-// steps are the only other kind.
+// Future is the handle Submit returns: a single-assignment cell that
+// resolves when service completes. Every admission is one kind of
+// future: a batch of request items served by one RunBatch, of which a
+// Submit is the batch of one, and a SubmitBatch one resolves by
+// calling its completion. ShardedDo's plan steps are the only other
+// kind.
 type Future struct {
 	ctx  context.Context
 	enq  time.Time
 	done chan struct{}
+	// then is SubmitBatch's completion (nil for every other future).
+	then func(engine int)
 
 	// items is the request work: SubmitBatch's caller-owned batch, or
 	// solo's one item. The caller's slice is never written.
@@ -108,11 +111,10 @@ type Future struct {
 // Done returns a channel closed when the result is available.
 func (f *Future) Done() <-chan struct{} { return f.done }
 
-// Wait blocks until the request completes or ctx is done, returning a
-// Submit request's result (a SubmitBatch future returns a nil Result;
-// its items hold the outcomes). The ctx passed here only bounds the
-// wait — the request itself keeps running under the ctx given to
-// Submit. An already-done ctx returns its error immediately and
+// Wait blocks until the request completes or ctx is done, returning
+// its result. The ctx passed here only bounds the wait — the request
+// itself keeps running under the ctx given to Submit. An already-done
+// ctx returns its error immediately and
 // deterministically, even when the result is also ready (select would
 // pick at random).
 func (f *Future) Wait(ctx context.Context) (*Result, error) {
@@ -131,11 +133,15 @@ func (f *Future) Wait(ctx context.Context) (*Result, error) {
 // after Done's channel is closed.
 func (f *Future) Metrics() RequestMetrics { return f.m }
 
-// resolve publishes the outcome and wakes waiters. Called exactly once
-// (a second call panics on the closed channel — the soak test leans on
-// that to prove no future ever double-resolves).
+// resolve publishes the outcome and wakes waiters, or runs a batch's
+// completion. Called exactly once (a second call on a Submit or step
+// future panics on the closed channel — the soak test leans on that).
 func (f *Future) resolve(res *Result, err error) {
 	f.res, f.err = res, err
+	if f.then != nil {
+		f.then(f.m.Engine)
+		return
+	}
 	close(f.done)
 }
 
@@ -276,22 +282,25 @@ func (p *EnginePool) Engines() int { return len(p.shards) }
 // the Future with ctx.Err() without occupying an engine. The request
 // is served as a batch of one, through the same path as SubmitBatch.
 func (p *EnginePool) Submit(ctx context.Context, req Request) (*Future, error) {
-	f := &Future{}
+	f := &Future{done: make(chan struct{})}
 	f.solo[0] = &BatchItem{Req: req}
-	return p.admit(ctx, f, f.solo[:])
+	if err := p.admit(ctx, f, f.solo[:]); err != nil {
+		return nil, err
+	}
+	return f, nil
 }
 
 // admit is the one admission path: it arms each item's deadline, picks
 // the engine by the first item's size class, and enqueues f carrying
 // items — or sheds it with ErrQueueFull, never blocking.
-func (p *EnginePool) admit(ctx context.Context, f *Future, items []*BatchItem) (*Future, error) {
+func (p *EnginePool) admit(ctx context.Context, f *Future, items []*BatchItem) error {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	if p.closed {
-		return nil, fmt.Errorf("engine pool: %w", ErrPoolClosed)
+		return fmt.Errorf("engine pool: %w", ErrPoolClosed)
 	}
 	now := time.Now()
 	for _, it := range items {
@@ -302,18 +311,18 @@ func (p *EnginePool) admit(ctx context.Context, f *Future, items []*BatchItem) (
 	if it := f.solo[0]; it != nil {
 		f.deadline = it.Req.deadlineAt
 	}
-	f.ctx, f.enq, f.done, f.items = ctx, now, make(chan struct{}), items
+	f.ctx, f.enq, f.items = ctx, now, items
 	s := p.pick(items[0].Req.List)
 	s.pending.Add(1)
 	select {
 	case s.queue <- f:
 		p.observe(obs.Event{Kind: obs.KindEnqueue, N: len(s.queue)})
-		return f, nil
+		return nil
 	default:
 		s.pending.Add(-1)
 		p.rejected.Add(1)
 		p.observe(obs.Event{Kind: obs.KindShed})
-		return nil, fmt.Errorf("engine pool: engine %d: %w", s.id, ErrQueueFull)
+		return fmt.Errorf("engine pool: engine %d: %w", s.id, ErrQueueFull)
 	}
 }
 
@@ -400,7 +409,8 @@ func (p *EnginePool) dispatch(s *shard) {
 // The load counter must drop BEFORE the future resolves: a caller
 // chaining Wait → Submit otherwise races the decrement, sees the shard
 // still busy, and spills off its pinned engine — losing arena affinity
-// for strictly serial traffic.
+// for strictly serial traffic — and a batch's completion would find
+// no idle engine for the serving batcher's held groups.
 func (p *EnginePool) serve(s *shard, f *Future) {
 	start := time.Now()
 	wait := start.Sub(f.enq)

@@ -25,7 +25,7 @@ import (
 
 // traceOf returns the trace context a future's spans belong to. Step
 // futures carry their sharded request's context (shard.go) and Submit
-// futures their request's; SubmitBatch futures are untraced as a unit —
+// futures their request's; a SubmitBatch batch is untraced as a unit —
 // the serving layer traces each fused item itself.
 func traceOf(f *Future) obs.TraceContext {
 	switch {

@@ -3,16 +3,15 @@ package engine
 // This file is the engine side of sharded execution: one plan step —
 // a shard-local contraction, the reduced solve, or a shard-local
 // expansion — served on a warm engine exactly the way a whole request
-// is. runStep mirrors RunInto (semaphore, deadline, rebuild-on-degrade,
-// workspace/machine reset, fault plan, observer) so a step inherits the
-// entire serving discipline for free: a step that panics on an injected
-// fault fails its request with the transient class, a step that
-// outlives its budget aborts between rounds with
-// ErrDeadlineExceeded, and a step on a degraded machine pays the same
-// rebuild a request would. The kernels live in internal/rank; the
-// cross-step state they share is the coordinator-owned rank.ShardState,
-// never this engine's workspace, so resetting the arena here cannot
-// invalidate another shard's step.
+// is. runStep mirrors RunInto (semaphore, deadline, the request
+// prologue, observer) so a step inherits the entire serving discipline
+// for free: a step that panics on an injected fault fails its request
+// with the transient class, a step that outlives its budget aborts
+// between rounds with ErrDeadlineExceeded, and a step on a degraded
+// machine pays the same rebuild a request would. The kernels live in
+// internal/rank; the cross-step state they share is the
+// coordinator-owned rank.ShardState, never this engine's workspace, so
+// resetting the arena here cannot invalidate another shard's step.
 
 import (
 	"context"
@@ -126,13 +125,7 @@ func (e *Engine) serveStep(spec *stepSpec, at time.Time) error {
 			return fmt.Errorf("engine: deadline passed %v before step dispatch: %w", now.Sub(at), ErrDeadlineExceeded)
 		}
 	}
-	if e.m == nil || e.m.Processors() != p || e.m.Degraded() {
-		e.rebuild(p)
-	}
-	e.wsp.Reset()
-	e.m.Reset()
-	e.m.SetFaults(spec.faults)
-	e.m.SetDeadline(at)
+	e.prologue(p, spec.faults, at)
 	return e.dispatchStep(spec)
 }
 

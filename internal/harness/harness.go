@@ -70,9 +70,6 @@ func (cfg Config) checkRanks(l *list.List, rk []int) error {
 	return verify.Ranks(l, rk)
 }
 
-// DefaultConfig is the full-scale configuration used for EXPERIMENTS.md.
-func DefaultConfig() Config { return Config{Seed: 1} }
-
 // Table is a rendered experiment result.
 type Table struct {
 	Title  string

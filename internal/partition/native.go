@@ -76,10 +76,3 @@ func (r *NativeRunner) Iterate(l *list.List, e *Evaluator, k int) []int {
 	r.next, r.e, r.buf0, r.buf1 = nil, nil, nil, nil
 	return out
 }
-
-// NativeIterate is the one-shot convenience form of NativeRunner (it
-// allocates the runner; engines keep a cached one for the zero-alloc
-// request path).
-func NativeIterate(m *pram.Machine, l *list.List, e *Evaluator, k int) []int {
-	return NewNativeRunner(m).Iterate(l, e, k)
-}

@@ -350,6 +350,20 @@ func (m *Machine) SetFaults(plan *FaultPlan) {
 	}
 }
 
+// SetProcessors sets the simulated processor count p (≥ 1) for later
+// rounds. It scales only the accounting — ParFor's charge, ProcFor's
+// round, Snapshot — never the real workers, so one warm machine can
+// serve each request at its own count. Panics inside an open Batch.
+func (m *Machine) SetProcessors(p int) {
+	if p < 1 {
+		panic(fmt.Sprintf("pram: SetProcessors with p=%d", p))
+	}
+	if m.fused {
+		panic("pram: SetProcessors inside an open Batch")
+	}
+	m.p = p
+}
+
 // SetDeadline arms (or, with the zero time, disarms) a request
 // deadline: once t has passed, the next synchronous primitive — or the
 // next RunTeam dispatch — panics with *DeadlineExceeded instead of

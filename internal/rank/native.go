@@ -260,15 +260,3 @@ func (w *NativeWalker) Prefix(l *list.List, vals []int) []int {
 	out, _ := w.Walk(l, vals)
 	return out
 }
-
-// NativeRank is the one-shot convenience form of NativeWalker.Rank (it
-// allocates the walker; engines keep a cached one for the zero-alloc
-// request path).
-func NativeRank(m *pram.Machine, l *list.List) []int {
-	return NewNativeWalker(m).Rank(l)
-}
-
-// NativePrefix is the one-shot convenience form of NativeWalker.Prefix.
-func NativePrefix(m *pram.Machine, l *list.List, vals []int) []int {
-	return NewNativeWalker(m).Prefix(l, vals)
-}

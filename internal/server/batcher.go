@@ -60,156 +60,144 @@ type batchKey struct {
 	class int
 }
 
-// group is one pending coalescing group. deadline is the oldest item's
-// admission time plus MaxWait: the cap on how long the group can be
-// held while every engine is busy.
+// group is one pending coalescing group, filed in pending under key.
+// deadline is the first item's admission time plus MaxWait: the cap on
+// how long the group can be held while every engine is busy.
 type group struct {
+	key      batchKey
 	items    []*item
 	deadline time.Time
 }
 
-// batcher is the coalescing collector: a single goroutine owns the
-// pending groups, so grouping needs no locks. It is work-conserving: a
-// group is held only while every engine is busy, so coalescing happens
-// exactly when there is a backlog to fuse and an idle pool never pays a
-// wait. Admission sends items into in (non-blocking — a full inbox is a
-// shed); Shutdown closes in, and the collector flushes every pending
-// group (cause "drain") before exiting.
+// batcher is the coalescing batcher: pending groups behind one mutex,
+// with no goroutine of its own. It is work-conserving: a group is held
+// only while every engine is busy, so coalescing happens exactly when
+// there is a backlog to fuse and an idle pool never pays a wait. The
+// goroutine admitting an item (add), the engine dispatcher completing a
+// batch (complete) and the MaxWait timer (expire) each apply their own
+// trigger under mu, then flush groups oldest first while the pool has
+// an idle engine (cause "idle"). No wake-up is lost: add counts an item
+// as held before it reads pool.Idle, and a dispatcher drops its
+// engine's load before complete takes mu to flush again.
 type batcher struct {
-	srv *Server
-	in  chan *item
-	// wake carries completion wake-ups: a flush waiter whose batch has
-	// just freed its engine sends (without blocking) when items are
-	// held, so the collector re-checks the pool instead of waiting for
-	// the next arrival or the MaxWait timer.
-	wake chan struct{}
-	// wg tracks the flush-waiter goroutines (one per in-flight fused
-	// batch); after close(in) and <-exited, wg.Wait means every
-	// admitted item has finished.
-	wg     sync.WaitGroup
-	exited chan struct{}
+	srv   *Server
+	limit int // held items past which admission sheds ("inbox_full")
 
-	// groups and queued mirror the collector's pending state for
-	// /statusz: open coalescing groups and items waiting in them. The
-	// collector goroutine writes them after every event; readers get a
-	// live (slightly racy, as all gauges are) occupancy picture. queued
-	// is also half of the wake-up handshake: the collector counts an
-	// item here before it checks the pool for an idle engine, and a
-	// waiter reads it after its engine's load has dropped, so one of the
-	// two always sees the other (Go atomics are sequentially consistent).
-	groups atomic.Int64
+	mu      sync.Mutex
+	pending map[batchKey]*group
+	// timer is armed to the oldest group's deadline, due (zero while
+	// stopped), so it fires only for a group held through a whole
+	// MaxWait of busy engines.
+	timer *time.Timer
+	due   time.Time
+	// queued counts the items in pending: written under mu, and atomic
+	// so that it may be polled without mu.
 	queued atomic.Int64
 }
 
 func newBatcher(s *Server) *batcher {
-	depth := 16 * s.cfg.BatchSize
-	if depth < 256 {
-		// A small BatchSize must not starve admission: the inbox is
-		// the server-wide staging area, not a per-group buffer.
-		depth = 256
-	}
-	b := &batcher{
-		srv:    s,
-		in:     make(chan *item, depth),
-		wake:   make(chan struct{}, 1),
-		exited: make(chan struct{}),
-	}
-	go b.run()
+	// A small BatchSize must not starve admission: the bound is
+	// server-wide, not per group.
+	b := &batcher{srv: s, limit: max(16*s.cfg.BatchSize, 256), pending: make(map[batchKey]*group)}
+	b.timer = time.AfterFunc(time.Hour, b.expire)
+	b.timer.Stop()
 	return b
 }
 
-// run is the collector loop. Each turn waits for one event — an
-// arrival, the MaxWait timer, or a completion wake-up — applies that
-// event's own trigger (size on an arrival, deadline on the timer), and
-// then flushes pending groups oldest first for as long as the pool has
-// an idle engine (cause "idle"). A single timer is armed to the oldest
-// group's deadline, so it fires only for a group held through a whole
-// MaxWait of busy engines.
-func (b *batcher) run() {
-	defer close(b.exited)
-	pending := make(map[batchKey]*group)
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
+// add takes an admitted item into its (op, size class) group, which
+// flushes at BatchSize (cause "size"), and reports whether it was held:
+// past limit held items it is not. Once add returns true the item
+// belongs to the batcher.
+func (b *batcher) add(it *item) bool {
+	srv := b.srv
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.queued.Load() >= int64(b.limit) {
+		return false
 	}
-	armed := false
-	for {
-		var tc <-chan time.Time
-		if _, g := oldest(pending); g != nil {
-			if armed && !timer.Stop() {
-				<-timer.C
-			}
-			timer.Reset(max(time.Until(g.deadline), 0))
-			armed = true
-			tc = timer.C
+	it.admitted = true
+	srv.inflight.Add(1)
+	srv.met.inflight.Add(1)
+	k := batchKey{op: it.bi.Req.Op, class: engine.SizeClass(it.bi.Req.List.Len())}
+	g := b.pending[k]
+	if g == nil {
+		g = &group{key: k, deadline: it.enq.Add(srv.cfg.MaxWait)}
+		b.pending[k] = g
+	}
+	g.items = append(g.items, it)
+	b.queued.Add(1)
+	if len(g.items) >= srv.cfg.BatchSize {
+		b.take(g, "size")
+	}
+	b.flushIdle()
+	return true
+}
+
+// expire is the timer's callback: it flushes every group past its
+// deadline (cause "timer"). A stale firing finds none.
+func (b *batcher) expire() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.due = time.Time{}
+	now := time.Now()
+	for _, g := range b.pending {
+		if !g.deadline.After(now) {
+			b.take(g, "timer")
 		}
-		select {
-		case it, ok := <-b.in:
-			if armed && !timer.Stop() {
-				<-timer.C
-			}
-			armed = false
-			if !ok {
-				for k := range pending {
-					b.take(pending, k, "drain")
-				}
-				b.groups.Store(0)
-				return
-			}
-			it.admitted = true
-			b.srv.inflight.Add(1)
-			b.srv.met.inflight.Add(1)
-			n := 0
-			if it.bi.Req.List != nil {
-				n = it.bi.Req.List.Len()
-			}
-			k := batchKey{op: it.bi.Req.Op, class: engine.SizeClass(n)}
-			g := pending[k]
-			if g == nil {
-				g = &group{deadline: it.enq.Add(b.srv.cfg.MaxWait)}
-				pending[k] = g
-			}
-			g.items = append(g.items, it)
-			b.queued.Add(1)
-			if len(g.items) >= b.srv.cfg.BatchSize {
-				b.take(pending, k, "size")
-			}
-		case now := <-tc:
-			armed = false
-			for k, g := range pending {
-				if !g.deadline.After(now) {
-					b.take(pending, k, "timer")
-				}
-			}
-		case <-b.wake:
-		}
-		for len(pending) > 0 && b.srv.pool.Idle() {
-			k, _ := oldest(pending)
-			b.take(pending, k, "idle")
-		}
-		b.groups.Store(int64(len(pending)))
+	}
+	b.flushIdle()
+}
+
+// drain flushes every pending group (cause "drain") and stops the
+// timer. Shutdown calls it once admission has stopped.
+func (b *batcher) drain() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for _, g := range b.pending {
+		b.take(g, "drain")
+	}
+	b.arm()
+}
+
+// flushIdle flushes pending groups oldest first while an engine is
+// idle (cause "idle"), then re-arms the timer. Called under mu.
+func (b *batcher) flushIdle() {
+	for len(b.pending) > 0 && b.srv.pool.Idle() {
+		b.take(b.oldest(), "idle")
+	}
+	b.arm()
+}
+
+// arm points the timer at the oldest pending group's deadline, or
+// stops it when no group is pending. Called under mu.
+func (b *batcher) arm() {
+	switch g := b.oldest(); {
+	case g == nil && !b.due.IsZero():
+		b.timer.Stop()
+		b.due = time.Time{}
+	case g != nil && !g.deadline.Equal(b.due):
+		b.due = g.deadline
+		b.timer.Reset(time.Until(g.deadline))
 	}
 }
 
 // oldest returns the pending group whose first item arrived first (the
 // earliest deadline, since every group's deadline is its first
-// admission plus the same MaxWait), or a nil group when none is
-// pending.
-func oldest(pending map[batchKey]*group) (batchKey, *group) {
-	var oldK batchKey
-	var oldG *group
-	for k, g := range pending {
-		if oldG == nil || g.deadline.Before(oldG.deadline) {
-			oldK, oldG = k, g
+// admission plus the same MaxWait), or nil when none is pending.
+func (b *batcher) oldest() *group {
+	var old *group
+	for _, g := range b.pending {
+		if old == nil || g.deadline.Before(old.deadline) {
+			old = g
 		}
 	}
-	return oldK, oldG
+	return old
 }
 
-// take removes group k from pending and flushes it for cause.
-func (b *batcher) take(pending map[batchKey]*group, k batchKey, cause string) {
-	g := pending[k]
-	delete(pending, k)
+// take removes g from pending and flushes it for cause. Called under
+// mu.
+func (b *batcher) take(g *group, cause string) {
+	delete(b.pending, g.key)
 	b.queued.Add(-int64(len(g.items)))
 	b.flush(g.items, cause)
 }
@@ -217,8 +205,8 @@ func (b *batcher) take(pending map[batchKey]*group, k batchKey, cause string) {
 // flush turns one group into one SubmitBatch call. Items whose context
 // died while batched are dropped here (cancel-while-batched); a shed
 // from the engine queue fails the whole group — no item ran, so the
-// caller can safely retry. The future is awaited on a tracked
-// goroutine so the collector never blocks on engine service time.
+// caller can safely retry. The serving engine's dispatcher completes
+// the batch. Called under mu.
 func (b *batcher) flush(items []*item, cause string) {
 	now := time.Now()
 	srv := b.srv
@@ -257,55 +245,47 @@ func (b *batcher) flush(items []*item, cause string) {
 		it.batched = len(live)
 		m.batchWait.Observe(now.Sub(it.enq).Nanoseconds())
 	}
-	f, err := srv.pool.SubmitBatch(context.Background(), bis)
+	// From a successful SubmitBatch on, the batch may complete on the
+	// dispatcher at any moment: nothing here touches an item again.
+	err := srv.pool.SubmitBatch(context.Background(), bis, func(eng int) { b.complete(live, link, eng) })
 	if err != nil {
-		st := StatusShed
-		cause := "queue_full"
+		st, cause := StatusShed, "queue_full"
 		if errors.Is(err, engine.ErrPoolClosed) {
-			st = StatusDraining
-			cause = "draining"
+			st, cause = StatusDraining, "draining"
 		}
 		for _, it := range live {
 			m.sheds(it.tenant, cause).Inc()
 			srv.finish(it, st, err)
 		}
-		return
 	}
-	b.wg.Add(1)
-	go func() {
-		defer b.wg.Done()
-		// The future's ctx is Background: it resolves when every item
-		// has been served (or skipped by its own dead ctx).
-		_, _ = f.Wait(context.Background())
-		// The engine's load dropped before the future resolved, so if
-		// items are held the collector may now flush one to it.
-		if b.queued.Load() > 0 {
-			select {
-			case b.wake <- struct{}{}:
-			default:
+}
+
+// complete settles a served batch on the dispatcher of engine eng:
+// each item's spans, then finish, then — the engine's load having
+// dropped before complete runs — the idle flush of held groups.
+func (b *batcher) complete(live []*item, link uint64, eng int) {
+	srv := b.srv
+	for _, it := range live {
+		// Spans land before finish hands the item on, so a caller that
+		// reads /debug/traces right after its response sees the
+		// complete tree.
+		if tc := it.bi.Req.Trace; tc.Sampled {
+			status := ""
+			if it.bi.Err != nil {
+				status = statusName(statusOf(it.bi.Err))
+			}
+			if it.bi.Start.IsZero() {
+				// Never reached a machine (dead ctx, engine-side failure
+				// before service): the queue span carries the failure.
+				srv.childSpan(tc, link, "queue", eng, it.flush, time.Since(it.flush), status)
+			} else {
+				srv.childSpan(tc, link, "queue", eng, it.flush, it.bi.Start.Sub(it.flush), "")
+				srv.childSpan(tc, link, "engine", eng, it.bi.Start, it.bi.End.Sub(it.bi.Start), status)
 			}
 		}
-		eng := f.Metrics().Engine
-		for _, it := range live {
-			// Spans land before finish hands the item on, so a caller
-			// that reads /debug/traces right after its response sees
-			// the complete tree.
-			if tc := it.bi.Req.Trace; tc.Sampled {
-				status := ""
-				if it.bi.Err != nil {
-					status = statusName(statusOf(it.bi.Err))
-				}
-				if it.bi.Start.IsZero() {
-					// Never reached a machine (dead ctx, engine-side
-					// failure before service): the queue span carries
-					// the failure.
-					srv.childSpan(tc, link, "queue", eng, it.flush, time.Since(it.flush), status)
-				} else {
-					srv.childSpan(tc, link, "queue", eng, it.flush, it.bi.Start.Sub(it.flush), "")
-					srv.childSpan(tc, link, "engine", eng, it.bi.Start, it.bi.End.Sub(it.bi.Start), status)
-				}
-			}
-			srv.finish(it, statusOf(it.bi.Err), it.bi.Err)
-		}
-	}()
+		srv.finish(it, statusOf(it.bi.Err), it.bi.Err)
+	}
+	b.mu.Lock()
+	b.flushIdle()
+	b.mu.Unlock()
 }

@@ -3,22 +3,29 @@ package server
 // Tests for the batcher's flush policy: a group is held only while
 // every engine is busy. An idle pool flushes at once (cause "idle"), a
 // completion wake-up flushes a held group the moment an engine frees,
-// MaxWait caps the hold when engines stay busy (cause "timer"), and a
-// closed loop over mixed classes never strands a request.
+// MaxWait caps the hold when engines stay busy (cause "timer"), a
+// closed loop over mixed classes never strands a request, and all of
+// it holds up with every trigger racing a drain.
 
 import (
+	"bufio"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"parlist/internal/engine"
 	"parlist/internal/list"
+	"parlist/internal/obs"
 )
 
 // flushCounts reads the flush counters by cause.
@@ -206,4 +213,258 @@ func TestClosedLoopMixedClasses(t *testing.T) {
 	if st := s.pool.Stats(); st.Requests != callers*rounds {
 		t.Errorf("pool served %d requests, want %d", st.Requests, callers*rounds)
 	}
+}
+
+// gateObserver holds every dequeue while its gate is shut, parking the
+// engines of its pool for as long as the gate stays shut.
+type gateObserver struct {
+	mu   sync.Mutex
+	gate chan struct{} // closed while open
+}
+
+func newGateObserver() *gateObserver {
+	o := &gateObserver{gate: make(chan struct{})}
+	close(o.gate)
+	return o
+}
+
+func (o *gateObserver) Observe(e obs.Event) {
+	if e.Kind != obs.KindDequeue {
+		return
+	}
+	o.mu.Lock()
+	g := o.gate
+	o.mu.Unlock()
+	<-g
+}
+
+func (o *gateObserver) shut() {
+	o.mu.Lock()
+	o.gate = make(chan struct{})
+	o.mu.Unlock()
+}
+
+func (o *gateObserver) open() {
+	o.mu.Lock()
+	close(o.gate)
+	o.mu.Unlock()
+}
+
+// TestBatcherStress drives every flush trigger at once. Four
+// connections pipeline mixed ops and sizes against two engines that a
+// gate parks and releases every few milliseconds, with BatchSize 4 and
+// a 300-µs MaxWait, so idle, size and timer flushes all occur. Then,
+// with the engines parked on the last requests, Shutdown runs. Every
+// request must be answered exactly once, every OK result must equal
+// Do's, the flush counters must account for every batch the pool
+// served or shed, and no goroutine may outlive the server.
+func TestBatcherStress(t *testing.T) {
+	const conns, frames, tail = 4, 120, 8
+	base := runtime.NumGoroutine()
+	var reqs []engine.Request
+	for _, n := range []int{40, 300, 1200} {
+		reqs = append(reqs, serverTestRequests(t, list.RandomList(n, int64(n)))...)
+	}
+	control := engine.NewPool(engine.PoolConfig{
+		Engines: 2, QueueDepth: 64, Engine: engine.Config{Processors: 8}})
+	wants := make([]*engine.Result, len(reqs))
+	for i, req := range reqs {
+		var err error
+		if wants[i], err = control.Do(context.Background(), req); err != nil {
+			t.Fatalf("control %d: %v", i, err)
+		}
+	}
+	control.Close()
+
+	gate := newGateObserver()
+	pool := engine.NewPool(engine.PoolConfig{
+		Engines: 2, QueueDepth: 64, Engine: engine.Config{Processors: 8}, Observer: gate})
+	s, err := New(Config{Pool: pool, BatchSize: 4, MaxWait: 300 * time.Microsecond})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	go s.ServeBinary(ln)
+	read := func() int64 {
+		var n int64
+		for _, op := range opsByName {
+			n += s.met.requests("binary", op).Value()
+		}
+		return n
+	}
+
+	// Each connection's frame i carries id i and request i mod len(reqs).
+	encode := func(from, to int) []byte {
+		var stream []byte
+		for i := from; i < to; i++ {
+			var err error
+			if stream, err = appendRequestFrame(stream, uint64(i), "", &reqs[i%len(reqs)]); err != nil {
+				t.Fatalf("encode %d: %v", i, err)
+			}
+		}
+		return stream
+	}
+	type answer struct {
+		conn int
+		r    *Response
+	}
+	answers := make(chan answer, conns*(frames+tail)+conns)
+	var answered atomic.Int64
+	readErrs := make(chan error, conns)
+	cs := make([]net.Conn, conns)
+	var readers sync.WaitGroup
+	for k := range cs {
+		c, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		defer c.Close()
+		cs[k] = c
+		readers.Add(1)
+		go func(k int) { // reads responses until the server closes c
+			defer readers.Done()
+			br := bufio.NewReader(c)
+			var lenBuf [4]byte
+			for {
+				if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
+					readErrs <- nil
+					return
+				}
+				buf := make([]byte, binary.LittleEndian.Uint32(lenBuf[:]))
+				if _, err := io.ReadFull(br, buf); err != nil {
+					readErrs <- fmt.Errorf("conn %d: %w", k, err)
+					return
+				}
+				r, err := decodeResponseFrame(buf)
+				if err != nil {
+					readErrs <- fmt.Errorf("conn %d: decode response: %w", k, err)
+					return
+				}
+				answers <- answer{k, r}
+				answered.Add(1)
+			}
+		}(k)
+	}
+
+	stop := make(chan struct{})
+	toggled := make(chan struct{})
+	go func() { // parks and releases the engines until stopped, shut
+		defer close(toggled)
+		for {
+			gate.shut()
+			time.Sleep(2 * time.Millisecond)
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			gate.open()
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	var writers sync.WaitGroup
+	writeErrs := make(chan error, conns)
+	for k, c := range cs {
+		writers.Add(1)
+		go func(k int, c net.Conn) {
+			defer writers.Done()
+			if _, err := c.Write(encode(0, frames)); err != nil {
+				writeErrs <- fmt.Errorf("conn %d: %w", k, err)
+			}
+		}(k, c)
+	}
+	writers.Wait()
+	close(writeErrs)
+	for err := range writeErrs {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(time.Minute); answered.Load() < conns*frames; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d first-phase requests answered", answered.Load(), conns*frames)
+		}
+	}
+	close(stop)
+	<-toggled // the gate is shut: the engines park on what they dequeue next
+
+	// Nothing is in flight and the tail fits every connection's cap, so
+	// the server reads all of it while the engines stay parked.
+	for k, c := range cs {
+		if _, err := c.Write(encode(frames, frames+tail)); err != nil {
+			t.Fatalf("conn %d: write tail: %v", k, err)
+		}
+	}
+	waitFor(t, "every frame to be read", func() bool { return read() == conns*(frames+tail) })
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	shut := make(chan error, 1)
+	go func() { shut <- s.Shutdown(ctx) }()
+	waitFor(t, "the drain to start", s.isDraining)
+	gate.open()
+	if err := <-shut; err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	readers.Wait()
+	close(readErrs)
+	for err := range readErrs {
+		if err != nil {
+			t.Error(err)
+		}
+	}
+	close(answers)
+
+	seen := make([]map[uint64]bool, conns)
+	for k := range seen {
+		seen[k] = make(map[uint64]bool)
+	}
+	var ok, shed int64
+	for a := range answers {
+		r := a.r
+		if r.ID >= frames+tail || seen[a.conn][r.ID] {
+			t.Fatalf("conn %d: response id %d out of range or repeated", a.conn, r.ID)
+		}
+		seen[a.conn][r.ID] = true
+		switch r.Status {
+		case StatusOK:
+			ok++
+			assertSameResult(t, int(r.ID), &r.Result, wants[int(r.ID)%len(reqs)])
+		case StatusShed:
+			shed++
+		default:
+			t.Errorf("conn %d: response %d: status %s (%s)", a.conn, r.ID, statusName(r.Status), r.Message)
+		}
+	}
+	for k := range seen {
+		if len(seen[k]) != frames+tail {
+			t.Errorf("conn %d: %d of %d requests answered", k, len(seen[k]), frames+tail)
+		}
+	}
+
+	flushes := flushCounts(s)
+	for _, c := range []string{"idle", "size", "timer"} {
+		if flushes[c] == 0 {
+			t.Errorf("no %s flush: %v", c, flushes)
+		}
+	}
+	var total int64
+	for _, n := range flushes {
+		total += n
+	}
+	st := pool.Stats()
+	t.Logf("flushes %v; pool batches %d, shed %d; answers ok %d, shed %d", flushes, st.Batches, st.Rejected, ok, shed)
+	if total != st.Batches+st.Rejected {
+		t.Errorf("%d flushes (%v), but the pool served %d batches and shed %d", total, flushes, st.Batches, st.Rejected)
+	}
+	if st.Requests != ok {
+		t.Errorf("pool served %d requests, %d answered OK", st.Requests, ok)
+	}
+	if shed > 0 && st.Rejected == 0 {
+		t.Errorf("%d requests shed, but the pool shed no batch", shed)
+	}
+	for _, c := range cs {
+		c.Close()
+	}
+	waitGoroutines(t, base)
 }

@@ -541,11 +541,11 @@ var (
 
 // maxConnInflight caps the frames one binary connection holds between
 // read and response write: twice the largest batch E21 fuses, and a
-// quarter of the batcher's default inbox. At the cap the read loop
-// stops reading until a response is written, so a pipelining client
-// gets backpressure instead of the whole inbox. The bound is also why
-// finish's send on the connection's out queue, which has this many
-// slots, never blocks.
+// quarter of the batcher's default bound on held items. At the cap the
+// read loop stops reading until a response is written, so a pipelining
+// client gets backpressure instead of the whole batcher. The bound is
+// also why finish's send on the connection's out queue, which has this
+// many slots, never blocks.
 //
 // The slots also bound a connection's bytes: a frame takes one slot
 // per maxFrame/maxConnInflight bytes or part of it (frameSlots), so

@@ -16,8 +16,8 @@
 //
 // Admission control is layered in front of the batcher: a draining
 // server refuses new work (StatusDraining), a per-tenant token bucket
-// sheds over-limit tenants (StatusOverLimit), and a full batcher inbox
-// or engine queue sheds the request (StatusShed). [Server.Shutdown]
+// sheds over-limit tenants (StatusOverLimit), and a full batcher or
+// engine queue sheds the request (StatusShed). [Server.Shutdown]
 // drains in-flight batches to completion before closing the pool,
 // reusing EnginePool.Close's exactly-once discipline.
 package server
@@ -44,7 +44,7 @@ const (
 	// malformed frame, an unknown op/algorithm/scheme, a validation
 	// failure, or an input over the configured node cap.
 	StatusInvalid byte = 1
-	// StatusShed reports overload: the batcher inbox or the chosen
+	// StatusShed reports overload: the batcher or the chosen
 	// engine's admission queue was full. The request did not run;
 	// retrying after backoff is safe.
 	StatusShed byte = 2

@@ -103,9 +103,9 @@ type Server struct {
 	sampleRate float64
 
 	// mu guards draining and the listener/conn sets. Admission holds
-	// it as a reader across the draining check and the batcher send,
-	// so once Shutdown flips draining under the write lock there are
-	// no in-flight senders and closing the batcher inbox is safe.
+	// it as a reader across the draining check and the batcher's add,
+	// so once Shutdown flips draining under the write lock no item can
+	// join a group after the drain flush.
 	mu        sync.RWMutex
 	draining  bool
 	listeners map[net.Listener]struct{}
@@ -273,13 +273,11 @@ func (s *Server) submit(it *item, proto string) {
 		s.finish(it, StatusOverLimit, fmt.Errorf("server: tenant %q over rate limit", it.tenant))
 		return
 	}
-	select {
-	case s.bat.in <- it:
-		s.mu.RUnlock()
-	default:
-		s.mu.RUnlock()
+	held := s.bat.add(it)
+	s.mu.RUnlock()
+	if !held {
 		s.met.sheds(it.tenant, "inbox_full").Inc()
-		s.finish(it, StatusShed, errors.New("server: batcher inbox full"))
+		s.finish(it, StatusShed, errors.New("server: batcher full"))
 	}
 }
 
@@ -306,7 +304,8 @@ func (s *Server) refusal(it *item) error {
 
 // finish settles a submitted item with status st: it records the
 // outcome on the metrics and the trace's root span, then hands the
-// item to its out queue. The send never blocks: an HTTP handler's
+// item to its out queue. The send never blocks, as it must not on the
+// engine dispatcher that finishes a served item: an HTTP handler's
 // queue has a slot for its one item, and a binary connection's has
 // maxConnInflight slots, as many as the items it may hold.
 func (s *Server) finish(it *item, st byte, err error) {
@@ -457,14 +456,12 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		}
 		s.mu.Unlock()
 
-		// No sender can be inside a batcher send now: senders hold the
-		// read lock across the draining check and the send.
-		close(s.bat.in)
-		<-s.bat.exited
+		// No admission can be inside the batcher's add now: admission
+		// holds the read lock across the draining check and the add.
+		s.bat.drain()
 
 		done := make(chan struct{})
 		go func() {
-			s.bat.wg.Wait()   // every fused batch resolved
 			s.inflight.Wait() // every response written
 			close(done)
 		}()

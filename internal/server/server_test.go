@@ -1204,9 +1204,9 @@ func TestDrainCompletesInflight(t *testing.T) {
 	defer cancelT()
 	shut := make(chan error, 1)
 	go func() { shut <- s.Shutdown(ctx) }()
-	// The drain flush happens before the collector exits; only then may
-	// the engine run again, so the drained group cannot flush as idle.
-	<-s.bat.exited
+	// Only once the drain flush has run may the engine run again, so
+	// the drained group cannot flush as idle.
+	waitFor(t, "the drain flush", func() bool { return s.met.flushes["drain"].Value() == 1 })
 	park.unpark(1)
 	if err := <-shut; err != nil {
 		t.Fatalf("Shutdown: %v", err)

@@ -37,9 +37,11 @@ func (s *Server) statusz(w http.ResponseWriter, r *http.Request) {
 	}
 
 	fmt.Fprintf(&buf, "\nbatcher\n")
+	s.bat.mu.Lock()
+	groups, queued := len(s.bat.pending), s.bat.queued.Load()
+	s.bat.mu.Unlock()
 	fmt.Fprintf(&buf, "  open groups %d  queued items %d  inflight %d  batch-size %d  max-wait %s\n",
-		s.bat.groups.Load(), s.bat.queued.Load(), s.met.inflight.Value(),
-		s.cfg.BatchSize, s.cfg.MaxWait)
+		groups, queued, s.met.inflight.Value(), s.cfg.BatchSize, s.cfg.MaxWait)
 	fmt.Fprintf(&buf, "  flushes")
 	for _, c := range flushCauses {
 		fmt.Fprintf(&buf, "  %s %d", c, s.met.flushes[c].Value())
